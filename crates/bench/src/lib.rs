@@ -1,4 +1,4 @@
-//! # mirror-bench — figure regeneration and micro-benchmarks
+//! # mirror-bench — figure regeneration
 //!
 //! One binary per figure of the paper's evaluation (§4):
 //!
@@ -13,10 +13,13 @@
 //! | `ablations` | (beyond paper) | coalesce depth, checkpoint interval, hysteresis, backup growth |
 //!
 //! Each binary prints the series the paper plots plus a shape check
-//! (who wins, by what factor, where crossovers fall). Criterion
-//! micro-benchmarks for the hot primitives live in `benches/`, and the
-//! [`sweep`] module powers a compose-your-own-grid CSV runner
-//! (`--bin sweep`).
+//! (who wins, by what factor, where crossovers fall), and the [`sweep`]
+//! module powers a compose-your-own-grid CSV runner (`--bin sweep`).
+//!
+//! Wall-clock measurement of the threaded stack lives in the repository's
+//! `benchmark/` crate. The four scale-out binaries still here
+//! (`edge_fanout`, `partition_scale`, `elastic_burst`, `wan_mirror`) stay
+//! only until `benchmark/` has workloads for the regimes they cover.
 
 #![warn(missing_docs)]
 

@@ -16,14 +16,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::control::{AdaptDirective, SiteId};
 use crate::mirrorfn::MirrorFnKind;
 use crate::params::{MirrorParams, ParamId};
 
 /// Which runtime quantity a threshold watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MonitorKind {
     /// Length of a site's ready queue.
     ReadyQueueLen,
@@ -41,7 +39,7 @@ impl MonitorKind {
 
 /// A snapshot of one site's monitored variables, piggybacked on checkpoint
 /// replies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorReport {
     /// Ready-queue length.
     pub ready_len: u64,
@@ -74,7 +72,7 @@ impl MonitorReport {
 
 /// Primary/secondary thresholds for one monitored variable
 /// (`set_monitor_values(index, p, s)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorThresholds {
     /// Crossing this value (≥) engages the adaptation.
     pub primary: u64,
@@ -96,7 +94,7 @@ impl MonitorThresholds {
 }
 
 /// What the adaptation does once a threshold is crossed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdaptAction {
     /// Switch to a different named mirroring function while engaged,
     /// restoring the normal one on release (§4.3's two-profile policy).
@@ -128,7 +126,7 @@ pub enum AdaptAction {
 /// (`primary − secondary`) directs *retire one*. Like every other
 /// adaptation, the decision is made centrally, once per checkpoint round —
 /// the embedding (e.g. `mirror-runtime`'s `Cluster`) executes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalePolicy {
     /// Primary/secondary thresholds on the aggregated pending-request
     /// gauge (hysteresis exactly as for mirror-function adaptation).

@@ -25,8 +25,6 @@
 //! split-brain a round even though round numbers restart across
 //! promotions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::adapt::MonitorReport;
 use crate::mirrorfn::MirrorFnKind;
 use crate::params::MirrorParams;
@@ -42,7 +40,7 @@ pub const CENTRAL_SITE: SiteId = 0;
 
 /// An adaptation directive shipped from the central site to every mirror,
 /// piggybacked on a checkpoint `COMMIT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptDirective {
     /// Complete replacement parameter set (generation-stamped so stale
     /// directives are discarded).
@@ -58,7 +56,7 @@ pub struct AdaptDirective {
 }
 
 /// A message on the control channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlMsg {
     /// Voting phase: the central auxiliary unit proposes advancing the
     /// consistent view to `stamp` (usually the most recent value in its

@@ -15,27 +15,8 @@
 //! on the simulation path.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::timestamp::{Seq, VectorTimestamp};
-
-/// Serde adapter for [`Bytes`] payloads: serialized as a plain byte
-/// sequence (identical to `Vec<u8>`), deserialized into an owned buffer.
-/// Keeps the wire/serde representation independent of the zero-copy
-/// in-memory type.
-#[allow(dead_code)] // referenced from derive-generated code only
-mod opaque_bytes {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_seq(b.iter())
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        Ok(Bytes::from(Vec::<u8>::deserialize(d)?))
-    }
-}
 
 /// Identifier of an incoming event stream (one vector-timestamp component
 /// per stream).
@@ -58,7 +39,7 @@ pub mod streams {
 ///
 /// The order of variants follows the flight lifecycle; the EDE's state
 /// machine (`mirror-ede`) enforces legal transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum FlightStatus {
     /// Planned; no operational activity yet.
@@ -103,7 +84,7 @@ impl FlightStatus {
 }
 
 /// A single radar position fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionFix {
     /// Latitude in degrees.
     pub lat: f64,
@@ -123,7 +104,7 @@ impl PositionFix {
 }
 
 /// The typed body of an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventBody {
     /// FAA flight position update.
     Position(PositionFix),
@@ -166,7 +147,7 @@ pub enum EventBody {
     /// Backed by [`Bytes`] so that cloning an event — which happens at
     /// every queue/channel hop of the mirroring fan-out — bumps a
     /// reference count instead of copying the payload.
-    Opaque(#[serde(with = "opaque_bytes")] Bytes),
+    Opaque(Bytes),
 }
 
 impl EventBody {
@@ -203,7 +184,7 @@ impl EventBody {
 /// This is deliberately coarser than [`EventBody`]: rules are written
 /// against types ("overwrite FAA position events"), sometimes refined by a
 /// target *value* ("discard after Delta status == Landed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventType {
     /// FAA position update.
     FaaPosition,
@@ -244,7 +225,7 @@ impl EventType {
 pub const EVENT_HEADER_WIRE_SIZE: usize = 2 + 8 + 4 + 1 + 2 + 4 + 8;
 
 /// An application-level update event flowing through the OIS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Which incoming stream produced this event.
     pub stream: StreamId,

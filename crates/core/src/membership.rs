@@ -27,12 +27,10 @@
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::control::{SiteId, CENTRAL_SITE};
 
 /// Lifecycle state of one cluster site within a [`MembershipView`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteState {
     /// Participating in mirroring, checkpoint rounds and request routing.
     Live,
@@ -51,7 +49,7 @@ pub enum SiteState {
 /// builds a new view with `epoch + 1`. Two views with the same epoch are
 /// identical, so consumers cache per-epoch derived state (routing tables,
 /// participant lists) keyed by [`MembershipView::epoch`] alone.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipView {
     epoch: u64,
     /// `(site, state)` pairs in ascending site order; the central site is

@@ -13,8 +13,6 @@
 //! [`MirrorFnKind`] presets bundle both so whole configurations can be
 //! named, compared, and shipped to mirrors during adaptation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{Event, EventBody, EventType, PositionFix};
 use crate::params::MirrorParams;
 use crate::rules::{Rule, RuleSet};
@@ -175,10 +173,10 @@ where
     }
 }
 
-/// Named, serializable mirroring configurations — the units the adaptation
+/// Named mirroring configurations — the units the adaptation
 /// controller switches between and the configurations the paper's figures
 /// compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MirrorFnKind {
     /// No mirroring at all (the paper's baseline in Figure 4).
     None,

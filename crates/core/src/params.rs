@@ -6,7 +6,7 @@
 //! length (kept in the [`crate::rules::RuleSet`]), (5) the checkpointing
 //! frequency, and (6) adaptation parameters (see [`crate::adapt`]).
 //!
-//! Parameter sets are `Clone + Serialize` so the adaptation controller can
+//! Parameter sets are `Clone` so the adaptation controller can
 //! ship a full replacement parameter set to every mirror piggybacked on
 //! checkpoint control messages, guaranteeing that "all mirrors are adapted
 //! in the same fashion".
@@ -16,11 +16,9 @@
 //! flush linger) — live in `mirror_runtime::bridge::BatchPolicy`, which is
 //! fixed per bridge rather than adapted at runtime.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a tunable parameter for `set_adapt(p_id, p)`-style percentage
 /// adjustments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamId {
     /// Maximum number of events coalesced into one mirror event.
     CoalesceMax,
@@ -32,7 +30,7 @@ pub enum ParamId {
 }
 
 /// The dynamic parameter set of the mirroring process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MirrorParams {
     /// Coalesce runs of ready-queue events before mirroring (vs. mirroring
     /// each event independently).

@@ -18,7 +18,6 @@
 
 use crate::event::FlightId;
 use crate::hashing::fib_slot;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a mirror group (an independent central + mirrors owning a
 /// subset of the flight space).
@@ -31,7 +30,7 @@ pub type GroupId = u16;
 pub const PARTITION_SLOTS: usize = 64;
 
 /// Epoch-stamped assignment of flight-id hash slots to mirror groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     epoch: u64,
     slots: Vec<GroupId>,

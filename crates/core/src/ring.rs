@@ -22,7 +22,19 @@
 //! free: the ring positions themselves are the operation counts (`tail` =
 //! items ever pushed, `head` = items ever popped), so the stats cost no
 //! extra atomics on the hot path; only the high-watermark needs a
-//! producer-side observation per push.
+//! producer-side observation per push. It never exceeds capacity: the
+//! SPSC producer computes occupancy against a cached head that can only
+//! lag the real one, and an MPSC producer reads the head after acquiring
+//! its slot's free marker, which the consumer publishes after the head —
+//! and before publishing its own fill marker, so the head cannot yet have
+//! passed it.
+//!
+//! Who owns a slot is decided by exactly one signal per flavour. SPSC:
+//! `tail` (Release by the producer after the write, Acquire by the
+//! consumer) hands a slot over and `head` (Release by the consumer after
+//! the read, Acquire by the producer) hands it back; the per-slot sequence
+//! is not part of that protocol. MPSC: the per-slot sequence alone gates
+//! both sides, because `tail` there is a claim, not a publication.
 //!
 //! Disconnect semantics mirror a channel's: when every producer handle is
 //! dropped the consumer drains what remains and then observes
@@ -88,7 +100,9 @@ struct Shared<T> {
 
 struct Slot<T> {
     /// Vyukov sequence number: `index` when free for the producer lap,
-    /// `index + 1` when filled for the consumer, and so on per lap.
+    /// `index + 1` when filled for the consumer, and so on per lap. Only
+    /// the MPSC protocol reads or writes it: with one producer and one
+    /// consumer, `head` and `tail` alone say who owns a slot.
     seq: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
 }
@@ -97,7 +111,7 @@ struct Slot<T> {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-// Safety: slots are transferred between threads with acquire/release on
+// SAFETY: slots are transferred between threads with acquire/release on
 // the per-slot sequence (mpsc) or head/tail (spsc); a slot's value is only
 // touched by the side that owns it per those orderings.
 unsafe impl<T: Send> Send for Shared<T> {}
@@ -145,12 +159,12 @@ impl<T> Shared<T> {
         let head = self.head.0.load(Ordering::Relaxed);
         let tail = self.tail.0.load(Ordering::Relaxed);
         for i in head..tail {
-            let slot = &self.slots[i & self.mask];
-            // A slot between head and tail holds a live value iff its seq
-            // marks it filled for this lap.
-            if slot.seq.load(Ordering::Relaxed) == i.wrapping_add(1) {
-                unsafe { (*slot.value.get()).assume_init_drop() };
-            }
+            // SAFETY: every position in `head..tail` holds a value nobody
+            // popped. SPSC publishes `tail` only after the write. An MPSC
+            // producer claims `tail` first and writes second, but both
+            // happen inside one `try_send` on a live handle, and `&mut
+            // self` here means every handle is gone.
+            unsafe { (*self.slots[i & self.mask].value.get()).assume_init_drop() };
         }
     }
 }
@@ -221,11 +235,18 @@ impl<T: Send> SpscSender<T> {
             }
         }
         let slot = &self.shared.slots[self.local_tail & self.shared.mask];
+        // SAFETY: this slot last held position `local_tail - cap`, which
+        // is below `cached_head` by the full check. `cached_head` came
+        // from an Acquire load of `head`, pairing with the Release store
+        // the consumer makes in `pop_at` *after* reading the value out, so
+        // the consumer is done with the slot and will not look at it
+        // again before `tail` moves past it below. Single producer: no
+        // other writer exists.
         unsafe { (*slot.value.get()).write(value) };
-        // Publish the value: seq = tail + 1 marks the slot filled, and the
-        // release pairs with the consumer's acquire load of it.
-        slot.seq.store(self.local_tail.wrapping_add(1), Ordering::Release);
         self.local_tail = self.local_tail.wrapping_add(1);
+        // Publish the value. Release pairs with the consumer's Acquire
+        // load of `tail` in `try_recv`: seeing the new tail implies seeing
+        // the write above.
         self.shared.tail.0.store(self.local_tail, Ordering::Release);
         // Occupancy as this producer sees it: `cached_head` never runs
         // ahead of the real head, so this is ≥ the true occupancy but —
@@ -305,24 +326,23 @@ impl<T: Send> SpscReceiver<T> {
         self.pop_at()
     }
 
+    /// Pop the slot at `local_head`; the caller has seen `cached_tail`
+    /// past it.
     fn pop_at(&mut self) -> RingRecv<T> {
         let slot = &self.shared.slots[self.local_head & self.shared.mask];
-        // Wait (bounded: the producer already published tail past us) for
-        // the slot's fill marker.
-        let want = self.local_head.wrapping_add(1);
-        let mut spins = 0u32;
-        while slot.seq.load(Ordering::Acquire) != want {
-            backoff(&mut spins);
-        }
+        // SAFETY: `cached_tail` came from an Acquire load of `tail`,
+        // pairing with the Release store the producer makes in `try_send`
+        // *after* writing this slot, so the value is initialised and
+        // visible. The producer cannot reuse the slot until it sees the
+        // head store below. Single consumer: nobody else reads it.
         let value = unsafe { (*slot.value.get()).assume_init_read() };
-        // Publish the new head BEFORE freeing the slot: a producer that
-        // observes the freed slot (acquire on `seq`) then also sees this
-        // pop counted, so its occupancy observation never exceeds
-        // capacity.
         self.local_head = self.local_head.wrapping_add(1);
+        // Hand the slot back. Release pairs with the producer's Acquire
+        // load of `head` in its full check: seeing the new head implies
+        // the read above is over. This store is the *only* thing that
+        // frees an SPSC slot — a second, later "free" signal is how a
+        // refilled slot once got lost.
         self.shared.head.0.store(self.local_head, Ordering::Release);
-        // Free the slot for the producer's next lap.
-        slot.seq.store(self.local_head.wrapping_add(self.shared.mask), Ordering::Release);
         RingRecv::Item(value)
     }
 
@@ -390,15 +410,20 @@ impl<T: Send> MpscSender<T> {
                 ) {
                     Ok(_) => {
                         unsafe { (*slot.value.get()).write(value) };
-                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                        // Occupancy at this push: the claim acquired the
-                        // slot's free marker, which the consumer publishes
-                        // *after* its head advance — so the head read here
-                        // is recent enough that this never exceeds
-                        // capacity. The RMW runs only on a new high.
+                        // Occupancy at this push, read while the slot is
+                        // still ours: until the fill marker below is out
+                        // the consumer cannot pass this position, so
+                        // `head <= tail` and the difference cannot wrap
+                        // (the Release store keeps this load ahead of
+                        // it). It is also within capacity: the claim
+                        // acquired the slot's free marker (Acquire on
+                        // `seq`), which the consumer publishes (Release)
+                        // *after* its head advance. The RMW runs only on
+                        // a new high.
                         let occupancy = tail
                             .wrapping_add(1)
                             .wrapping_sub(self.shared.head.0.load(Ordering::Relaxed));
+                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
                         if occupancy > self.shared.watermark.load(Ordering::Relaxed) {
                             self.shared.watermark.fetch_max(occupancy, Ordering::AcqRel);
                         }
@@ -475,9 +500,11 @@ impl<T: Send> MpscReceiver<T> {
         let seq = slot.seq.load(Ordering::Acquire);
         if seq == head.wrapping_add(1) {
             let value = unsafe { (*slot.value.get()).assume_init_read() };
-            // Advance head BEFORE freeing the slot (see the SPSC pop):
-            // producers acquiring the free marker then observe a head
-            // that already counts this pop.
+            // Advance head BEFORE freeing the slot: producers gate on the
+            // free marker alone (Acquire, pairing with the Release store
+            // below), so none can refill the slot in between, and one that
+            // does acquire it then observes a head that already counts
+            // this pop — its occupancy reading never exceeds capacity.
             self.shared.head.0.store(head.wrapping_add(1), Ordering::Release);
             slot.seq.store(head.wrapping_add(mask + 1), Ordering::Release);
             return RingRecv::Item(value);

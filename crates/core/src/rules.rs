@@ -23,15 +23,13 @@
 //! central site's own Event Derivation Engine continues to see the full
 //! stream and to serve regular clients losslessly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{Event, EventBody, EventType, FlightStatus, PositionFix};
 use crate::status::StatusTable;
 
 /// Content predicate usable in a [`Rule::Filter`]. Kept as a closed enum so
 /// rules stay `Clone + Debug` and can cross the control channel; arbitrary
 /// user code instead plugs in via [`crate::mirrorfn::MirrorFn`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ContentPredicate {
     /// Matches every event of the rule's type.
     Always,
@@ -65,7 +63,7 @@ impl ContentPredicate {
 }
 
 /// One semantic mirroring rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Rule {
     /// Do not mirror events of `ty` whose content matches `pred`.
     Filter {
@@ -126,14 +124,12 @@ impl RuleOutcome {
 }
 
 /// An ordered collection of semantic rules plus evaluation statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     /// Events whose mirror copy was suppressed.
-    #[serde(default)]
     pub suppressed: u64,
     /// Derived events emitted by tuple rules.
-    #[serde(default)]
     pub emitted: u64,
 }
 

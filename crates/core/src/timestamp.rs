@@ -7,8 +7,6 @@
 //! taking componentwise minima across sites, and backup queues are pruned of
 //! every event whose stamp is dominated by the committed stamp.
 
-use serde::{Deserialize, Serialize};
-
 /// Stream-local sequence number. `0` means "no event from this stream yet";
 /// real events are numbered from 1.
 pub type Seq = u64;
@@ -31,7 +29,7 @@ pub enum StampOrdering {
 ///
 /// Timestamps of different widths are compared by implicitly zero-extending
 /// the shorter one — a stream that has produced nothing is at sequence 0.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct VectorTimestamp(Vec<Seq>);
 
 impl VectorTimestamp {

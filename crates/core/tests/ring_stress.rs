@@ -19,6 +19,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use mirror_core::ring::{mpsc, spsc, RingRecv, RingSend};
 
@@ -57,6 +58,52 @@ fn spsc_cross_thread_fifo_no_loss() {
     assert_eq!(st.dequeued, N);
     assert!(st.high_watermark <= 64, "watermark {} > capacity", st.high_watermark);
     assert!(st.high_watermark >= 1);
+}
+
+/// SPSC on a ring that is full almost all the time: an unthrottled
+/// producer against an unthrottled consumer through 2 and 4 slots, so
+/// nearly every push waits on a pop of the very slot it will refill. A
+/// slot handed back to the producer before the consumer is done with it
+/// (the lost-slot race a per-slot marker stored after the head once
+/// allowed) leaves one side waiting for good, so both sides run on their
+/// own threads and the test only waits for them up to a deadline: a stall
+/// fails here, it does not hang.
+#[test]
+fn spsc_full_tiny_ring_never_stalls() {
+    const N: u64 = 1_000_000;
+    for capacity in [2, 4] {
+        let (mut tx, mut rx) = spsc::<u64>(capacity);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let producer = thread::spawn(move || {
+            for i in 0..N {
+                if tx.send(i).is_err() {
+                    return; // the consumer failed and says why
+                }
+            }
+        });
+        let consumer = thread::spawn(move || {
+            let mut expected = 0u64;
+            loop {
+                match rx.try_recv() {
+                    RingRecv::Item(v) => {
+                        assert_eq!(v, expected, "FIFO order violated");
+                        expected += 1;
+                    }
+                    RingRecv::Empty => std::hint::spin_loop(),
+                    RingRecv::Disconnected => break,
+                }
+            }
+            done_tx.send((expected, rx.stats())).expect("test thread waits");
+        });
+        let (received, st) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("capacity-{capacity} ring stalled or failed: {e}"));
+        assert_eq!(received, N, "lost events");
+        assert_eq!((st.enqueued, st.dequeued), (N, N));
+        assert!(st.high_watermark <= capacity, "watermark {} > capacity", st.high_watermark);
+        producer.join().unwrap();
+        consumer.join().unwrap();
+    }
 }
 
 /// SPSC backpressure: with the consumer stalled, exactly `capacity` pushes

@@ -8,8 +8,6 @@
 //! requires that such events be absorbed idempotently, not flip state
 //! backwards.
 
-use serde::{Deserialize, Serialize};
-
 use mirror_core::event::{FlightStatus, PositionFix};
 
 /// Rejected status transition.
@@ -27,7 +25,7 @@ pub enum TransitionError {
 }
 
 /// The EDE's view of one flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightView {
     /// Current lifecycle status.
     pub status: FlightStatus,

@@ -11,13 +11,12 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use mirror_core::event::{streams, Event, EventBody, FlightId, FlightStatus, PositionFix};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_echo::SubscriptionFilter;
 use mirror_ede::{Ede, OperationalState, Snapshot};
 use mirror_edge::{views_equivalent, Delivery, EdgeConfig, EdgeServer};
+use mirror_workload::rng::{check, Rng};
 
 #[derive(Debug, Clone)]
 enum RawKind {
@@ -39,17 +38,19 @@ enum RawKind {
     },
 }
 
-fn arb_kind() -> impl Strategy<Value = RawKind> {
-    prop_oneof![
-        (-80.0f64..80.0).prop_map(RawKind::Pos),
-        (0usize..FlightStatus::ALL.len()).prop_map(RawKind::Status),
-        (0u32..=20, 1u32..=150)
-            .prop_map(|(add_boarded, expected)| RawKind::Boarding { add_boarded, expected }),
-        (0u32..=15, 0u32..=15).prop_map(|(add_loaded, add_reconciled)| RawKind::Baggage {
-            add_loaded,
-            add_reconciled,
-        }),
-    ]
+fn arb_kind(rng: &mut Rng) -> RawKind {
+    match rng.gen_range(0..4u32) {
+        0 => RawKind::Pos(rng.gen_range(-80.0..80.0)),
+        1 => RawKind::Status(rng.gen_range(0..FlightStatus::ALL.len())),
+        2 => RawKind::Boarding {
+            add_boarded: rng.gen_range(0..=20),
+            expected: rng.gen_range(1..=150),
+        },
+        _ => RawKind::Baggage {
+            add_loaded: rng.gen_range(0..=15),
+            add_reconciled: rng.gen_range(0..=15),
+        },
+    }
 }
 
 /// Per-flight cumulative telemetry counters, advanced as events build.
@@ -105,14 +106,11 @@ fn empty_snapshot_provider() -> Box<dyn mirror_edge::StateProvider> {
     }))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// For any event stream, the conflated view equals the full view.
-    #[test]
-    fn conflated_stream_converges_to_full_stream_state(
-        raw in proptest::collection::vec((0u32..5, arb_kind()), 1..120)
-    ) {
+/// For any event stream, the conflated view equals the full view.
+#[test]
+fn conflated_stream_converges_to_full_stream_state() {
+    check("conflated_stream_converges_to_full_stream_state", 48, |rng| {
+        let raw = rng.gen_vec(1..120, |r| (r.gen_range(0..5u32), arb_kind(r)));
         // The mirror: only state-changing events reach the edge.
         let mut mirror = Ede::new();
         let mut published: Vec<Event> = Vec::new();
@@ -156,7 +154,7 @@ proptest! {
                 }
                 Ok(Some(Delivery::Reseed { pub_seq, .. })) => {
                     // Initial attach only: empty snapshot at floor 0.
-                    prop_assert_eq!(pub_seq, 0);
+                    assert_eq!(pub_seq, 0);
                 }
                 Ok(Some(d @ Delivery::DeltaReseed { .. })) => {
                     panic!("fresh subscribe must not receive a delta reseed: {d:?}")
@@ -170,24 +168,26 @@ proptest! {
 
         // Accounting: every published event was either delivered or
         // overwritten by newer same-key state — never silently dropped.
-        prop_assert_eq!(event_deliveries + stats.conflated as usize, published.len());
+        assert_eq!(event_deliveries + stats.conflated as usize, published.len());
 
         // Bounded memory, even with polling withheld.
         let (queue_high, pending_high) = client.high_watermarks();
-        prop_assert!(queue_high <= cfg.queue_cap);
-        prop_assert!(pending_high <= cfg.max_pending);
+        assert!(queue_high <= cfg.queue_cap);
+        assert!(pending_high <= cfg.max_pending);
 
         // The equivalence itself: identical per-flight state.
-        prop_assert_eq!(conflated.flights().len(), full.flights().len());
+        assert_eq!(conflated.flights().len(), full.flights().len());
         for (id, view) in full.flights().iter() {
             let conf_view = conflated
                 .flight(*id)
                 .unwrap_or_else(|| panic!("flight {id} missing from conflated state"));
-            prop_assert!(
+            assert!(
                 views_equivalent(view, conf_view),
                 "flight {} diverged:\n full: {:?}\n conf: {:?}",
-                id, view, conf_view
+                id,
+                view,
+                conf_view
             );
         }
-    }
+    });
 }

@@ -9,12 +9,11 @@ use std::fs::{self, OpenOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use mirror_core::event::{Event, PositionFix};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_echo::wire::{encode_frame, Frame};
 use mirror_store::{EventLog, FsyncPolicy, LogConfig};
+use mirror_workload::rng::check;
 
 fn test_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mirror-store-prop-{}-{}", std::process::id(), tag));
@@ -57,16 +56,13 @@ fn write_log(dir: &PathBuf, n: u64) -> Vec<u64> {
     ends
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Truncate the segment at an arbitrary offset; reopening must yield
-    /// exactly the frames that ended at or before the cut.
-    #[test]
-    fn truncation_recovers_exactly_the_durable_prefix(
-        n in 1u64..40,
-        cut_frac in 0.0f64..1.0,
-    ) {
+/// Truncate the segment at an arbitrary offset; reopening must yield
+/// exactly the frames that ended at or before the cut.
+#[test]
+fn truncation_recovers_exactly_the_durable_prefix() {
+    check("truncation_recovers_exactly_the_durable_prefix", 64, |rng| {
+        let n = rng.gen_range(1..40u64);
+        let cut_frac: f64 = rng.gen_range(0.0..1.0);
         let dir = test_dir(&format!("trunc-{n}-{}", (cut_frac * 1e6) as u64));
         let ends = write_log(&dir, n);
         let total = *ends.last().unwrap();
@@ -90,8 +86,8 @@ proptest! {
 
         let mut log = EventLog::open(&dir, LogConfig::default()).unwrap();
         let got: Vec<u64> = log.replay_from(0).unwrap().iter().map(|(i, _)| *i).collect();
-        prop_assert_eq!(&got, &expected, "cut at {} of {}", cut, total);
-        prop_assert_eq!(log.last_idx(), expected.last().copied());
+        assert_eq!(&got, &expected, "cut at {} of {}", cut, total);
+        assert_eq!(log.last_idx(), expected.last().copied());
 
         // The recovered log must accept further appends and replay them.
         drop(log);
@@ -103,19 +99,20 @@ proptest! {
         let after: Vec<u64> = log.replay_from(0).unwrap().iter().map(|(i, _)| *i).collect();
         let mut want = expected.clone();
         want.push(next);
-        prop_assert_eq!(after, want);
+        assert_eq!(after, want);
 
         fs::remove_dir_all(&dir).unwrap();
-    }
+    });
+}
 
-    /// Corrupting one byte anywhere in the file must never surface bogus
-    /// frames: recovery yields a prefix of what was written (frames before
-    /// the corrupted one), never altered payloads.
-    #[test]
-    fn single_byte_corruption_yields_a_clean_prefix(
-        n in 2u64..30,
-        pos_frac in 0.0f64..1.0,
-    ) {
+/// Corrupting one byte anywhere in the file must never surface bogus
+/// frames: recovery yields a prefix of what was written (frames before
+/// the corrupted one), never altered payloads.
+#[test]
+fn single_byte_corruption_yields_a_clean_prefix() {
+    check("single_byte_corruption_yields_a_clean_prefix", 64, |rng| {
+        let n = rng.gen_range(2..30u64);
+        let pos_frac: f64 = rng.gen_range(0.0..1.0);
         let dir = test_dir(&format!("flip-{n}-{}", (pos_frac * 1e6) as u64));
         let ends = write_log(&dir, n);
         let total = *ends.last().unwrap();
@@ -138,15 +135,15 @@ proptest! {
         let mut log = EventLog::open(&dir, LogConfig::default()).unwrap();
         let got = log.replay_from(0).unwrap();
         // Everything strictly before the corrupted frame survives…
-        prop_assert!(got.len() >= k, "lost intact frames before the corruption");
+        assert!(got.len() >= k, "lost intact frames before the corruption");
         // …and whatever is recovered is a prefix with intact contents.
         for (j, (idx, ev)) in got.iter().enumerate() {
-            prop_assert_eq!(*idx, (j + 1) as u64);
-            prop_assert_eq!(ev.stamp.get(0), *idx);
+            assert_eq!(*idx, (j + 1) as u64);
+            assert_eq!(ev.stamp.get(0), *idx);
         }
 
         fs::remove_dir_all(&dir).unwrap();
-    }
+    });
 }
 
 /// Multi-segment variant: the cut may land in the middle segment, in which

@@ -8,11 +8,9 @@
 //! triple near the end — the sequence the paper's complex-tuple rule
 //! collapses into `flight arrived`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use mirror_core::event::{streams, Event, EventBody, FlightId, FlightStatus};
 
+use crate::rng::Rng;
 use crate::TimedEvent;
 
 /// Configuration of the synthetic Delta stream.
@@ -57,7 +55,7 @@ impl Default for DeltaStreamConfig {
 pub fn generate(cfg: &DeltaStreamConfig) -> Vec<TimedEvent> {
     assert!(cfg.flights > 0);
     assert!(cfg.span_us >= 1_000, "span_us must be at least 1ms");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut out: Vec<TimedEvent> = Vec::new();
     let mut seq = 0u64;
     let push =

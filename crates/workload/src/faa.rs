@@ -6,11 +6,9 @@
 //! a flight supersede earlier ones — the property the paper's overwrite
 //! and coalescing rules exploit.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use mirror_core::event::{Event, FlightId, PositionFix};
 
+use crate::rng::Rng;
 use crate::TimedEvent;
 
 /// Configuration of the synthetic FAA stream.
@@ -60,7 +58,7 @@ struct Trajectory {
 }
 
 impl Trajectory {
-    fn sample(rng: &mut StdRng) -> Self {
+    fn sample(rng: &mut Rng) -> Self {
         Trajectory {
             lat: rng.gen_range(24.0..49.0),
             lon: rng.gen_range(-125.0..-67.0),
@@ -98,7 +96,7 @@ impl Trajectory {
 pub fn generate(cfg: &FaaStreamConfig) -> Vec<TimedEvent> {
     assert!(cfg.flights > 0, "need at least one flight");
     assert!(cfg.events_per_sec > 0.0, "rate must be positive");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut trajectories: Vec<Trajectory> =
         (0..cfg.flights).map(|_| Trajectory::sample(&mut rng)).collect();
     let mut last_emit_us = vec![0u64; cfg.flights as usize];

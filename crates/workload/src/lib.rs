@@ -22,14 +22,16 @@
 //!   tail rotations, passenger connections, crew assignments and baggage
 //!   reconciliation, plus the plans a downstream operations monitor needs.
 //!
-//! All generators are deterministic given a seed ([`rand`] with a fixed
-//! PCG-family generator), so every figure regenerates bit-identically.
+//! All generators are deterministic given a seed (the in-tree [`rng::Rng`]),
+//! so every figure regenerates bit-identically. [`rng`] also holds the
+//! seeded case runner the workspace's property tests share.
 
 #![warn(missing_docs)]
 
 pub mod delta;
 pub mod faa;
 pub mod requests;
+pub mod rng;
 pub mod scenario;
 
 pub use delta::DeltaStreamConfig;

@@ -8,8 +8,7 @@
 //! httperf's constant-rate mode, so an overloaded server accumulates
 //! backlog instead of silently throttling the load.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// One client request arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ pub struct RequestSchedule {
 impl RequestSchedule {
     /// Generate the schedule for `pattern` over `[0, horizon_us)`.
     pub fn generate(pattern: RequestPattern, horizon_us: u64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut requests = Vec::new();
         let mut id = 0u64;
         let push = |requests: &mut Vec<Request>, id: &mut u64, at_us: u64| {

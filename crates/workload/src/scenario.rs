@@ -12,11 +12,9 @@
 //!
 //! Determinism: the same seed yields the same day, byte for byte.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use mirror_core::event::{streams, Event, EventBody, FlightId, FlightStatus, PositionFix};
 
+use crate::rng::Rng;
 use crate::TimedEvent;
 
 /// A planned passenger connection (workload-level mirror of
@@ -106,7 +104,7 @@ pub struct Scenario {
 pub fn generate(cfg: &ScenarioConfig) -> Scenario {
     assert!(cfg.banks >= 1 && cfg.flights_per_bank >= 1);
     assert!(cfg.bank_span_us >= 1_000, "bank_span_us must be at least 1ms");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut events: Vec<TimedEvent> = Vec::new();
     let mut faa_seq = 0u64;
     let mut delta_seq = 0u64;

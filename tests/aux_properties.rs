@@ -2,21 +2,20 @@
 //! streams through a central unit and a mirror unit, checking the paper's
 //! structural guarantees.
 
-use proptest::prelude::*;
-
 use adaptable_mirroring::core::api::MirrorConfig;
 use adaptable_mirroring::core::aux_unit::{AuxAction, AuxInput};
 use adaptable_mirroring::core::event::{Event, EventBody, EventType, FlightStatus, PositionFix};
 use adaptable_mirroring::core::mirrorfn::MirrorFnKind;
 use adaptable_mirroring::ede::Ede;
+use adaptable_mirroring::workload::rng::{check, Rng};
 
 fn fix(v: f64) -> PositionFix {
     PositionFix { lat: v, lon: v, alt_ft: 10_000.0 + v, speed_kts: 400.0, heading_deg: 0.0 }
 }
 
 /// (flight, is_position) pairs drive a deterministic event stream.
-fn arb_stream() -> impl Strategy<Value = Vec<(u32, bool)>> {
-    prop::collection::vec((0u32..6, any::<bool>()), 1..200)
+fn arb_stream(rng: &mut Rng) -> Vec<(u32, bool)> {
+    rng.gen_vec(1..200, |r| (r.gen_range(0..6), r.gen_bool()))
 }
 
 fn build_events(spec: &[(u32, bool)]) -> Vec<Event> {
@@ -37,14 +36,14 @@ fn build_events(spec: &[(u32, bool)]) -> Vec<Event> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The forward path is lossless under every built-in mirroring kind:
-    /// the central EDE sees exactly the input events (plus derivations),
-    /// regardless of how aggressively the mirror path filters.
-    #[test]
-    fn forward_path_is_lossless_under_all_kinds(spec in arb_stream(), kind_ix in 0usize..4) {
+/// The forward path is lossless under every built-in mirroring kind:
+/// the central EDE sees exactly the input events (plus derivations),
+/// regardless of how aggressively the mirror path filters.
+#[test]
+fn forward_path_is_lossless_under_all_kinds() {
+    check("forward_path_is_lossless_under_all_kinds", 64, |rng| {
+        let spec = arb_stream(rng);
+        let kind_ix = rng.gen_range(0..4usize);
         let kind = [
             MirrorFnKind::Simple,
             MirrorFnKind::Selective { overwrite: 7 },
@@ -61,20 +60,23 @@ proptest! {
                     // Derived events (from tuple rules) would add extras;
                     // none are configured here, so the forward stream is
                     // exactly the input stream, in order.
-                    prop_assert_eq!(f.event_type() != EventType::Derived, true);
+                    assert!(f.event_type() != EventType::Derived);
                     forwarded += 1;
                 }
             }
         }
-        prop_assert_eq!(forwarded, events.len());
-    }
+        assert_eq!(forwarded, events.len());
+    });
+}
 
-    /// Mirrored wire events are always a *subset representation* of the
-    /// input: replaying them through an EDE never produces state the full
-    /// stream wouldn't (positions match the latest forwarded fix or an
-    /// earlier one; statuses never exceed the full stream's).
-    #[test]
-    fn mirror_stream_is_a_faithful_subset(spec in arb_stream()) {
+/// Mirrored wire events are always a *subset representation* of the
+/// input: replaying them through an EDE never produces state the full
+/// stream wouldn't (positions match the latest forwarded fix or an
+/// earlier one; statuses never exceed the full stream's).
+#[test]
+fn mirror_stream_is_a_faithful_subset() {
+    check("mirror_stream_is_a_faithful_subset", 64, |rng| {
+        let spec = arb_stream(rng);
         let mut aux = MirrorConfig::default().build_central(vec![1]);
         aux.install_kind(MirrorFnKind::Selective { overwrite: 5 });
         let events = build_events(&spec);
@@ -104,38 +106,55 @@ proptest! {
         // thin view is never *ahead* of the full view.
         for (id, tv) in thin.state().iter() {
             let fv = full.state().flight(*id);
-            prop_assert!(fv.is_some(), "mirror invented flight {id}");
+            assert!(fv.is_some(), "mirror invented flight {id}");
             let fv = fv.unwrap();
-            prop_assert!(tv.status <= fv.status || fv.status == FlightStatus::Cancelled,
-                "mirror ahead on flight {}: {:?} > {:?}", id, tv.status, fv.status);
-            prop_assert!(tv.position_seq <= fv.position_seq,
-                "mirror has a newer fix than the full stream");
+            assert!(
+                tv.status <= fv.status || fv.status == FlightStatus::Cancelled,
+                "mirror ahead on flight {}: {:?} > {:?}",
+                id,
+                tv.status,
+                fv.status
+            );
+            assert!(
+                tv.position_seq <= fv.position_seq,
+                "mirror has a newer fix than the full stream"
+            );
         }
-    }
+    });
+}
 
-    /// Stamps assigned by the receiving task are monotone (each stamped
-    /// event dominates-or-equals its predecessor) — the property vector
-    /// timestamps need for checkpoint minima to make sense.
-    #[test]
-    fn receiving_task_stamps_are_monotone(spec in arb_stream()) {
+/// Stamps assigned by the receiving task are monotone (each stamped
+/// event dominates-or-equals its predecessor) — the property vector
+/// timestamps need for checkpoint minima to make sense.
+#[test]
+fn receiving_task_stamps_are_monotone() {
+    check("receiving_task_stamps_are_monotone", 64, |rng| {
+        let spec = arb_stream(rng);
         let mut aux = MirrorConfig::default().build_central(vec![1]);
         let events = build_events(&spec);
         let mut last = adaptable_mirroring::core::timestamp::VectorTimestamp::empty();
         for e in events {
             for a in aux.handle(AuxInput::Data(e.into())) {
                 if let AuxAction::ForwardToMain(f) = a {
-                    prop_assert!(last.dominated_by(&f.stamp),
-                        "stamp regressed: {} then {}", last, f.stamp);
+                    assert!(
+                        last.dominated_by(&f.stamp),
+                        "stamp regressed: {} then {}",
+                        last,
+                        f.stamp
+                    );
                     last = f.stamp.clone();
                 }
             }
         }
-    }
+    });
+}
 
-    /// Counter bookkeeping: received = forwarded (no derivations
-    /// configured), mirrored + suppressed = received for per-event kinds.
-    #[test]
-    fn counters_balance(spec in arb_stream()) {
+/// Counter bookkeeping: received = forwarded (no derivations
+/// configured), mirrored + suppressed = received for per-event kinds.
+#[test]
+fn counters_balance() {
+    check("counters_balance", 64, |rng| {
+        let spec = arb_stream(rng);
         let mut aux = MirrorConfig::default().build_central(vec![1]);
         aux.install_kind(MirrorFnKind::Selective { overwrite: 4 });
         let events = build_events(&spec);
@@ -144,10 +163,10 @@ proptest! {
             aux.handle(AuxInput::Data(e.into()));
         }
         let c = aux.counters();
-        prop_assert_eq!(c.received, n);
-        prop_assert_eq!(c.forwarded, n);
-        prop_assert_eq!(c.mirrored + c.suppressed, n);
-    }
+        assert_eq!(c.received, n);
+        assert_eq!(c.forwarded, n);
+        assert_eq!(c.mirrored + c.suppressed, n);
+    });
 }
 
 /// Non-property check: a coalescing unit conserves event counts across

@@ -17,8 +17,6 @@
 //!    messages never wedges the protocol: a final fully-delivered round
 //!    always commits the common frontier.
 
-use proptest::prelude::*;
-
 use adaptable_mirroring::core::adapt::MonitorReport;
 use adaptable_mirroring::core::checkpoint::{
     CentralCheckpointer, CheckpointMsg, MainUnitResponder, MirrorRelay,
@@ -27,6 +25,7 @@ use adaptable_mirroring::core::event::{Event, EventBody, FlightStatus};
 use adaptable_mirroring::core::queue::BackupQueue;
 use adaptable_mirroring::core::timestamp::VectorTimestamp;
 use adaptable_mirroring::core::ControlMsg;
+use adaptable_mirroring::workload::rng::{check, Rng};
 
 /// One mirror's world: relay + backup queue + main responder + how far its
 /// EDE has processed the (single) stream.
@@ -65,15 +64,16 @@ enum Step {
     DropCtrl(u8),
 }
 
-fn arb_step(mirrors: u8) -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1u8..5).prop_map(Step::Mirror),
-        (0..mirrors, 1u8..5).prop_map(|(m, n)| Step::Process(m, n)),
-        Just(Step::Begin),
-        (0..mirrors).prop_map(Step::DeliverCtrl),
-        (0..mirrors).prop_map(Step::AnswerChkpt),
-        (0..mirrors).prop_map(Step::DropCtrl),
-    ]
+fn arb_step(rng: &mut Rng, mirrors: u8) -> Step {
+    let m = rng.gen_range(0..mirrors);
+    match rng.gen_range(0..6u32) {
+        0 => Step::Mirror(rng.gen_range(1..5)),
+        1 => Step::Process(m, rng.gen_range(1..5)),
+        2 => Step::Begin,
+        3 => Step::DeliverCtrl(m),
+        4 => Step::AnswerChkpt(m),
+        _ => Step::DropCtrl(m),
+    }
 }
 
 /// Run a schedule; panic on any invariant violation.
@@ -322,22 +322,20 @@ fn run_schedule(mirror_count: u8, steps: Vec<Step>) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn protocol_safety_holds_under_random_schedules_two_mirrors(
-        steps in prop::collection::vec(arb_step(2), 1..120)
-    ) {
+#[test]
+fn protocol_safety_holds_under_random_schedules_two_mirrors() {
+    check("protocol_safety_holds_under_random_schedules_two_mirrors", 128, |rng| {
+        let steps = rng.gen_vec(1..120, |r| arb_step(r, 2));
         run_schedule(2, steps);
-    }
+    });
+}
 
-    #[test]
-    fn protocol_safety_holds_under_random_schedules_four_mirrors(
-        steps in prop::collection::vec(arb_step(4), 1..200)
-    ) {
+#[test]
+fn protocol_safety_holds_under_random_schedules_four_mirrors() {
+    check("protocol_safety_holds_under_random_schedules_four_mirrors", 128, |rng| {
+        let steps = rng.gen_vec(1..200, |r| arb_step(r, 4));
         run_schedule(4, steps);
-    }
+    });
 }
 
 #[test]

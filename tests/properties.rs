@@ -1,8 +1,6 @@
 //! Property-based tests on the core invariants, spanning crates.
 #![allow(clippy::field_reassign_with_default)]
 
-use proptest::prelude::*;
-
 use adaptable_mirroring::core::event::{Event, EventBody, EventType, FlightStatus, PositionFix};
 use adaptable_mirroring::core::mirrorfn::{CoalescingMirror, MirrorFn};
 use adaptable_mirroring::core::params::MirrorParams;
@@ -12,83 +10,84 @@ use adaptable_mirroring::core::status::StatusTable;
 use adaptable_mirroring::core::timestamp::{StampOrdering, VectorTimestamp};
 use adaptable_mirroring::echo::wire::{decode_frame, encode_frame, Frame};
 use adaptable_mirroring::ede::{Ede, OperationalState, ShardMap, ShardedEde, Snapshot};
+use adaptable_mirroring::workload::rng::{check, Rng};
 
 // ---------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------
 
-fn arb_fix() -> impl Strategy<Value = PositionFix> {
-    (-90.0f64..90.0, -180.0f64..180.0, 0.0f64..45_000.0, 0.0f64..600.0, 0.0f64..360.0).prop_map(
-        |(lat, lon, alt_ft, speed_kts, heading_deg)| PositionFix {
-            lat,
-            lon,
-            alt_ft,
-            speed_kts,
-            heading_deg,
-        },
-    )
+fn arb_fix(rng: &mut Rng) -> PositionFix {
+    PositionFix {
+        lat: rng.gen_range(-90.0..90.0),
+        lon: rng.gen_range(-180.0..180.0),
+        alt_ft: rng.gen_range(0.0..45_000.0),
+        speed_kts: rng.gen_range(0.0..600.0),
+        heading_deg: rng.gen_range(0.0..360.0),
+    }
 }
 
-fn arb_status() -> impl Strategy<Value = FlightStatus> {
-    prop::sample::select(FlightStatus::ALL.to_vec())
+fn arb_status(rng: &mut Rng) -> FlightStatus {
+    FlightStatus::ALL[rng.gen_range(0..FlightStatus::ALL.len())]
 }
 
-fn arb_body() -> impl Strategy<Value = EventBody> {
-    prop_oneof![
-        arb_fix().prop_map(EventBody::Position),
-        arb_status().prop_map(EventBody::Status),
-        (0u32..500, 1u32..500)
-            .prop_map(|(b, e)| EventBody::Boarding { boarded: b.min(e), expected: e }),
-        (0u32..300, 0u32..300)
-            .prop_map(|(l, r)| EventBody::Baggage { loaded: l, reconciled: r.min(l) }),
-        (arb_status(), 1u32..10)
-            .prop_map(|(status, collapsed)| EventBody::Derived { status, collapsed }),
-        (arb_fix(), 1u32..100).prop_map(|(last, count)| EventBody::Coalesced { last, count }),
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|v| EventBody::Opaque(v.into())),
-    ]
+fn arb_boarding(rng: &mut Rng, max: u32) -> EventBody {
+    let (b, e) = (rng.gen_range(0..max), rng.gen_range(1..max));
+    EventBody::Boarding { boarded: b.min(e), expected: e }
 }
 
-fn arb_event() -> impl Strategy<Value = Event> {
-    (
-        0u16..4,
-        1u64..1_000_000,
-        0u32..500,
-        arb_body(),
-        prop::collection::vec(0u64..1_000_000, 0..4),
-        0u32..4096,
-        0u64..10_000_000,
-    )
-        .prop_map(|(stream, seq, flight, body, stamp, padding, ingress)| Event {
-            stream,
-            seq,
-            flight,
-            body,
-            stamp: VectorTimestamp::from_components(stamp),
-            padding,
-            ingress_us: ingress,
-        })
+fn arb_body(rng: &mut Rng) -> EventBody {
+    match rng.gen_range(0..7u32) {
+        0 => EventBody::Position(arb_fix(rng)),
+        1 => EventBody::Status(arb_status(rng)),
+        2 => arb_boarding(rng, 500),
+        3 => {
+            let (l, r) = (rng.gen_range(0..300u32), rng.gen_range(0..300u32));
+            EventBody::Baggage { loaded: l, reconciled: r.min(l) }
+        }
+        4 => EventBody::Derived { status: arb_status(rng), collapsed: rng.gen_range(1..10) },
+        5 => EventBody::Coalesced { last: arb_fix(rng), count: rng.gen_range(1..100) },
+        _ => EventBody::Opaque(rng.gen_vec(0..64, |r| r.gen_range(0..=u8::MAX)).into()),
+    }
 }
 
-fn arb_stamp() -> impl Strategy<Value = VectorTimestamp> {
-    prop::collection::vec(0u64..1000, 0..5).prop_map(VectorTimestamp::from_components)
+fn arb_event(rng: &mut Rng) -> Event {
+    Event {
+        stream: rng.gen_range(0..4),
+        seq: rng.gen_range(1..1_000_000),
+        flight: rng.gen_range(0..500),
+        body: arb_body(rng),
+        stamp: VectorTimestamp::from_components(
+            rng.gen_vec(0..4, |r| r.gen_range(0..1_000_000u64)),
+        ),
+        padding: rng.gen_range(0..4096),
+        ingress_us: rng.gen_range(0..10_000_000),
+    }
+}
+
+fn arb_stamp(rng: &mut Rng) -> VectorTimestamp {
+    VectorTimestamp::from_components(rng.gen_vec(0..5, |r| r.gen_range(0..1000u64)))
 }
 
 // ---------------------------------------------------------------------
 // Wire format
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn wire_roundtrip_any_event(ev in arb_event()) {
+#[test]
+fn wire_roundtrip_any_event() {
+    check("wire_roundtrip_any_event", 256, |rng| {
+        let ev = arb_event(rng);
         let bytes = encode_frame(&Frame::Data(std::sync::Arc::new(ev.clone())));
-        prop_assert_eq!(bytes.len(), 2 + ev.wire_size(),
-            "frame = version+kind+exact wire size");
+        assert_eq!(bytes.len(), 2 + ev.wire_size(), "frame = version+kind+exact wire size");
         let back = decode_frame(bytes).unwrap();
-        prop_assert_eq!(back, Frame::Data(std::sync::Arc::new(ev)));
-    }
+        assert_eq!(back, Frame::Data(std::sync::Arc::new(ev)));
+    });
+}
 
-    #[test]
-    fn wire_decode_never_panics_on_corruption(ev in arb_event(), cut in 0usize..64, flip in 0usize..64) {
+#[test]
+fn wire_decode_never_panics_on_corruption() {
+    check("wire_decode_never_panics_on_corruption", 256, |rng| {
+        let ev = arb_event(rng);
+        let (cut, flip) = (rng.gen_range(0..64usize), rng.gen_range(0..64usize));
         let bytes = encode_frame(&Frame::Data(std::sync::Arc::new(ev)));
         // Truncation never panics.
         let cut = cut.min(bytes.len());
@@ -100,56 +99,56 @@ proptest! {
             v[i] ^= 0xFF;
             let _ = decode_frame(bytes::Bytes::from(v));
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Vector timestamps: lattice laws
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn stamp_join_meet_laws(a in arb_stamp(), b in arb_stamp(), c in arb_stamp()) {
+#[test]
+fn stamp_join_meet_laws() {
+    check("stamp_join_meet_laws", 256, |rng| {
+        let (a, b, c) = (arb_stamp(rng), arb_stamp(rng), arb_stamp(rng));
         // Commutativity.
-        prop_assert_eq!(a.join(&b).compare(&b.join(&a)), StampOrdering::Equal);
-        prop_assert_eq!(a.meet(&b).compare(&b.meet(&a)), StampOrdering::Equal);
+        assert_eq!(a.join(&b).compare(&b.join(&a)), StampOrdering::Equal);
+        assert_eq!(a.meet(&b).compare(&b.meet(&a)), StampOrdering::Equal);
         // Associativity of join.
-        prop_assert_eq!(
-            a.join(&b).join(&c).compare(&a.join(&b.join(&c))),
-            StampOrdering::Equal
-        );
+        assert_eq!(a.join(&b).join(&c).compare(&a.join(&b.join(&c))), StampOrdering::Equal);
         // Bounds: meet ≤ a ≤ join.
-        prop_assert!(a.meet(&b).dominated_by(&a));
-        prop_assert!(a.dominated_by(&a.join(&b)));
+        assert!(a.meet(&b).dominated_by(&a));
+        assert!(a.dominated_by(&a.join(&b)));
         // Absorption: a ∧ (a ∨ b) = a.
-        prop_assert_eq!(a.meet(&a.join(&b)).compare(&a), StampOrdering::Equal);
+        assert_eq!(a.meet(&a.join(&b)).compare(&a), StampOrdering::Equal);
         // Idempotence.
-        prop_assert_eq!(a.join(&a).compare(&a), StampOrdering::Equal);
-    }
+        assert_eq!(a.join(&a).compare(&a), StampOrdering::Equal);
+    });
+}
 
-    #[test]
-    fn stamp_compare_is_antisymmetric(a in arb_stamp(), b in arb_stamp()) {
+#[test]
+fn stamp_compare_is_antisymmetric() {
+    check("stamp_compare_is_antisymmetric", 256, |rng| {
+        let (a, b) = (arb_stamp(rng), arb_stamp(rng));
         match a.compare(&b) {
-            StampOrdering::Before => prop_assert_eq!(b.compare(&a), StampOrdering::After),
-            StampOrdering::After => prop_assert_eq!(b.compare(&a), StampOrdering::Before),
-            StampOrdering::Equal => prop_assert_eq!(b.compare(&a), StampOrdering::Equal),
+            StampOrdering::Before => assert_eq!(b.compare(&a), StampOrdering::After),
+            StampOrdering::After => assert_eq!(b.compare(&a), StampOrdering::Before),
+            StampOrdering::Equal => assert_eq!(b.compare(&a), StampOrdering::Equal),
             StampOrdering::Concurrent => {
-                prop_assert_eq!(b.compare(&a), StampOrdering::Concurrent)
+                assert_eq!(b.compare(&a), StampOrdering::Concurrent)
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Backup queue / checkpoint pruning
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn backup_prune_only_removes_dominated(
-        seqs in prop::collection::vec((0u16..3, 1u64..100), 1..60),
-        commit in arb_stamp(),
-    ) {
+#[test]
+fn backup_prune_only_removes_dominated() {
+    check("backup_prune_only_removes_dominated", 256, |rng| {
+        let seqs = rng.gen_vec(1..60, |r| (r.gen_range(0..3u16), r.gen_range(1..100u64)));
+        let commit = arb_stamp(rng);
         let mut q = BackupQueue::new();
         let mut clock = VectorTimestamp::empty();
         for (stream, seq) in seqs {
@@ -163,85 +162,87 @@ proptest! {
         let after: Vec<VectorTimestamp> = q.iter().map(|e| e.stamp.clone()).collect();
         // Everything surviving is NOT dominated by the commit…
         for s in &after {
-            prop_assert!(!s.dominated_by(&commit));
+            assert!(!s.dominated_by(&commit));
         }
         // …and everything removed WAS dominated.
         for s in &before {
             if !after.contains(s) {
-                prop_assert!(s.dominated_by(&commit));
+                assert!(s.dominated_by(&commit));
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Overwrite rule counting
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn overwrite_keeps_one_in_max_len(n in 1u64..300, max_len in 2u32..20) {
-        let mut rs = RuleSet::new()
-            .with(Rule::Overwrite { ty: EventType::FaaPosition, max_len });
+#[test]
+fn overwrite_keeps_one_in_max_len() {
+    check("overwrite_keeps_one_in_max_len", 256, |rng| {
+        let (n, max_len) = (rng.gen_range(1..300u64), rng.gen_range(2..20u32));
+        let mut rs = RuleSet::new().with(Rule::Overwrite { ty: EventType::FaaPosition, max_len });
         let mut table = StatusTable::new();
         let mut mirrored = 0u64;
         for seq in 1..=n {
-            let e = Event::faa_position(seq, 1, PositionFix {
-                lat: 0.0, lon: 0.0, alt_ft: 0.0, speed_kts: 0.0, heading_deg: 0.0,
-            });
+            let e = Event::faa_position(
+                seq,
+                1,
+                PositionFix { lat: 0.0, lon: 0.0, alt_ft: 0.0, speed_kts: 0.0, heading_deg: 0.0 },
+            );
             table.observe(&e);
             if rs.evaluate(e, &mut table).mirror.is_some() {
                 mirrored += 1;
             }
         }
         // Exactly ⌈n / max_len⌉ survive: the first of each run.
-        prop_assert_eq!(mirrored, n.div_ceil(max_len as u64));
-    }
+        assert_eq!(mirrored, n.div_ceil(max_len as u64));
+    });
 }
 
 // ---------------------------------------------------------------------
 // EDE determinism and snapshot/replay equivalence
 // ---------------------------------------------------------------------
 
-fn arb_ops_events() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec(
-        (
-            0u32..8,
-            prop_oneof![
-                arb_fix().prop_map(EventBody::Position),
-                arb_status().prop_map(EventBody::Status),
-                (0u32..200, 1u32..200)
-                    .prop_map(|(b, e)| EventBody::Boarding { boarded: b.min(e), expected: e }),
-            ],
-        ),
-        1..120,
-    )
-    .prop_map(|pairs| {
-        pairs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (flight, body))| {
-                let mut e = Event::new(0, i as u64 + 1, flight, body);
-                e.stamp.advance(0, i as u64 + 1);
-                e
-            })
-            .collect()
-    })
+fn arb_ops_events(rng: &mut Rng) -> Vec<Event> {
+    let pairs = rng.gen_vec(1..120, |r| {
+        let flight = r.gen_range(0..8u32);
+        let body = match r.gen_range(0..3u32) {
+            0 => EventBody::Position(arb_fix(r)),
+            1 => EventBody::Status(arb_status(r)),
+            _ => arb_boarding(r, 200),
+        };
+        (flight, body)
+    });
+    pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (flight, body))| {
+            let mut e = Event::new(0, i as u64 + 1, flight, body);
+            e.stamp.advance(0, i as u64 + 1);
+            e
+        })
+        .collect()
 }
 
-proptest! {
-    #[test]
-    fn ede_is_deterministic(events in arb_ops_events()) {
+#[test]
+fn ede_is_deterministic() {
+    check("ede_is_deterministic", 256, |rng| {
+        let events = arb_ops_events(rng);
         let mut a = Ede::new();
         let mut b = Ede::new();
         for e in &events {
-            prop_assert_eq!(a.process(e), b.process(e));
+            assert_eq!(a.process(e), b.process(e));
         }
-        prop_assert_eq!(a.state_hash(), b.state_hash());
-    }
+        assert_eq!(a.state_hash(), b.state_hash());
+    });
+}
 
-    #[test]
-    fn snapshot_then_replay_converges(events in arb_ops_events(), split in 0usize..120) {
+#[test]
+fn snapshot_then_replay_converges() {
+    check("snapshot_then_replay_converges", 256, |rng| {
+        let events = arb_ops_events(rng);
+        let split = rng.gen_range(0..120usize);
         let split = split.min(events.len());
         // Server processes everything.
         let mut server = OperationalState::new();
@@ -258,8 +259,8 @@ proptest! {
         for e in &events[split..] {
             client.apply(e);
         }
-        prop_assert_eq!(client.state_hash(), server.state_hash());
-    }
+        assert_eq!(client.state_hash(), server.state_hash());
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -272,13 +273,12 @@ proptest! {
 // state as the serial single-store apply.
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn sharded_apply_matches_unsharded_hash(
-        events in arb_ops_events(),
-        shards in 1usize..12,
-        picks in prop::collection::vec(0usize..64, 0..240),
-    ) {
+#[test]
+fn sharded_apply_matches_unsharded_hash() {
+    check("sharded_apply_matches_unsharded_hash", 256, |rng| {
+        let events = arb_ops_events(rng);
+        let shards = rng.gen_range(1..12usize);
+        let picks = rng.gen_vec(0..240, |r| r.gen_range(0..64usize));
         // Serial, unsharded reference.
         let mut reference = Ede::new();
         for e in &events {
@@ -292,13 +292,17 @@ proptest! {
         for e in &events {
             in_order.process_shard(map.shard_of(e.flight), e, |_| {}, |_| {});
         }
-        prop_assert_eq!(in_order.state_hash(), expected,
-            "sharded in-order apply diverged (shards={})", shards);
-        prop_assert_eq!(in_order.applied(), events.len() as u64);
+        assert_eq!(
+            in_order.state_hash(),
+            expected,
+            "sharded in-order apply diverged (shards={})",
+            shards
+        );
+        assert_eq!(in_order.applied(), events.len() as u64);
 
         // An arbitrary per-flight-order-preserving interleaving: partition
-        // the stream into per-flight queues, then drain them in the pick
-        // order proptest chose. This models shard workers racing ahead of
+        // the stream into per-flight queues, then drain them in the
+        // generated pick order. This models shard workers racing ahead of
         // each other while each flight's events stay FIFO.
         let mut queues: std::collections::BTreeMap<u32, std::collections::VecDeque<&Event>> =
             std::collections::BTreeMap::new();
@@ -317,16 +321,20 @@ proptest! {
             }
             interleaved.process_shard(map.shard_of(e.flight), e, |_| {}, |_| {});
         }
-        prop_assert_eq!(interleaved.state_hash(), expected,
-            "per-flight-preserving interleaving diverged (shards={})", shards);
-    }
+        assert_eq!(
+            interleaved.state_hash(),
+            expected,
+            "per-flight-preserving interleaving diverged (shards={})",
+            shards
+        );
+    });
+}
 
-    #[test]
-    fn shard_counts_agree_with_each_other(
-        events in arb_ops_events(),
-        a in 1usize..10,
-        b in 1usize..10,
-    ) {
+#[test]
+fn shard_counts_agree_with_each_other() {
+    check("shard_counts_agree_with_each_other", 256, |rng| {
+        let events = arb_ops_events(rng);
+        let (a, b) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
         // Any two shard counts agree — the partition is invisible in the
         // canonical hash even when no serial reference is consulted.
         let build = |n: usize| {
@@ -339,21 +347,20 @@ proptest! {
         };
         let sa = build(a);
         let sb = build(b);
-        prop_assert_eq!(sa.state_hash(), sb.state_hash());
-        prop_assert_eq!(sa.flight_count(), sb.flight_count());
-    }
+        assert_eq!(sa.state_hash(), sb.state_hash());
+        assert_eq!(sa.flight_count(), sb.flight_count());
+    });
 }
 
 // ---------------------------------------------------------------------
 // Coalescing conservation
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn coalescing_conserves_events_and_last_fix(
-        flights in prop::collection::vec(0u32..5, 1..100),
-        cap in 2u32..12,
-    ) {
+#[test]
+fn coalescing_conserves_events_and_last_fix() {
+    check("coalescing_conserves_events_and_last_fix", 256, |rng| {
+        let flights = rng.gen_vec(1..100, |r| r.gen_range(0..5u32));
+        let cap = rng.gen_range(2..12u32);
         let mut m = CoalescingMirror::new();
         let mut params = MirrorParams::default();
         params.coalesce = true;
@@ -384,12 +391,12 @@ proptest! {
                 _ => 1,
             })
             .sum();
-        prop_assert_eq!(total, flights.len() as u64);
+        assert_eq!(total, flights.len() as u64);
 
         // No run exceeds the cap.
         for e in &out {
             if let EventBody::Coalesced { count, .. } = &e.body {
-                prop_assert!(*count <= cap);
+                assert!(*count <= cap);
             }
         }
 
@@ -397,10 +404,10 @@ proptest! {
         for (&flight, &fix) in &last_fix_per_flight {
             let last = out.iter().rev().find(|e| e.flight == flight).unwrap();
             if let EventBody::Coalesced { last: got, .. } = &last.body {
-                prop_assert_eq!(got.lat, fix.lat);
+                assert_eq!(got.lat, fix.lat);
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -412,13 +419,12 @@ proptest! {
 // any divergence, including migration purges (tombstones travel).
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn delta_catchup_matches_full_restore(
-        events in arb_ops_events(),
-        split in 0usize..120,
-        purges in prop::collection::vec(0u32..8, 0..4),
-    ) {
+#[test]
+fn delta_catchup_matches_full_restore() {
+    check("delta_catchup_matches_full_restore", 256, |rng| {
+        let events = arb_ops_events(rng);
+        let split = rng.gen_range(0..120usize);
+        let purges = rng.gen_vec(0..4, |r| r.gen_range(0..8u32));
         let split = split.min(events.len());
         // Producer applies the prefix, then marks the consumer's base —
         // what a seed capture does on the live site.
@@ -448,26 +454,33 @@ proptest! {
         // Catch-up: restore the base, fold the delta.
         let mut caught_up = base_snap.restore();
         caught_up.apply_delta(&delta);
-        prop_assert_eq!(caught_up.state_hash(), server.state_hash(),
-            "base+delta must hash identically to the producer");
+        assert_eq!(
+            caught_up.state_hash(),
+            server.state_hash(),
+            "base+delta must hash identically to the producer"
+        );
         // …and to what a full fresh snapshot would have installed.
         let full = Snapshot::capture(&server, VectorTimestamp::empty()).restore();
-        prop_assert_eq!(caught_up.state_hash(), full.state_hash());
+        assert_eq!(caught_up.state_hash(), full.state_hash());
 
         // Tombstones really travel: a purged flight is absent on the
         // consumer exactly when it is absent on the producer.
         for &f in &purges {
-            prop_assert_eq!(caught_up.flight(f).is_none(), server.flight(f).is_none(),
-                "purge of flight {} must replicate", f);
+            assert_eq!(
+                caught_up.flight(f).is_none(),
+                server.flight(f).is_none(),
+                "purge of flight {} must replicate",
+                f
+            );
         }
 
         // The delta survives the wire byte-exactly (what the WAN tier
         // actually ships).
         let bytes = adaptable_mirroring::echo::wire::encode_delta(&delta);
-        prop_assert_eq!(bytes.len(), delta.wire_size(), "encode = declared wire size");
+        assert_eq!(bytes.len(), delta.wire_size(), "encode = declared wire size");
         let back = adaptable_mirroring::echo::wire::decode_delta(bytes).unwrap();
-        prop_assert_eq!(back, delta);
-    }
+        assert_eq!(back, delta);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -479,23 +492,23 @@ use adaptable_mirroring::ede::union_state_hash;
 
 /// An arbitrary slot→group table over up to `groups` groups (epoch 1, the
 /// first post-uniform era).
-fn arb_partition_map(groups: u16) -> impl Strategy<Value = PartitionMap> {
-    prop::collection::vec(0u16..groups, PARTITION_SLOTS)
-        .prop_map(|slots| PartitionMap::from_parts(1, slots))
+fn arb_partition_map(rng: &mut Rng, groups: u16) -> PartitionMap {
+    let slots = (0..PARTITION_SLOTS).map(|_| rng.gen_range(0..groups)).collect();
+    PartitionMap::from_parts(1, slots)
 }
 
-proptest! {
-    /// The equivalence claim the partition-scale experiment relies on:
-    /// routing an interleaved stream per-group and applying each group's
-    /// share independently yields per-partition states whose union hash
-    /// equals the state hash of one site applying the whole stream. Holds
-    /// for ANY map because routing is per-flight: each flight's event
-    /// subsequence lands at exactly one group, in order.
-    #[test]
-    fn partitioned_apply_union_equals_unpartitioned(
-        map in (1u16..5).prop_flat_map(arb_partition_map),
-        events in prop::collection::vec(arb_event(), 1..200),
-    ) {
+/// The equivalence claim the partition-scale experiment relies on:
+/// routing an interleaved stream per-group and applying each group's
+/// share independently yields per-partition states whose union hash
+/// equals the state hash of one site applying the whole stream. Holds
+/// for ANY map because routing is per-flight: each flight's event
+/// subsequence lands at exactly one group, in order.
+#[test]
+fn partitioned_apply_union_equals_unpartitioned() {
+    check("partitioned_apply_union_equals_unpartitioned", 256, |rng| {
+        let groups = rng.gen_range(1..5);
+        let map = arb_partition_map(rng, groups);
+        let events = rng.gen_vec(1..200, arb_event);
         let mut whole = OperationalState::new();
         let mut parts: Vec<OperationalState> =
             (0..map.groups()).map(|_| OperationalState::new()).collect();
@@ -503,18 +516,21 @@ proptest! {
             whole.apply(ev);
             parts[map.group_of(ev.flight) as usize].apply(ev);
         }
-        prop_assert_eq!(union_state_hash(parts.iter()), whole.state_hash());
+        assert_eq!(union_state_hash(parts.iter()), whole.state_hash());
         // The groups' flight sets partition the unpartitioned set: disjoint
         // (no flight counted twice) and covering (none lost).
         let total: usize = parts.iter().map(|p| p.flight_count()).sum();
-        prop_assert_eq!(total, whole.flight_count());
-    }
+        assert_eq!(total, whole.flight_count());
+    });
+}
 
-    /// Epoch fencing is monotone under arbitrary delivery orders: after any
-    /// interleaving of adoptions, the surviving map is the one with the
-    /// highest epoch seen, and re-deliveries are no-ops.
-    #[test]
-    fn partition_adoption_is_monotone(epochs in prop::collection::vec(1u64..50, 1..40)) {
+/// Epoch fencing is monotone under arbitrary delivery orders: after any
+/// interleaving of adoptions, the surviving map is the one with the
+/// highest epoch seen, and re-deliveries are no-ops.
+#[test]
+fn partition_adoption_is_monotone() {
+    check("partition_adoption_is_monotone", 256, |rng| {
+        let epochs = rng.gen_vec(1..40, |r| r.gen_range(1..50u64));
         let mut current: Option<PartitionMap> = None;
         let mut highest = 0u64;
         for (i, &e) in epochs.iter().enumerate() {
@@ -523,9 +539,9 @@ proptest! {
             let incoming =
                 PartitionMap::from_parts(e, vec![(i % u16::MAX as usize) as u16; PARTITION_SLOTS]);
             let adopted = PartitionMap::adopt(&mut current, &incoming);
-            prop_assert_eq!(adopted, e > highest, "adopt iff strictly newer");
+            assert_eq!(adopted, e > highest, "adopt iff strictly newer");
             highest = highest.max(e);
-            prop_assert_eq!(current.as_ref().unwrap().epoch(), highest);
+            assert_eq!(current.as_ref().unwrap().epoch(), highest);
         }
-    }
+    });
 }
