@@ -222,6 +222,22 @@ impl AdaptationController {
         }
     }
 
+    /// The controller a successor coordinator starts from: this one's
+    /// configuration — thresholds, action, baseline, scale policy, and
+    /// whether the engaged profile is in force (it describes the params
+    /// the successor inherits, so a later release still fires) — with the
+    /// per-site reports, streaks, cooldown and counters of this
+    /// incarnation cleared.
+    pub fn successor(&self) -> Self {
+        AdaptationController {
+            thresholds: self.thresholds.clone(),
+            action: self.action.clone(),
+            engaged: self.engaged,
+            scale: self.scale,
+            ..AdaptationController::new(self.baseline.clone())
+        }
+    }
+
     /// Install (or replace) the elastic-capacity policy.
     pub fn set_scale_policy(&mut self, policy: ScalePolicy) {
         self.scale = Some(policy);

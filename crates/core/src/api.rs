@@ -62,11 +62,6 @@ impl MirrorConfig {
         cfg
     }
 
-    /// Start from explicit parameters.
-    pub fn with_params(params: MirrorParams) -> Self {
-        MirrorConfig { params, ..Default::default() }
-    }
-
     /// Add a semantic rule.
     pub fn rule(mut self, rule: Rule) -> Self {
         self.rules.push(rule);

@@ -163,14 +163,10 @@ pub struct AuxUnit {
 }
 
 impl AuxUnit {
-    /// Create the central site's auxiliary unit, mirroring to `mirrors`.
-    pub fn central(mirrors: Vec<SiteId>, params: MirrorParams) -> Self {
+    fn new(site: SiteId, role: Role, params: MirrorParams) -> Self {
         AuxUnit {
-            site: CENTRAL_SITE,
-            role: Role::Central {
-                checkpointer: CentralCheckpointer::new(mirrors),
-                adapt: AdaptationController::new(params.clone()),
-            },
+            site,
+            role,
             ready: ReadyQueue::new(),
             backup: BackupQueue::new(),
             status: StatusTable::new(),
@@ -190,29 +186,124 @@ impl AuxUnit {
         }
     }
 
+    /// Create the central site's auxiliary unit, mirroring to `mirrors`.
+    pub fn central(mirrors: Vec<SiteId>, params: MirrorParams) -> Self {
+        let role = Role::Central {
+            checkpointer: CentralCheckpointer::new(mirrors),
+            adapt: AdaptationController::new(params.clone()),
+        };
+        Self::new(CENTRAL_SITE, role, params)
+    }
+
     /// Create a mirror site's auxiliary unit.
     pub fn mirror(site: SiteId, params: MirrorParams) -> Self {
         assert_ne!(site, CENTRAL_SITE, "mirror sites are numbered from 1");
-        AuxUnit {
-            site,
-            role: Role::Mirror { relay: MirrorRelay::new() },
-            ready: ReadyQueue::new(),
-            backup: BackupQueue::new(),
-            status: StatusTable::new(),
-            rules: RuleSet::new(),
-            mirror_fn: Box::new(crate::mirrorfn::IndependentMirror),
-            fwd_fn: Box::new(crate::mirrorfn::IndependentMirror),
+        Self::new(site, Role::Mirror { relay: MirrorRelay::new() }, params)
+    }
+
+    /// Derive the coordinator that succeeds this one (promotion, §6). The
+    /// arguments are only the values that belong to the new incarnation:
+    /// the surviving roster, the membership epoch, the bumped leadership
+    /// term and the send index that continues the journal's sequence.
+    /// Every field is sorted below into *configuration*, which the
+    /// successor inherits, or *incarnation state*, which it starts
+    /// afresh; the destructuring is exhaustive so that a field added to
+    /// `AuxUnit` does not compile until it is sorted too.
+    ///
+    /// This unit is stopped or crashed and never runs again, so its
+    /// installed mirror/forward functions are moved out of it — a stateful
+    /// `set_mirror` closure carries over exactly like a named kind.
+    ///
+    /// # Panics
+    /// If this unit is not a coordinator.
+    pub fn successor(
+        &mut self,
+        mirrors: Vec<SiteId>,
+        epoch: u64,
+        term: u64,
+        resume_idx: u64,
+    ) -> AuxUnit {
+        let AuxUnit {
+            // Both: `suspect_after` and the adaptation controller's
+            // configuration are carried, rounds and reports reset.
+            role,
+            // Configuration: carried.
+            rules,
+            mirror_fn,
+            fwd_fn,
             params,
-            clock: VectorTimestamp::empty(),
-            processed_since_chkpt: 0,
-            pending_requests: 0,
-            membership_epoch: 0,
-            leader_term: 0,
-            heartbeat_after: 0,
-            heartbeat_idle_ticks: 0,
-            partition: None,
-            counters: AuxCounters::default(),
-        }
+            heartbeat_after,
+            partition,
+            // Incarnation state: reset (epoch and term are the caller's).
+            site: _,
+            ready: _,
+            backup: _,
+            status: _,
+            clock: _,
+            processed_since_chkpt: _,
+            pending_requests: _,
+            membership_epoch: _,
+            leader_term: _,
+            heartbeat_idle_ticks: _,
+            counters: _,
+        } = self;
+        let Role::Central { checkpointer, adapt } = role else {
+            panic!("only a coordinator has a successor");
+        };
+        let mut next_checkpointer = CentralCheckpointer::new(mirrors);
+        next_checkpointer.set_suspect_after(checkpointer.suspect_after());
+        let role = Role::Central { checkpointer: next_checkpointer, adapt: adapt.successor() };
+        let mut next = AuxUnit::new(CENTRAL_SITE, role, params.clone());
+        // A half-built coalescing run dies with this incarnation, as in a
+        // crash (a graceful stop has already flushed it).
+        drop(mirror_fn.flush(params));
+        let idle = || Box::new(crate::mirrorfn::IndependentMirror) as Box<dyn MirrorFn>;
+        next.mirror_fn = std::mem::replace(mirror_fn, idle());
+        next.fwd_fn = std::mem::replace(fwd_fn, idle());
+        next.rules = rules.clone();
+        next.heartbeat_after = *heartbeat_after;
+        next.partition = partition.clone();
+        next.set_membership_epoch(epoch);
+        next.set_leader_term(term);
+        next.backup.resume_from(resume_idx);
+        next
+    }
+
+    /// Derive the auxiliary unit of a mirror that joins, or replaces one,
+    /// under this coordinator (scale-out, rejoin, cold recovery). Sorted
+    /// and exhaustive like [`successor`](Self::successor).
+    pub fn joining_mirror(&self, site: SiteId) -> AuxUnit {
+        let AuxUnit {
+            // Configuration: carried — the *current* params with their
+            // generation, so an in-force directive is adopted and the
+            // next one is not stale, and the rules that go with them.
+            rules,
+            params,
+            // Coordinator-side configuration: a mirror's send path and
+            // heartbeat are unused, and the partition map reaches it on
+            // the next COMMIT (the coordinator re-sends it on every one).
+            role: _,
+            mirror_fn: _,
+            fwd_fn: _,
+            heartbeat_after: _,
+            partition: _,
+            // Incarnation state: reset; epoch and term are learned off
+            // control traffic.
+            site: _,
+            ready: _,
+            backup: _,
+            status: _,
+            clock: _,
+            processed_since_chkpt: _,
+            pending_requests: _,
+            membership_epoch: _,
+            leader_term: _,
+            heartbeat_idle_ticks: _,
+            counters: _,
+        } = self;
+        let mut aux = AuxUnit::mirror(site, params.clone());
+        aux.rules = rules.clone();
+        aux
     }
 
     /// This unit's site id.
@@ -402,14 +493,6 @@ impl AuxUnit {
     /// heartbeats, preserving the paper's no-timeout protocol exactly.
     pub fn set_heartbeat_after(&mut self, ticks: u32) {
         self.heartbeat_after = ticks;
-    }
-
-    /// Fast-forward the backup queue's next send index to at least `idx`
-    /// (see [`BackupQueue::resume_from`]): a coordinator promoted over an
-    /// existing durable journal must continue the journal's index
-    /// sequence, not restart at 1.
-    pub fn resume_send_idx(&mut self, idx: u64) {
-        self.backup.resume_from(idx);
     }
 
     /// Admit a brand-new mirror at `epoch` (central site only): it joins

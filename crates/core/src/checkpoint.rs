@@ -137,6 +137,11 @@ impl CentralCheckpointer {
         self.suspect_after = if rounds == 0 { 0 } else { rounds.max(2) };
     }
 
+    /// The failure-detection threshold in force (0 = disabled).
+    pub fn suspect_after(&self) -> u32 {
+        self.suspect_after
+    }
+
     /// Mirrors declared failed since the last call (drains the list); the
     /// embedding should stop routing requests and data to them.
     pub fn take_newly_failed(&mut self) -> Vec<SiteId> {

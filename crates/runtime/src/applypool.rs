@@ -83,8 +83,9 @@ pub struct ApplySink {
     pub counters: Arc<SiteCounters>,
     /// Time base for update-delay accounting.
     pub clock: RuntimeClock,
-    /// Regular-client update stream; `None` on sites without subscribers
-    /// (mirrors), which then apply without a single `Event` clone.
+    /// The site's applied-updates stream (`None` for a pool driven without
+    /// a site); an update is cloned and published only while someone is
+    /// subscribed.
     pub updates: Option<Publisher<Event>>,
 }
 

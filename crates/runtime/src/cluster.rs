@@ -313,7 +313,7 @@ impl Cluster {
                 .unwrap_or_else(|e| panic!("open durable store at {:?}: {e}", dcfg.dir));
             std::sync::Arc::new(journal)
         });
-        let central = CentralSite::start_inner(
+        let central = CentralSite::start(
             MirrorHandle::new(aux),
             clock.clone(),
             data.publisher(),
@@ -670,42 +670,51 @@ impl Cluster {
             let events = (from_idx >= floor).then(|| a.retransmit_from(from_idx));
             (floor, events)
         });
-        if let Some(events) = events {
-            let n = events.len();
-            let data_pub = data.publisher();
-            for (_, e) in events {
-                // Replays share the backup queue's allocation (Arc), like
-                // the original sends did.
-                data_pub.publish(SharedEvent::new(e));
-            }
-            return ResyncOutcome::Replayed { events: n, source: ResyncSource::Memory };
-        }
-        // The queue was pruned past from_idx: fall back to the log.
-        if let Some(journal) = central.journal() {
-            let log_first = journal.first_retained_idx();
-            if log_first.is_some_and(|first| first <= from_idx) {
+        let (entries, source) = match events {
+            Some(events) => (events, ResyncSource::Memory),
+            // The queue was pruned past from_idx: fall back to the log.
+            None => {
+                let Some(journal) = central.journal() else {
+                    return ResyncOutcome::Gap { first_retained: Some(floor) };
+                };
+                let log_first = journal.first_retained_idx();
+                if log_first.is_none_or(|first| first > from_idx) {
+                    return ResyncOutcome::Gap {
+                        first_retained: log_first.map(|f| f.min(floor)).or(Some(floor)),
+                    };
+                }
                 match journal.replay_from(from_idx) {
-                    Ok(entries) => {
-                        let n = entries.len();
-                        let data_pub = data.publisher();
-                        for (_, e) in entries {
-                            data_pub.publish(SharedEvent::new(e));
-                        }
-                        return ResyncOutcome::Replayed {
-                            events: n,
-                            source: ResyncSource::DurableLog,
-                        };
-                    }
-                    Err(_) => {
-                        return ResyncOutcome::Gap { first_retained: log_first };
-                    }
+                    Ok(entries) => (entries, ResyncSource::DurableLog),
+                    Err(_) => return ResyncOutcome::Gap { first_retained: log_first },
                 }
             }
-            return ResyncOutcome::Gap {
-                first_retained: log_first.map(|f| f.min(floor)).or(Some(floor)),
-            };
+        };
+        let events = entries.len();
+        let data_pub = data.publisher();
+        for (_, e) in entries {
+            // Replays share the retained allocation (Arc), like the
+            // original sends did.
+            data_pub.publish(SharedEvent::new(e));
         }
-        ResyncOutcome::Gap { first_retained: Some(floor) }
+        ResyncOutcome::Replayed { events, source }
+    }
+
+    /// Start the runtime of a mirror that joins, or replaces one, under
+    /// `central`: its aux unit is derived from the coordinator's
+    /// ([`AuxUnit::joining_mirror`](mirror_core::AuxUnit::joining_mirror)),
+    /// and it subscribes at once but buffers until the caller seeds it, so
+    /// nothing published from here on is missed.
+    fn spawn_replacement(&self, central: &CentralSite, site: SiteId) -> MirrorSite {
+        let aux = central.handle().with(|a| a.joining_mirror(site));
+        MirrorSite::start_inner(
+            MirrorHandle::new(aux),
+            self.clock.clone(),
+            &self.data,
+            &self.ctrl_down,
+            self.ctrl_up.publisher(),
+            true,
+            self.inbox_capacity,
+        )
     }
 
     /// Spawn a **fresh** mirror at the next never-used site id, mid-traffic
@@ -732,18 +741,7 @@ impl Cluster {
     pub fn add_mirror(&self) -> Result<SiteId, MembershipError> {
         let site = self.membership.next_site_id();
         let central = read(&self.central);
-        let params = central.handle().params();
-        let mut aux = MirrorConfig::with_params(params).build_mirror(site);
-        aux.set_rules(central.handle().with(|a| a.rules().clone()));
-        let replacement = MirrorSite::start_inner(
-            MirrorHandle::new(aux),
-            self.clock.clone(),
-            &self.data,
-            &self.ctrl_down,
-            self.ctrl_up.publisher(),
-            true,
-            self.inbox_capacity,
-        );
+        let replacement = self.spawn_replacement(&central, site);
         // Subscriptions are live; seed from the shared cached frame.
         let (served, floor) = central.seed_snapshot();
         let seed_as_of = served.as_of.clone();
@@ -844,19 +842,7 @@ impl Cluster {
         let epoch = self.membership.restore(site)?;
         let central = read(&self.central);
         central.set_membership_epoch(epoch);
-        let kind_params = central.handle().params();
-        let mut aux = MirrorConfig::with_params(kind_params).build_mirror(site);
-        // Mirror rule/function config follows the central's current view.
-        aux.set_rules(central.handle().with(|a| a.rules().clone()));
-        let replacement = MirrorSite::start_inner(
-            MirrorHandle::new(aux),
-            self.clock.clone(),
-            &self.data,
-            &self.ctrl_down,
-            self.ctrl_up.publisher(),
-            true,
-            self.inbox_capacity,
-        );
+        let replacement = self.spawn_replacement(&central, site);
         // Subscriptions are live; now capture the recovery state and seed.
         // The capture must be *fresh* (no cached frame): rejoin replays no
         // floor, so a pre-subscribe capture would leave a silent gap
@@ -902,19 +888,7 @@ impl Cluster {
         let epoch = self.membership.restore(site)?;
         let central = read(&self.central);
         central.set_membership_epoch(epoch);
-
-        let kind_params = central.handle().params();
-        let mut aux = MirrorConfig::with_params(kind_params).build_mirror(site);
-        aux.set_rules(central.handle().with(|a| a.rules().clone()));
-        let replacement = MirrorSite::start_inner(
-            MirrorHandle::new(aux),
-            self.clock.clone(),
-            &self.data,
-            &self.ctrl_down,
-            self.ctrl_up.publisher(),
-            true,
-            self.inbox_capacity,
-        );
+        let replacement = self.spawn_replacement(&central, site);
         // Subscriptions are live; rebuild state from disk and seed it.
         // Anything published between here and the seed install is buffered
         // by the awaiting-seed main thread and replayed on top.
@@ -1116,27 +1090,20 @@ impl Cluster {
         let epoch = self.membership.retire(site)?;
         let survivors = self.membership.view().live_mirrors();
 
-        // New coordinator: seeded from the promoted mirror's state; its
-        // subscriptions (ctrl-up) attach before any new traffic flows. It
-        // coordinates the surviving live sites at the bumped epoch and
-        // keeps the scale policy (if any) in force.
-        let (params, rules, journal) = {
-            let central = read(&self.central);
-            let journal = match &self.durability {
-                None => None,
-                Some(dcfg) => match central.journal() {
-                    // Graceful handoff: the journal is healthy — the
-                    // successor simply takes over the live writer.
-                    Some(j) if !j.is_crashed() => Some(Arc::clone(j)),
-                    // The old central crashed (or somehow ran without a
-                    // journal): its writer is gone and its log abandoned,
-                    // so reopening the directory is safe — and runs the
-                    // store's torn-write crash repair over whatever the
-                    // dead process left behind.
-                    _ => Some(Arc::new(Journal::open(dcfg)?)),
-                },
-            };
-            (central.handle().params(), central.handle().with(|a| a.rules().clone()), journal)
+        // The successor takes over the journal, if the cluster keeps one.
+        let journal = match &self.durability {
+            None => None,
+            Some(dcfg) => match read(&self.central).journal() {
+                // Graceful handoff: the journal is healthy — the
+                // successor simply takes over the live writer.
+                Some(j) if !j.is_crashed() => Some(Arc::clone(j)),
+                // The old central crashed (or somehow ran without a
+                // journal): its writer is gone and its log abandoned,
+                // so reopening the directory is safe — and runs the
+                // store's torn-write crash repair over whatever the
+                // dead process left behind.
+                _ => Some(Arc::new(Journal::open(dcfg)?)),
+            },
         };
 
         // Zero-loss handoff: replay the retained log onto the successor's
@@ -1161,36 +1128,30 @@ impl Cluster {
             }
         }
 
-        let mut aux = MirrorConfig::with_params(params).build_central(survivors.clone());
-        aux.set_rules(rules);
-        aux.set_membership_epoch(epoch);
-        // Fencing: the successor coordinates at a strictly higher term.
-        // Replies to the old coordinator's rounds, or CHKPT/COMMIT frames
-        // from a resurrected old central, carry a lower term and are
-        // rejected by the checkpointer and by every mirror.
+        // New coordinator: its aux unit is derived from the predecessor's
+        // (configuration carried, incarnation state reset — see
+        // `AuxUnit::successor`), coordinating the surviving live sites at
+        // the bumped epoch. Fencing: it coordinates at a strictly higher
+        // term, so replies to the old coordinator's rounds, or CHKPT/COMMIT
+        // frames from a resurrected old central, carry a lower term and
+        // are rejected by the checkpointer and by every mirror. Journal
+        // indices must stay monotone across coordinators: continue the
+        // sequence, don't restart at 1.
         let new_term = self.term.fetch_add(1, Ordering::AcqRel) + 1;
-        aux.set_leader_term(new_term);
-        if let Some(policy) = self.failover {
-            aux.set_heartbeat_after(policy.heartbeat_ticks);
-        }
-        if let Some(policy) = self.scale {
-            aux.set_scale_policy(policy);
-        }
-        if let Some(j) = &journal {
-            if let Some(last_idx) = j.last_idx() {
-                // Journal indices must stay monotone across coordinators:
-                // continue the sequence, don't restart at 1.
-                aux.resume_send_idx(last_idx + 1);
-            }
-        }
-        let replacement = CentralSite::start_inner(
+        let resume_idx = journal.as_ref().and_then(|j| j.last_idx()).map_or(0, |last| last + 1);
+        let aux = read(&self.central)
+            .handle()
+            .with(|a| a.successor(survivors.clone(), epoch, new_term, resume_idx));
+        // Seeded from the promoted mirror's state; its subscriptions
+        // (ctrl-up) attach before any new traffic flows.
+        let replacement = CentralSite::start(
             MirrorHandle::new(aux),
             self.clock.clone(),
             self.data.publisher(),
             self.ctrl_down.publisher(),
             &self.ctrl_up,
             true,
-            journal.clone(),
+            journal,
             self.inbox_capacity,
         );
         replacement.seed(state, frontier);

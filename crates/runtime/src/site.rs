@@ -6,8 +6,9 @@
 //!   control tasks — the [`mirror_core::AuxUnit`] step machine behind the
 //!   Table-1 [`MirrorHandle`]), translating its actions into channel
 //!   publishes;
-//! * the **main thread** executes the Event Derivation Engine and the main
-//!   unit's checkpoint responder, feeding replies back to the aux thread.
+//! * the **main thread** feeds the Event Derivation Engine and runs the
+//!   main unit's checkpoint responder, feeding replies back to the aux
+//!   thread.
 //!
 //! Channel-subscription forwarder threads pump `mirror-echo` subscriptions
 //! into a site's inbox, so no thread ever blocks on more than one source.
@@ -17,10 +18,10 @@
 //! ring, and it routes data events by flight-id shard to the
 //! [`ApplyPool`]'s workers, which apply into
 //! a per-shard-locked [`ShardedEde`]. Control traffic (checkpoint rounds,
-//! seed installs) is handled inline by the dispatcher so it serializes
-//! with dispatch order.
+//! and the exclusive sections behind seed, merge, delta and purge) is
+//! handled inline by the dispatcher so it serializes with dispatch order.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +39,7 @@ use mirror_core::ControlMsg;
 use mirror_echo::channel::{EventChannel, Publisher, Subscriber};
 use mirror_echo::resilient::{LinkEvent, LinkHealth, LinkMonitor};
 use mirror_echo::wire::SharedEvent;
-use mirror_ede::{OperationalState, ShardedEde, Snapshot, StateDelta};
+use mirror_ede::{OperationalState, ShardedEde, Snapshot};
 
 use crate::applypool::{idle_backoff, ApplyPool, ApplyPoolConfig, ApplySink};
 use crate::clock::RuntimeClock;
@@ -58,8 +59,8 @@ const APPLY_SHARDS: usize = 8;
 /// between the receiving task and the apply path before backpressure).
 /// Sized like the worker rings so the pipeline stages exchange the CPU in
 /// large quanta on oversubscribed hosts. Overridable per cluster via
-/// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig); the
-/// direct site constructors use this default.
+/// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig);
+/// [`MirrorSite::start`] uses this default.
 pub const DEFAULT_MAIN_RING_CAPACITY: usize = 8192;
 
 /// A message in a site's aux inbox.
@@ -80,46 +81,21 @@ pub(crate) enum SiteMsg {
 enum MainMsg {
     Event(Arc<Event>),
     Ctrl(ControlMsg),
-    /// Install recovered state (mirror rejoin): the operational state plus
-    /// the frontier it reflects. Events buffered while awaiting the seed
-    /// are replayed on top (stale ones are absorbed idempotently). The
-    /// flag acks the install so [`seed`] can block until the state and
-    /// frontier are visible — callers (promotion, rejoin) snapshot the
-    /// site right after seeding and must not observe the pre-seed void.
-    Seed(Box<mirror_ede::OperationalState>, VectorTimestamp, Arc<AtomicBool>),
-    /// Merge migrated partition state **into** the store (slot migration
-    /// seeding): unlike `Seed`, flights the store already owns survive.
-    /// Runs under an apply-pool quiesce, serialized with dispatch order,
-    /// so on a target mirror's channel every event published *after* the
-    /// source group's drain barrier applies on top of the merged flights.
-    /// The flag acks completion (the migrator replays the slot's buffered
-    /// events immediately after).
-    Merge(Box<mirror_ede::OperationalState>, Arc<AtomicBool>),
-    /// Drop every flight the predicate rejects (the migration source's
-    /// purge after a slot moves away). The cell acks with the number of
-    /// flights removed (`u64::MAX` = still pending).
-    Retain(Arc<dyn Fn(mirror_core::FlightId) -> bool + Send + Sync>, Arc<AtomicU64>),
-    /// Fold a delta snapshot into the store (gap resync / WAN catch-up):
-    /// changed flights overwrite, removed flights drop, under an
-    /// apply-pool quiesce so the fold serializes with dispatch order, and
-    /// the processed frontier advances to the delta's `as_of`. The flag
-    /// acks completion.
-    Delta(Box<StateDelta>, Arc<AtomicBool>),
+    /// Run a section with the store to itself: every apply worker drains
+    /// its ring and parks, the section runs, applies resume on top of
+    /// whatever it did — so it lands between two well-defined batches of
+    /// applies, serialized with dispatch order. An event racing it
+    /// (published after a capture the section installs, dispatched before
+    /// this message) may be overwritten and then re-converges off the
+    /// stream, absorbed idempotently by the EDE. `seeds` marks the seed
+    /// install a site started in awaiting-seed mode is buffering for:
+    /// after it, the buffered events replay on top and buffering ends.
+    /// Sent only by [`SiteCore::exclusive`], which blocks on the result.
+    Exclusive {
+        section: Box<dyn FnOnce(&SiteShared) + Send>,
+        seeds: bool,
+    },
     Stop,
-}
-
-impl std::fmt::Debug for MainMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MainMsg::Event(e) => f.debug_tuple("Event").field(e).finish(),
-            MainMsg::Ctrl(m) => f.debug_tuple("Ctrl").field(m).finish(),
-            MainMsg::Seed(..) => f.write_str("Seed(..)"),
-            MainMsg::Merge(..) => f.write_str("Merge(..)"),
-            MainMsg::Retain(..) => f.write_str("Retain(..)"),
-            MainMsg::Delta(..) => f.write_str("Delta(..)"),
-            MainMsg::Stop => f.write_str("Stop"),
-        }
-    }
 }
 
 /// Shared atomic counters for a running site.
@@ -250,7 +226,8 @@ struct SiteCore {
     sync: Arc<StateSync>,
     handle: MirrorHandle,
     inbox_tx: Sender<SiteMsg>,
-    /// Direct line to the main thread (mirror rejoin seeding).
+    /// Direct line to the main thread ([`exclusive`](Self::exclusive)
+    /// sections).
     seed_tx: MpscSender<MainMsg>,
     /// Configured aux→dispatcher ring capacity; also the refusal threshold
     /// for [`CentralSite::try_submit`].
@@ -272,14 +249,13 @@ impl SiteCore {
         handle: MirrorHandle,
         clock: RuntimeClock,
         on_action: impl Fn(&AuxAction) + Send + 'static,
-        updates_pub: Option<Publisher<Event>>,
+        updates_pub: Publisher<Event>,
         await_seed: bool,
         inbox_capacity: usize,
     ) -> (Self, Sender<SiteMsg>) {
         let (inbox_tx, inbox_rx) = channel::unbounded::<SiteMsg>();
         // Aux → dispatcher: a bounded lock-free MPSC ring (producers: the
-        // aux thread, seed installers, shutdown) replaces the unbounded
-        // mutex-and-allocation channel on the per-event hot path.
+        // aux thread, exclusive sections, shutdown).
         let (main_tx, mut main_rx) = ring::mpsc::<MainMsg>(inbox_capacity);
         let crashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let ede = Arc::new(ShardedEde::new(APPLY_SHARDS));
@@ -386,7 +362,7 @@ impl SiteCore {
                     responder: Arc::clone(&main_shared.responder),
                     counters: Arc::clone(&main_shared.counters),
                     clock: main_shared.clock.clone(),
-                    updates: updates_pub,
+                    updates: Some(updates_pub),
                 };
                 let mut pool = ApplyPool::spawn(
                     Arc::clone(&main_shared.ede),
@@ -423,48 +399,14 @@ impl SiteCore {
                             }
                             pool.dispatch(ev);
                         }
-                        MainMsg::Seed(state, frontier, installed) => {
-                            // Quiesce: every worker drains its ring and
-                            // parks, the install swaps the store (bumping
-                            // the shared epoch), then applies resume on
-                            // top of the seed.
-                            pool.quiesce(|| main_shared.ede.install_state(*state));
-                            main_shared.responder.lock().record_processed(&frontier);
-                            // Ack only after both the state and the
-                            // frontier are visible: the blocked seeder
-                            // snapshots immediately after.
-                            installed.store(true, Ordering::Release);
-                            awaiting_seed = false;
-                            for ev in seed_buffer.drain(..) {
-                                pool.dispatch(ev);
+                        MainMsg::Exclusive { section, seeds } => {
+                            pool.quiesce(|| section(&main_shared));
+                            if seeds {
+                                awaiting_seed = false;
+                                for ev in seed_buffer.drain(..) {
+                                    pool.dispatch(ev);
+                                }
                             }
-                        }
-                        MainMsg::Merge(state, done) => {
-                            // Same quiesce discipline as Seed, but the
-                            // incoming flights merge into (rather than
-                            // replace) the live store: migration seeds
-                            // land without disturbing resident partitions.
-                            pool.quiesce(|| main_shared.ede.merge_state(*state));
-                            done.store(true, Ordering::Release);
-                        }
-                        MainMsg::Retain(keep, removed) => {
-                            let mut n = 0usize;
-                            pool.quiesce(|| n = main_shared.ede.retain_flights(|f| keep(f)));
-                            removed.store(n as u64, Ordering::Release);
-                        }
-                        MainMsg::Delta(delta, done) => {
-                            // Same quiesce discipline as Seed/Merge: the
-                            // fold lands between two well-defined batches
-                            // of applies, then the frontier advances to
-                            // the delta's capture frontier. Events racing
-                            // the fold (published after the capture but
-                            // dispatched before this message) may be
-                            // overwritten and then re-converge off the
-                            // stream — the same idempotent-absorption
-                            // story as the full-seed install.
-                            pool.quiesce(|| main_shared.ede.apply_delta(&delta));
-                            main_shared.responder.lock().record_processed(&delta.as_of);
-                            done.store(true, Ordering::Release);
                         }
                         MainMsg::Ctrl(m) => match &m {
                             ControlMsg::Chkpt { .. } => {
@@ -511,6 +453,31 @@ impl SiteCore {
             },
             tx,
         )
+    }
+
+    /// Run `section` on the main thread as a [`MainMsg::Exclusive`] and
+    /// block until it has run, so the caller can snapshot or serve reads
+    /// right after and see its effect. `None` if the site stops first.
+    fn exclusive<R: Send + 'static>(
+        &self,
+        seeds: bool,
+        section: impl FnOnce(&SiteShared) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let section = Box::new(move |shared: &SiteShared| {
+            let _ = done_tx.send(section(shared));
+        });
+        // Err: the apply loop is already gone (site stopping).
+        self.seed_tx.send(MainMsg::Exclusive { section, seeds }).ok()?;
+        let mut spins = 0u32;
+        loop {
+            match done_rx.try_recv() {
+                Ok(result) => return Some(result),
+                Err(std::sync::mpsc::TryRecvError::Disconnected) => return None,
+                Err(_) if self.stop.load(Ordering::SeqCst) => return None,
+                Err(_) => idle_backoff(&mut spins),
+            }
+        }
     }
 }
 
@@ -672,24 +639,17 @@ macro_rules! site_common_impl {
             Arc::clone(&self.core.sync)
         }
 
-        /// Fold a captured delta into this site's live store, then advance
-        /// the applied frontier to the delta's capture frontier. Runs under
-        /// an apply-pool quiesce (same discipline as [`seed`](Self::seed) /
-        /// [`merge_seed`](Self::merge_seed)); blocks until visible so the
+        /// Fold a captured delta into this site's live store (changed
+        /// flights overwrite, removed flights drop), then advance the
+        /// applied frontier to the delta's capture frontier. Runs as an
+        /// exclusive section, like [`seed`](Self::seed) and
+        /// [`merge_seed`](Self::merge_seed); blocks until visible so the
         /// caller can immediately snapshot or serve reads.
         pub fn apply_delta(&self, delta: mirror_ede::StateDelta) {
-            let done = Arc::new(AtomicBool::new(false));
-            let msg = MainMsg::Delta(Box::new(delta), Arc::clone(&done));
-            if self.core.seed_tx.send(msg).is_err() {
-                return; // apply loop already gone (site stopping)
-            }
-            let mut spins = 0u32;
-            while !done.load(Ordering::Acquire) {
-                if self.core.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle_backoff(&mut spins);
-            }
+            self.core.exclusive(false, move |shared| {
+                shared.ede.apply_delta(&delta);
+                shared.responder.lock().record_processed(&delta.as_of);
+            });
         }
 
         /// Events currently queued in the ingest pipeline: the aux inbox
@@ -717,39 +677,20 @@ macro_rules! site_common_impl {
         /// handoff, mirror rejoin) snapshot the site immediately after,
         /// and must never observe the empty pre-seed store.
         pub fn seed(&self, state: OperationalState, frontier: VectorTimestamp) {
-            let installed = Arc::new(AtomicBool::new(false));
-            let msg = MainMsg::Seed(Box::new(state), frontier, Arc::clone(&installed));
-            if self.core.seed_tx.send(msg).is_err() {
-                return; // apply loop already gone (site stopping)
-            }
-            let mut spins = 0u32;
-            while !installed.load(Ordering::Acquire) {
-                if self.core.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle_backoff(&mut spins);
-            }
+            self.core.exclusive(true, move |shared| {
+                shared.ede.install_state(state);
+                shared.responder.lock().record_processed(&frontier);
+            });
         }
 
         /// Merge migrated flight state into this site's live store (slot
         /// migration seeding). Unlike [`seed`](Self::seed) the resident
-        /// flights survive; the merge runs under an apply-pool quiesce so
-        /// it serializes with in-flight event application. Blocks until
-        /// the merge is visible — the migrator replays the slot's
-        /// buffered events right after, and those must apply on top.
+        /// flights survive. Blocks until the merge is visible — the
+        /// migrator replays the slot's buffered events right after, and
+        /// those must apply on top: on a target mirror's channel every
+        /// event published after the source group's drain barrier does.
         pub fn merge_seed(&self, state: OperationalState) {
-            let done = Arc::new(AtomicBool::new(false));
-            let msg = MainMsg::Merge(Box::new(state), Arc::clone(&done));
-            if self.core.seed_tx.send(msg).is_err() {
-                return; // apply loop already gone (site stopping)
-            }
-            let mut spins = 0u32;
-            while !done.load(Ordering::Acquire) {
-                if self.core.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle_backoff(&mut spins);
-            }
+            self.core.exclusive(false, move |shared| shared.ede.merge_state(state));
         }
 
         /// Drop every flight the predicate rejects (the migration
@@ -760,22 +701,8 @@ macro_rules! site_common_impl {
             &self,
             keep: Arc<dyn Fn(mirror_core::FlightId) -> bool + Send + Sync>,
         ) -> u64 {
-            let removed = Arc::new(AtomicU64::new(u64::MAX));
-            let msg = MainMsg::Retain(keep, Arc::clone(&removed));
-            if self.core.seed_tx.send(msg).is_err() {
-                return 0; // apply loop already gone (site stopping)
-            }
-            let mut spins = 0u32;
-            loop {
-                let n = removed.load(Ordering::Acquire);
-                if n != u64::MAX {
-                    return n;
-                }
-                if self.core.stop.load(Ordering::SeqCst) {
-                    return 0;
-                }
-                idle_backoff(&mut spins);
-            }
+            let purge = move |shared: &SiteShared| shared.ede.retain_flights(|f| keep(f));
+            self.core.exclusive(false, purge).map_or(0, |removed| removed as u64)
         }
 
         /// The partition map this site last adopted off checkpoint
@@ -835,103 +762,32 @@ pub struct CentralSite {
 /// Shared registry of transport link monitors, keyed by mirror site.
 type LinkTable = Arc<Mutex<Vec<(SiteId, Arc<LinkMonitor>)>>>;
 
+/// The body of [`CentralSite::declare_link_dead`], callable from a link
+/// observer that outlives the borrow of the site.
+fn mark_link_dead(handle: &MirrorHandle, failed: &Mutex<Vec<SiteId>>, site: SiteId) {
+    if !handle.declare_mirror_failed(site).is_empty() {
+        let mut failed = failed.lock();
+        if !failed.contains(&site) {
+            failed.push(site);
+        }
+    }
+}
+
 impl CentralSite {
-    /// Start a central site mirroring to `mirrors` over the given channel
-    /// pair (data + downlink control), receiving replies on the uplink.
-    pub fn start(
-        handle: MirrorHandle,
-        clock: RuntimeClock,
-        data_pub: Publisher<SharedEvent>,
-        ctrl_down_pub: Publisher<ControlMsg>,
-        ctrl_up: &EventChannel<ControlMsg>,
-    ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data_pub,
-            ctrl_down_pub,
-            ctrl_up,
-            false,
-            None,
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
-    }
-
-    /// Start a central site that journals every mirrored event (and its
-    /// checkpoint-commit watermarks) to the given durable store. The
-    /// journal write shares the event's cached wire encoding with the
-    /// data-channel fan-out: one encode, one extra `write`.
-    pub fn start_journaled(
-        handle: MirrorHandle,
-        clock: RuntimeClock,
-        data_pub: Publisher<SharedEvent>,
-        ctrl_down_pub: Publisher<ControlMsg>,
-        ctrl_up: &EventChannel<ControlMsg>,
-        journal: Arc<Journal>,
-    ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data_pub,
-            ctrl_down_pub,
-            ctrl_up,
-            false,
-            Some(journal),
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
-    }
-
-    /// Start a central site that buffers incoming events until
-    /// [`seed`](Self::seed) installs state — the **promotion** path: when
-    /// the central node fails, a mirror's replicated state seeds a new
-    /// coordinator and the service continues (the deepest payoff of
-    /// mirroring: any site can take over).
-    pub fn start_seeded(
-        handle: MirrorHandle,
-        clock: RuntimeClock,
-        data_pub: Publisher<SharedEvent>,
-        ctrl_down_pub: Publisher<ControlMsg>,
-        ctrl_up: &EventChannel<ControlMsg>,
-    ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data_pub,
-            ctrl_down_pub,
-            ctrl_up,
-            true,
-            None,
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
-    }
-
-    /// The promotion path with durability: like
-    /// [`start_seeded`](Self::start_seeded), but the successor also takes
-    /// over journaling — every event it mirrors from here on is appended
-    /// to `journal`, and its checkpoint commits drive log truncation, so
-    /// the zero-loss guarantee survives repeated failovers.
-    pub fn start_seeded_journaled(
-        handle: MirrorHandle,
-        clock: RuntimeClock,
-        data_pub: Publisher<SharedEvent>,
-        ctrl_down_pub: Publisher<ControlMsg>,
-        ctrl_up: &EventChannel<ControlMsg>,
-        journal: Arc<Journal>,
-    ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data_pub,
-            ctrl_down_pub,
-            ctrl_up,
-            true,
-            Some(journal),
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
-    }
-
+    /// Start a central site mirroring over the given channel pair (data +
+    /// downlink control), receiving replies on the uplink.
+    ///
+    /// With `await_seed` the site buffers incoming events until
+    /// [`seed`](Self::seed) installs state — the **promotion** path: a
+    /// mirror's replicated state seeds the new coordinator and the service
+    /// continues. With a `journal` every mirrored event is appended to it
+    /// (sharing the event's cached wire encoding with the data-channel
+    /// fan-out: one encode, one extra `write`) and checkpoint commits
+    /// drive its truncation; a successor handed its predecessor's journal
+    /// takes over the writer, so the zero-loss guarantee survives repeated
+    /// failovers.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start_inner(
+    pub(crate) fn start(
         handle: MirrorHandle,
         clock: RuntimeClock,
         data_pub: Publisher<SharedEvent>,
@@ -990,7 +846,7 @@ impl CentralSite {
             handle,
             clock,
             route,
-            Some(updates_pub),
+            updates_pub,
             await_seed,
             inbox_capacity,
         );
@@ -1138,13 +994,7 @@ impl CentralSite {
     /// silence. Idempotent; composes with the round-lag detector (whichever
     /// fires first wins).
     pub fn declare_link_dead(&self, site: SiteId) {
-        let actions = self.core.handle.declare_mirror_failed(site);
-        if !actions.is_empty() {
-            let mut f = self.failed.lock();
-            if !f.contains(&site) {
-                f.push(site);
-            }
-        }
+        mark_link_dead(&self.core.handle, &self.failed, site);
     }
 
     /// An observer closure for
@@ -1158,13 +1008,7 @@ impl CentralSite {
         let failed = Arc::clone(&self.failed);
         move |ev| {
             if matches!(ev, LinkEvent::Dead) {
-                let actions = handle.declare_mirror_failed(site);
-                if !actions.is_empty() {
-                    let mut f = failed.lock();
-                    if !f.contains(&site) {
-                        f.push(site);
-                    }
-                }
+                mark_link_dead(&handle, &failed, site);
             }
         }
     }
@@ -1256,29 +1100,12 @@ impl MirrorSite {
         )
     }
 
-    /// Start a mirror site that **buffers** incoming events until
-    /// [`seed`](Self::seed) installs recovered state — the rejoin path: a
-    /// replacement mirror subscribes first (so it misses nothing), then is
-    /// seeded from a surviving site's snapshot, then replays the buffer
-    /// (stale events are absorbed idempotently).
-    pub fn start_seeded(
-        handle: MirrorHandle,
-        clock: RuntimeClock,
-        data: &EventChannel<SharedEvent>,
-        ctrl_down: &EventChannel<ControlMsg>,
-        ctrl_up_pub: Publisher<ControlMsg>,
-    ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data,
-            ctrl_down,
-            ctrl_up_pub,
-            true,
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
-    }
-
+    /// [`start`](Self::start) with the cluster's choices. With
+    /// `await_seed` the site **buffers** incoming events until
+    /// [`seed`](Self::seed) installs recovered state — the join/rejoin
+    /// path: a replacement mirror subscribes first (so it misses nothing),
+    /// then is seeded from a surviving site's snapshot, then replays the
+    /// buffer (stale events are absorbed idempotently).
     pub(crate) fn start_inner(
         handle: MirrorHandle,
         clock: RuntimeClock,
@@ -1297,15 +1124,8 @@ impl MirrorSite {
         };
         let updates = EventChannel::new(format!("mirror{site}.updates"));
         let updates_pub = updates.publisher();
-        let (core, inbox_tx) = SiteCore::spawn(
-            site,
-            handle,
-            clock,
-            route,
-            Some(updates_pub),
-            await_seed,
-            inbox_capacity,
-        );
+        let (core, inbox_tx) =
+            SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed, inbox_capacity);
 
         let mut s = MirrorSite { core, updates };
         let data_sub = data.subscribe();
