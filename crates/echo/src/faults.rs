@@ -564,15 +564,14 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             };
         }
         // With a shaped link, slice the wait so frames coming due mid-wait
-        // are flushed on time instead of after the full timeout.
+        // are flushed on time instead of after the full timeout. Every
+        // call, a zero wait included, ends with a flush and a zero-wait
+        // poll of the inner transport.
         let deadline = Instant::now() + timeout;
         loop {
             self.flush_link()?;
             let now = Instant::now();
-            if now >= deadline {
-                return Ok(Polled::Idle);
-            }
-            let mut slice = deadline - now;
+            let mut slice = deadline.saturating_duration_since(now);
             let next_due = {
                 let st = self.state.lock().expect("fault state poisoned");
                 st.next_due()
@@ -585,6 +584,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             match self.inner.recv_timeout(slice)? {
                 Polled::Frame(f) => return self.filter_inbound(f).map(Polled::Frame),
                 Polled::Eof => return Ok(Polled::Eof),
+                Polled::Idle if slice.is_zero() => return Ok(Polled::Idle),
                 Polled::Idle => continue,
             }
         }
@@ -799,6 +799,15 @@ mod tests {
         let summary = t.state().lock().unwrap().summary();
         assert_eq!(summary.link_delayed, 1);
         assert_eq!(summary.link_lost, 0);
+    }
+
+    #[test]
+    fn zero_wait_on_a_shaped_link_reads_a_waiting_frame() {
+        let (mut near, far) = InProcTransport::pair("wan");
+        let mut t = FaultyTransport::new(far, FaultPlan::new(13).link(LinkProfile::new(20, 0, 0)));
+        near.send(&ev(1)).unwrap();
+        assert_eq!(t.recv_timeout(Duration::ZERO).unwrap(), Polled::Frame(ev(1)));
+        assert_eq!(t.recv_timeout(Duration::ZERO).unwrap(), Polled::Idle);
     }
 
     #[test]

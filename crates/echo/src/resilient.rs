@@ -52,8 +52,8 @@ const MAX_OOO: usize = 4096;
 /// How long a blocking [`recv`](Transport::recv) waits per poll cycle.
 const RECV_POLL: Duration = Duration::from_millis(25);
 
-/// Consecutive idle service passes with an outstanding window before the
-/// sender re-offers it unprompted (see `note_idle`).
+/// Consecutive idle service passes that waited, with an outstanding window,
+/// before the sender re-offers it unprompted (see `note_idle`).
 const STALL_PUMPS: u32 = 20;
 
 /// Produces a fresh connection on demand. Implemented for closures so
@@ -228,8 +228,9 @@ pub struct ResilientTransport {
     /// (selective-repeat reassembly; keeps one loss from forcing the
     /// whole window to be retransmitted and re-received repeatedly).
     ooo: BTreeMap<u64, Frame>,
-    /// Consecutive idle service passes with unacked frames outstanding;
-    /// crossing [`STALL_PUMPS`] re-offers the window unprompted.
+    /// Consecutive idle service passes that waited, with unacked frames
+    /// outstanding; crossing [`STALL_PUMPS`] re-offers the window
+    /// unprompted.
     stalled_pumps: u32,
     /// Delivered application frames awaiting `recv`.
     inbox: VecDeque<Frame>,
@@ -479,12 +480,13 @@ impl ResilientTransport {
         self.monitor.retransmitted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A service pass ended with nothing inbound while unacked frames are
-    /// outstanding. That is normal for a few passes (acks in flight), but
-    /// a *persistently* silent peer means both our retransmissions and
-    /// the peer's gap signal were lost without a disconnect to force a
-    /// fresh Hello handshake — a lossy-but-connected link. Re-offer the
-    /// window unprompted after [`STALL_PUMPS`] consecutive such passes.
+    /// A service pass that waited ended with nothing inbound while unacked
+    /// frames are outstanding. That is normal for a few passes (acks in
+    /// flight), but a *persistently* silent peer means both our
+    /// retransmissions and the peer's gap signal were lost without a
+    /// disconnect to force a fresh Hello handshake — a lossy-but-connected
+    /// link. Re-offer the window unprompted after [`STALL_PUMPS`]
+    /// consecutive such passes.
     fn note_idle(&mut self) {
         if self.window.is_empty() {
             self.stalled_pumps = 0;
@@ -499,6 +501,11 @@ impl ResilientTransport {
 
     /// One bounded service pass: wait up to `timeout` for a frame, then
     /// drain whatever else is immediately available (bounded).
+    ///
+    /// Only a pass that waited counts towards stall recovery: a zero-wait
+    /// pass (the one every `send` ends with) cannot tell a silent peer from
+    /// an ack still in flight, and counting it would re-offer the window
+    /// every [`STALL_PUMPS`] back-to-back sends.
     fn pump(&mut self, timeout: Duration) {
         let mut wait = timeout;
         for _ in 0..256 {
@@ -512,7 +519,9 @@ impl ResilientTransport {
                     wait = Duration::ZERO;
                 }
                 Ok(Polled::Idle) => {
-                    self.note_idle();
+                    if !timeout.is_zero() {
+                        self.note_idle();
+                    }
                     return;
                 }
                 Ok(Polled::Eof) | Err(_) => {
@@ -576,6 +585,8 @@ impl Transport for ResilientTransport {
         }
     }
 
+    /// Keeps the trait's contract while connected; a link that is down
+    /// first makes one reconnection attempt, which may sleep its backoff.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Polled> {
         if let Some(f) = self.inbox.pop_front() {
             return Ok(Polled::Frame(f));

@@ -66,16 +66,15 @@ pub trait Transport: Send {
     /// peer.
     fn recv(&mut self) -> io::Result<Option<Frame>>;
 
-    /// Wait up to `timeout` for a frame. The default implementation simply
-    /// blocks in [`recv`](Transport::recv) (no timeout); transports that
-    /// can wait with a bound override it, which is what lets the resilient
-    /// layer multiplex sending, receiving and reconnecting on one thread.
-    fn recv_timeout(&mut self, _timeout: Duration) -> io::Result<Polled> {
-        match self.recv()? {
-            Some(f) => Ok(Polled::Frame(f)),
-            None => Ok(Polled::Eof),
-        }
-    }
+    /// Wait up to `timeout` for a frame.
+    ///
+    /// A zero `timeout` is a poll: it returns a frame that has already
+    /// arrived, or [`Polled::Idle`], and never sleeps. A positive `timeout`
+    /// is an upper bound, not a minimum: the call returns as soon as a
+    /// frame, EOF or an error is available. This contract is what lets the
+    /// resilient layer multiplex sending, receiving and reconnecting on one
+    /// thread.
+    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Polled>;
 
     /// Diagnostic label.
     fn label(&self) -> String;
@@ -229,7 +228,8 @@ impl TcpOptions {
 ///
 /// The read path is an incremental parser: bytes accumulate in an internal
 /// buffer until a full length-prefixed frame is present, so a read timeout
-/// firing mid-frame never desynchronizes the stream.
+/// (or a non-blocking poll) ending mid-frame never desynchronizes the
+/// stream.
 pub struct TcpTransport {
     stream: TcpStream,
     peer: String,
@@ -239,6 +239,10 @@ pub struct TcpTransport {
     /// The read timeout currently programmed on the socket (avoids a
     /// setsockopt per recv).
     socket_timeout: Option<Duration>,
+    /// Whether the socket is in `O_NONBLOCK` mode, which it is only while
+    /// serving zero-wait polls. The mode belongs to the open file, not the
+    /// handle; `stream` is never `try_clone`d, so nothing else sees it.
+    nonblocking: bool,
     opts: TcpOptions,
 }
 
@@ -264,7 +268,14 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(opts.write_timeout)?;
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        Ok(TcpTransport { stream, peer, partial: Vec::new(), socket_timeout: None, opts })
+        Ok(TcpTransport {
+            stream,
+            peer,
+            partial: Vec::new(),
+            socket_timeout: None,
+            nonblocking: false,
+            opts,
+        })
     }
 
     /// Bind a listener and accept exactly one connection (convenience for
@@ -281,12 +292,24 @@ impl TcpTransport {
         Self::from_stream_with(stream, opts)
     }
 
-    fn set_socket_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-        // `set_read_timeout(Some(0))` is an error; clamp up.
-        let t = t.map(|d| d.max(Duration::from_millis(1)));
-        if t != self.socket_timeout {
-            self.stream.set_read_timeout(t)?;
-            self.socket_timeout = t;
+    /// Program the socket for one read pass: `None` blocks until a frame,
+    /// a positive wait becomes the socket read timeout, and a zero wait
+    /// switches the socket to non-blocking so the pass never sleeps.
+    fn arm_read(&mut self, wait: Option<Duration>) -> io::Result<()> {
+        let poll = wait == Some(Duration::ZERO);
+        self.set_nonblocking(poll)?;
+        if !poll && wait != self.socket_timeout {
+            self.stream.set_read_timeout(wait)?;
+            self.socket_timeout = wait;
+        }
+        Ok(())
+    }
+
+    /// Switch `O_NONBLOCK` only on a transition.
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if on != self.nonblocking {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking = on;
         }
         Ok(())
     }
@@ -310,7 +333,8 @@ impl TcpTransport {
     }
 
     /// One bounded read pass: accumulate until a full frame, EOF, or the
-    /// programmed socket timeout.
+    /// programmed socket timeout (in non-blocking mode: until the socket
+    /// has nothing more to give).
     fn read_frame(&mut self) -> io::Result<Polled> {
         loop {
             let want = self.frame_want()?;
@@ -357,6 +381,9 @@ impl Transport for TcpTransport {
         if bytes.len() > MAX_FRAME as usize {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
         }
+        // Writes block (bounded by `write_timeout`) whatever the last poll
+        // left the socket in.
+        self.set_nonblocking(false)?;
         let len = (bytes.len() as u32).to_le_bytes();
         // Gather the length prefix and body into one vectored write so a
         // frame (even a large batch) normally costs a single syscall.
@@ -379,7 +406,7 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> io::Result<Option<Frame>> {
-        self.set_socket_timeout(self.opts.read_timeout)?;
+        self.arm_read(self.opts.read_timeout)?;
         match self.read_frame()? {
             Polled::Frame(f) => Ok(Some(f)),
             Polled::Eof => Ok(None),
@@ -388,7 +415,7 @@ impl Transport for TcpTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Polled> {
-        self.set_socket_timeout(Some(timeout))?;
+        self.arm_read(Some(timeout))?;
         self.read_frame()
     }
 

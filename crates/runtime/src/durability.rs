@@ -7,7 +7,13 @@
 //! durability costs one `write(2)`, not a second encode. Checkpoint commits
 //! advance the log's truncation watermark to the backup queue's oldest
 //! retained index — the on-disk twin of `BackupQueue::prune` — and whole
-//! segments below the watermark are deleted.
+//! segments below the watermark are deleted, except the newest closed one,
+//! which the log keeps as slack (see `mirror_store::log`). So the journal
+//! still holds the events just below the floor right after a segment roll,
+//! and promotion's `replay_from(0)` reads at most one segment more than
+//! the floor requires. At the default 64 MiB segments that is up to
+//! ≈ 124k events of 538 B; a run that never rolls a segment (the
+//! benchmark's `central_failover` journals ≈ 20k events) reads none.
 //!
 //! The journal extends the cluster's healing range:
 //!

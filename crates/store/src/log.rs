@@ -27,6 +27,17 @@
 //! need. It is advanced only at checkpoint commit (mirroring the in-memory
 //! `BackupQueue::prune`) and written atomically (tmp + rename + dir fsync).
 //!
+//! ## Retention slack
+//!
+//! A commit deletes a closed segment only when the closed segment after it
+//! is also wholly below the watermark, so the newest closed segment below
+//! the floor stays on disk. Without that slack, a roll shortly before a
+//! commit would leave only the frames appended since the roll, and the
+//! tail a reader had just seen on disk would vanish with the segment
+//! holding it. The cost is at most one extra segment on disk, and at most
+//! one extra segment read by a full `replay_from(0)` (cold start and
+//! central promotion).
+//!
 //! ## Recovery
 //!
 //! [`EventLog::open`] scans segments in index order, verifying each frame's
@@ -539,7 +550,8 @@ impl EventLog {
     /// Checkpoint commit: make the log durable up to now, advance the
     /// truncation watermark to `floor` (the backup queue's oldest retained
     /// index after the prune), and delete whole segments every frame of
-    /// which is below it. The watermark only moves forward.
+    /// which is below it — except the newest such closed segment, kept as
+    /// slack (see the module docs). The watermark only moves forward.
     pub fn commit(&mut self, floor: u64) -> io::Result<()> {
         if self.abandoned {
             return Ok(());
@@ -551,14 +563,20 @@ impl EventLog {
             write_atomic(&self.dir, WATERMARK_TMP, WATERMARK_FILE, &encode_watermark(floor))?;
             self.watermark = floor;
         }
-        // A closed segment [first, next_first) is disposable iff the next
-        // segment starts at or below the floor (every frame < floor).
+        // A closed segment [first, next_first) is wholly below the floor
+        // iff the segment after it starts at or below the floor. The oldest
+        // closed segment is disposable iff the closed segment after it is
+        // wholly below the floor too.
         loop {
             let mut keys = self.closed.keys();
-            let (Some(&first), next) = (keys.next(), keys.next()) else { break };
-            let next_first = next.copied().or_else(|| self.active.as_ref().map(|a| a.first_idx));
-            match next_first {
-                Some(nf) if nf <= self.watermark && first < self.watermark => {
+            let (Some(&first), Some(_), after_next) = (keys.next(), keys.next(), keys.next())
+            else {
+                break;
+            };
+            let after_next_first =
+                after_next.copied().or_else(|| self.active.as_ref().map(|a| a.first_idx));
+            match after_next_first {
+                Some(nf) if nf <= self.watermark => {
                     let path = self.closed.remove(&first).unwrap();
                     fs::remove_file(path)?;
                 }
@@ -831,6 +849,25 @@ mod tests {
         // Watermark survives reopen.
         let log = EventLog::open(&dir, cfg).unwrap();
         assert_eq!(log.watermark(), 9);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commit_keeps_the_newest_closed_segment_below_the_floor() {
+        let dir = test_dir("commitslack");
+        let cfg = LogConfig { fsync: FsyncPolicy::OnCommit, segment_bytes: 160 };
+        let mut log = EventLog::open(&dir, cfg).unwrap();
+        for i in 1..=12u64 {
+            let (_, b) = wire_bytes(i);
+            log.append(i, &b).unwrap();
+        }
+        // Past the last frame: every closed segment is below the floor.
+        log.commit(13).unwrap();
+        assert!(log.segment_count() >= 2, "one closed segment stays as slack");
+        let first = log.first_retained_idx().unwrap();
+        let got: Vec<u64> = log.replay_from(first).unwrap().iter().map(|(i, _)| *i).collect();
+        assert_eq!(got, (first..=12).collect::<Vec<_>>());
+        assert!(got.len() >= 2, "the tail outlives the roll: {got:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
