@@ -9,7 +9,8 @@
 //! unbounded memory) and **lock-free** on the fast path:
 //!
 //! * [`spsc`] — a Lamport single-producer/single-consumer ring: one atomic
-//!   load + one atomic store per side per operation. Used to feed each
+//!   load + one atomic store per side per operation, plus the waiter's
+//!   fence and load (see [Waiting](#waiting)). Used to feed each
 //!   apply worker from the dispatcher (shard affinity makes every
 //!   dispatcher→worker edge single-producer/single-consumer by
 //!   construction).
@@ -38,14 +39,27 @@
 //!
 //! Disconnect semantics mirror a channel's: when every producer handle is
 //! dropped the consumer drains what remains and then observes
-//! [`RingRecv::Disconnected`]; when the consumer is dropped, pushes fail
-//! with [`RingSend::Disconnected`] so producers never spin against a dead
-//! drain.
+//! [`RingRecv::Disconnected`]; when the consumer is dropped, whatever it
+//! left buffered is dropped with it and pushes fail with
+//! [`RingSend::Disconnected`] so producers never wait on a dead drain.
+//!
+//! ## Waiting
+//!
+//! `try_send`/`try_recv` never block. `send` (ring full) and `recv` (ring
+//! empty) wait under the module's one policy — spin, then yield, then
+//! **park** — so an idle consumer costs no CPU and needs no caller-side
+//! polling loop. Each ring has two waiters (eventcounts): the consumer
+//! parks on `not_empty`, producers park on `not_full`. Wake-ups happen on
+//! edges only: a push wakes the consumer only if it announced a park, a
+//! pop does the same for producers, and the check costs the busy side one
+//! fence and one load. Dropping the last producer wakes the consumer (it
+//! then sees the disconnect); dropping the consumer wakes every parked
+//! producer (each gets its item back).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Occupancy statistics for a ring; the lock-free analogue of
 /// [`QueueStats`](crate::queue::QueueStats).
@@ -96,6 +110,10 @@ struct Shared<T> {
     /// double as the exact enqueue/dequeue counts, so this is the only
     /// dedicated stats cell.
     watermark: AtomicUsize,
+    /// Where the consumer parks while the ring is empty.
+    not_empty: Waiter,
+    /// Where producers park while the ring is full.
+    not_full: Waiter,
 }
 
 struct Slot<T> {
@@ -113,7 +131,8 @@ struct CachePadded<T>(T);
 
 // SAFETY: slots are transferred between threads with acquire/release on
 // the per-slot sequence (mpsc) or head/tail (spsc); a slot's value is only
-// touched by the side that owns it per those orderings.
+// touched by the side that owns it per those orderings. Every other field
+// is an atomic or a waiter (a mutex and condvar), shareable on its own.
 unsafe impl<T: Send> Send for Shared<T> {}
 unsafe impl<T: Send> Sync for Shared<T> {}
 
@@ -135,6 +154,8 @@ impl<T> Shared<T> {
             producers: AtomicUsize::new(1),
             consumer_gone: AtomicBool::new(false),
             watermark: AtomicUsize::new(0),
+            not_empty: Waiter::default(),
+            not_full: Waiter::default(),
         }
     }
 
@@ -172,6 +193,88 @@ impl<T> Shared<T> {
 impl<T> Drop for Shared<T> {
     fn drop(&mut self) {
         self.drain_in_place();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Waiting
+// ---------------------------------------------------------------------
+
+/// The wait policy's rungs, counted in failed attempts: spin below
+/// `SPIN_ROUNDS`, yield below `YIELD_ROUNDS`, park from then on. A blocked
+/// side's peer is usually runnable, and on an oversubscribed host (a
+/// single-core CI runner) a yield hands it the CPU directly; a park costs
+/// both sides a futex round trip, so it is the last rung.
+const SPIN_ROUNDS: u32 = 64;
+const YIELD_ROUNDS: u32 = 192;
+
+/// Where one side of a ring parks while the other side has nothing for
+/// it: an eventcount. [`notify`](Self::notify) costs the busy side one
+/// fence and one load; the mutex and condvar are touched only once
+/// somebody has announced a park.
+#[derive(Default)]
+struct Waiter {
+    /// Threads announced as parking. Changed only under `epoch`'s lock,
+    /// read lock-free by `notify`.
+    sleepers: AtomicUsize,
+    /// Bumped by each notify that wakes sleepers (it takes their
+    /// announcements back), so a woken thread can tell that notify from a
+    /// spurious wakeup.
+    epoch: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl Waiter {
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        // The epoch is a plain counter: every update leaves it valid.
+        self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every parked thread, if there is any. Call after publishing
+    /// the change the parked side waits for.
+    fn notify(&self) {
+        // Pairs with the fence in `wait`'s park: either this load sees the
+        // sleeper's announcement, or the sleeper's `ready` check sees what
+        // the caller published before calling us.
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) != 0 {
+            self.notify_slow();
+        }
+    }
+
+    #[cold]
+    fn notify_slow(&self) {
+        let mut epoch = self.lock();
+        if self.sleepers.swap(0, Ordering::Relaxed) != 0 {
+            *epoch = epoch.wrapping_add(1);
+            self.cv.notify_all();
+        }
+    }
+
+    /// The ring's one wait policy, one step of it: spin, then yield, then
+    /// park until `ready` holds or a notify arrives. `round` counts the
+    /// caller's failed attempts since it last made progress. May return
+    /// spuriously; callers retry their operation and call again.
+    fn wait(&self, round: &mut u32, ready: impl FnOnce() -> bool) {
+        *round = round.saturating_add(1);
+        if *round < SPIN_ROUNDS {
+            return std::hint::spin_loop();
+        }
+        if *round < YIELD_ROUNDS {
+            return std::thread::yield_now();
+        }
+        let mut epoch = self.lock();
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let seen = *epoch;
+        if !ready() {
+            epoch = self.cv.wait(epoch).unwrap_or_else(PoisonError::into_inner);
+        }
+        if *epoch == seen {
+            // Not woken by a notify (ready already, or a spurious wakeup):
+            // nobody took the announcement back, so take it back here.
+            self.sleepers.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -257,22 +360,25 @@ impl<T: Send> SpscSender<T> {
             self.local_watermark = occupancy;
             self.shared.watermark.store(occupancy, Ordering::Relaxed);
         }
+        self.shared.not_empty.notify();
         Ok(())
     }
 
-    /// Push, spinning (with escalating yields) while the ring is full.
-    /// Returns the item only if the consumer disappears.
+    /// Push, waiting while the ring is full (spin, yield, then park until
+    /// a pop). Returns the item only if the consumer disappears.
     pub fn send(&mut self, mut value: T) -> Result<(), T> {
-        let mut spins = 0u32;
+        let mut round = 0;
         loop {
             match self.try_send(value) {
                 Ok(()) => return Ok(()),
                 Err(RingSend::Disconnected(v)) => return Err(v),
-                Err(RingSend::Full(v)) => {
-                    value = v;
-                    backoff(&mut spins);
-                }
+                Err(RingSend::Full(v)) => value = v,
             }
+            let (shared, tail) = (&self.shared, self.local_tail);
+            shared.not_full.wait(&mut round, || {
+                shared.consumer_gone.load(Ordering::Acquire)
+                    || tail.wrapping_sub(shared.head.0.load(Ordering::Acquire)) <= shared.mask
+            });
         }
     }
 
@@ -300,10 +406,29 @@ impl<T: Send> SpscSender<T> {
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
         self.shared.producers.fetch_sub(1, Ordering::AcqRel);
+        self.shared.not_empty.notify();
     }
 }
 
-impl<T: Send> SpscReceiver<T> {
+impl<T> SpscReceiver<T> {
+    /// Pop, waiting while the ring is empty (spin, yield, then park until
+    /// a push). `None` once the ring is drained and the producer is gone.
+    pub fn recv(&mut self) -> Option<T> {
+        let mut round = 0;
+        loop {
+            match self.try_recv() {
+                RingRecv::Item(v) => return Some(v),
+                RingRecv::Disconnected => return None,
+                RingRecv::Empty => {}
+            }
+            let (shared, head) = (&self.shared, self.local_head);
+            shared.not_empty.wait(&mut round, || {
+                shared.tail.0.load(Ordering::Acquire) != head
+                    || shared.producers.load(Ordering::Acquire) == 0
+            });
+        }
+    }
+
     /// Pop without blocking.
     pub fn try_recv(&mut self) -> RingRecv<T> {
         if self.local_head == self.cached_tail {
@@ -343,6 +468,7 @@ impl<T: Send> SpscReceiver<T> {
         // frees an SPSC slot — a second, later "free" signal is how a
         // refilled slot once got lost.
         self.shared.head.0.store(self.local_head, Ordering::Release);
+        self.shared.not_full.notify();
         RingRecv::Item(value)
     }
 
@@ -365,6 +491,10 @@ impl<T: Send> SpscReceiver<T> {
 impl<T> Drop for SpscReceiver<T> {
     fn drop(&mut self) {
         self.shared.consumer_gone.store(true, Ordering::Release);
+        // Drop the backlog now, not with the last handle: an item may own
+        // a reply handle somebody waits on. Each pop wakes the producer.
+        while let RingRecv::Item(_) = self.try_recv() {}
+        self.shared.not_full.notify();
     }
 }
 
@@ -427,6 +557,7 @@ impl<T: Send> MpscSender<T> {
                         if occupancy > self.shared.watermark.load(Ordering::Relaxed) {
                             self.shared.watermark.fetch_max(occupancy, Ordering::AcqRel);
                         }
+                        self.shared.not_empty.notify();
                         return Ok(());
                     }
                     Err(t) => tail = t,
@@ -441,19 +572,25 @@ impl<T: Send> MpscSender<T> {
         }
     }
 
-    /// Push, spinning while full; hands the item back only if the consumer
-    /// disappears.
+    /// Push, waiting while the ring is full (spin, yield, then park until
+    /// a pop); hands the item back only if the consumer disappears.
     pub fn send(&self, mut value: T) -> Result<(), T> {
-        let mut spins = 0u32;
+        let mut round = 0;
         loop {
             match self.try_send(value) {
                 Ok(()) => return Ok(()),
                 Err(RingSend::Disconnected(v)) => return Err(v),
-                Err(RingSend::Full(v)) => {
-                    value = v;
-                    backoff(&mut spins);
-                }
+                Err(RingSend::Full(v)) => value = v,
             }
+            let shared = &self.shared;
+            shared.not_full.wait(&mut round, || {
+                // The slot the next claim would take is free (or the tail
+                // moved on past it), under the same test `try_send` uses.
+                let tail = shared.tail.0.load(Ordering::Relaxed);
+                let seq = shared.slots[tail & shared.mask].seq.load(Ordering::Acquire);
+                shared.consumer_gone.load(Ordering::Acquire)
+                    || (seq as isize).wrapping_sub(tail as isize) >= 0
+            });
         }
     }
 
@@ -488,10 +625,30 @@ impl<T> Clone for MpscSender<T> {
 impl<T> Drop for MpscSender<T> {
     fn drop(&mut self) {
         self.shared.producers.fetch_sub(1, Ordering::AcqRel);
+        self.shared.not_empty.notify();
     }
 }
 
-impl<T: Send> MpscReceiver<T> {
+impl<T> MpscReceiver<T> {
+    /// Pop, waiting while the ring is empty (spin, yield, then park until
+    /// a push). `None` once the ring is drained and every producer is gone.
+    pub fn recv(&mut self) -> Option<T> {
+        let mut round = 0;
+        loop {
+            match self.try_recv() {
+                RingRecv::Item(v) => return Some(v),
+                RingRecv::Disconnected => return None,
+                RingRecv::Empty => {}
+            }
+            let shared = &self.shared;
+            shared.not_empty.wait(&mut round, || {
+                let head = shared.head.0.load(Ordering::Relaxed);
+                let seq = shared.slots[head & shared.mask].seq.load(Ordering::Acquire);
+                seq == head.wrapping_add(1) || shared.producers.load(Ordering::Acquire) == 0
+            });
+        }
+    }
+
     /// Pop without blocking.
     pub fn try_recv(&mut self) -> RingRecv<T> {
         let mask = self.shared.mask;
@@ -507,6 +664,7 @@ impl<T: Send> MpscReceiver<T> {
             // this pop — its occupancy reading never exceeds capacity.
             self.shared.head.0.store(head.wrapping_add(1), Ordering::Release);
             slot.seq.store(head.wrapping_add(mask + 1), Ordering::Release);
+            self.shared.not_full.notify();
             return RingRecv::Item(value);
         }
         if self.shared.producers.load(Ordering::Acquire) == 0 {
@@ -540,25 +698,10 @@ impl<T: Send> MpscReceiver<T> {
 impl<T> Drop for MpscReceiver<T> {
     fn drop(&mut self) {
         self.shared.consumer_gone.store(true, Ordering::Release);
-    }
-}
-
-/// Escalating wait: spin briefly, then yield the CPU, then sleep — tuned
-/// for rings whose peers run on the same machine and drain in microseconds,
-/// degrading gracefully when the host is oversubscribed (e.g. a single-core
-/// CI runner where the peer cannot run until we yield).
-fn backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else if *spins < 1024 {
-        // A blocked ring peer means the other side is runnable: on an
-        // oversubscribed host (single-core CI) a yield hands it the CPU
-        // directly, where an early sleep strands both sides in µs-scale
-        // naps that serialize into dead time. Yield long before sleeping.
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(std::time::Duration::from_micros(50));
+        // As for SPSC: drop the backlog with the consumer, waking parked
+        // producers as slots free up, then once more for the disconnect.
+        while let RingRecv::Item(_) = self.try_recv() {}
+        self.shared.not_full.notify();
     }
 }
 
@@ -566,6 +709,7 @@ fn backoff(spins: &mut u32) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn spsc_fifo_and_stats() {
@@ -660,6 +804,122 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(drops.load(Ordering::SeqCst), 5);
+    }
+
+    /// Block until a thread is parked on `w` (inside the condvar wait, so
+    /// what happens next exercises the wake-up, not the pre-park check).
+    /// Announcements change only under the lock, so while we hold it every
+    /// counted thread is inside the wait.
+    fn until_parked(w: &Waiter) {
+        let parked = || {
+            let _held = w.lock();
+            w.sleepers.load(Ordering::Relaxed)
+        };
+        let start = std::time::Instant::now();
+        while parked() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "nobody parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Run `f` on its own thread; [`outcome`] collects its result under a
+    /// deadline, so a side that is never woken fails the test, not hangs.
+    fn within_deadline<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> (std::sync::mpsc::Receiver<R>, std::thread::JoinHandle<()>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        (rx, h)
+    }
+
+    fn outcome<R>((rx, h): (std::sync::mpsc::Receiver<R>, std::thread::JoinHandle<()>)) -> R {
+        let r = rx.recv_timeout(Duration::from_secs(10)).expect("parked side was never woken");
+        h.join().unwrap();
+        r
+    }
+
+    #[test]
+    fn parked_consumer_is_woken_by_a_push() {
+        let (mut tx, mut rx) = spsc::<u32>(4);
+        let shared = Arc::clone(&tx.shared);
+        let waiting = within_deadline(move || rx.recv());
+        until_parked(&shared.not_empty);
+        tx.try_send(7).unwrap();
+        assert_eq!(outcome(waiting), Some(7));
+
+        let (tx, mut rx) = mpsc::<u32>(4);
+        let waiting = within_deadline(move || rx.recv());
+        until_parked(&tx.shared.not_empty);
+        tx.try_send(8).unwrap();
+        assert_eq!(outcome(waiting), Some(8));
+    }
+
+    #[test]
+    fn parked_consumer_is_woken_by_the_last_producer_drop() {
+        let (tx, mut rx) = spsc::<u32>(4);
+        let shared = Arc::clone(&tx.shared);
+        let waiting = within_deadline(move || rx.recv());
+        until_parked(&shared.not_empty);
+        drop(tx);
+        assert_eq!(outcome(waiting), None, "an empty ring with no producer is disconnected");
+
+        let (tx, mut rx) = mpsc::<u32>(4);
+        let shared = Arc::clone(&tx.shared);
+        let tx2 = tx.clone();
+        let waiting = within_deadline(move || (rx.recv(), rx.try_recv()));
+        until_parked(&shared.not_empty);
+        drop(tx);
+        // One producer is left: the consumer may wake, but must park again.
+        until_parked(&shared.not_empty);
+        drop(tx2);
+        assert_eq!(outcome(waiting), (None, RingRecv::Disconnected));
+    }
+
+    #[test]
+    fn parked_producer_is_woken_by_a_pop() {
+        let (mut tx, mut rx) = spsc::<u32>(2);
+        let shared = Arc::clone(&tx.shared);
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let waiting = within_deadline(move || tx.send(3));
+        until_parked(&shared.not_full);
+        assert_eq!(rx.try_recv(), RingRecv::Item(1));
+        assert_eq!(outcome(waiting), Ok(()));
+        assert_eq!((rx.recv(), rx.recv(), rx.recv()), (Some(2), Some(3), None));
+
+        let (tx, mut rx) = mpsc::<u32>(2);
+        let shared = Arc::clone(&tx.shared);
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let waiting = within_deadline(move || tx.send(3));
+        until_parked(&shared.not_full);
+        assert_eq!(rx.try_recv(), RingRecv::Item(1));
+        assert_eq!(outcome(waiting), Ok(()));
+        assert_eq!((rx.recv(), rx.recv(), rx.recv()), (Some(2), Some(3), None));
+    }
+
+    #[test]
+    fn parked_producer_gets_its_item_back_when_the_consumer_drops() {
+        let (mut tx, rx) = spsc::<u32>(2);
+        let shared = Arc::clone(&tx.shared);
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let waiting = within_deadline(move || tx.send(3));
+        until_parked(&shared.not_full);
+        drop(rx);
+        assert_eq!(outcome(waiting), Err(3));
+
+        let (tx, rx) = mpsc::<u32>(2);
+        let shared = Arc::clone(&tx.shared);
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let waiting = within_deadline(move || tx.send(3));
+        until_parked(&shared.not_full);
+        drop(rx);
+        assert_eq!(outcome(waiting), Err(3));
+        assert_eq!(shared.len(), 0, "the consumer's drop drops its backlog");
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!   `enqueued == dequeued + still-buffered` and the high watermark never
 //!   exceeds capacity.
 //!
+//! * **no lost wake-up** — with both sides blocking (`send`/`recv`) on a
+//!   ring that is full or empty nearly all the time, every park ends.
+//!
 //! The tests run multiple seeds-worth of interleavings by looping; on a
-//! single-core host the escalating backoff in the ring forces genuine
+//! single-core host the ring's spin → yield → park wait forces genuine
 //! preemption-driven interleavings rather than lockstep spinning.
 
 use std::collections::HashSet;
@@ -103,6 +106,106 @@ fn spsc_full_tiny_ring_never_stalls() {
         assert!(st.high_watermark <= capacity, "watermark {} > capacity", st.high_watermark);
         producer.join().unwrap();
         consumer.join().unwrap();
+    }
+}
+
+/// The blocking twin of the test above: both sides wait inside the ring
+/// (`send` parks on full, `recv` parks on empty), so a wake-up lost between
+/// a side's last check and its park leaves it parked for good. Deadline-
+/// bounded like the rest: a lost wake-up fails here, it does not hang.
+#[test]
+fn spsc_blocking_tiny_ring_never_loses_a_wakeup() {
+    const N: u64 = 1_000_000;
+    for capacity in [2, 4] {
+        let (mut tx, mut rx) = spsc::<u64>(capacity);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let producer = thread::spawn(move || {
+            for i in 0..N {
+                stall_sometimes(i);
+                if tx.send(i).is_err() {
+                    return;
+                }
+            }
+        });
+        let consumer = thread::spawn(move || {
+            let mut expected = 0u64;
+            while let Some(v) = rx.recv() {
+                assert_eq!(v, expected, "FIFO order violated");
+                stall_sometimes(v + 97);
+                expected += 1;
+            }
+            done_tx.send((expected, rx.stats())).expect("test thread waits");
+        });
+        let (received, st) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("capacity-{capacity} ring lost a wake-up or failed: {e}"));
+        assert_eq!(received, N, "lost events");
+        assert_eq!((st.enqueued, st.dequeued), (N, N));
+        producer.join().unwrap();
+        consumer.join().unwrap();
+    }
+}
+
+/// MPSC, both sides blocking: 4 producers contend for a 4-slot ring, so
+/// producers park on full and the consumer parks on empty all the time.
+/// Exactly-once delivery and per-producer order, under a deadline.
+#[test]
+fn mpsc_blocking_tiny_ring_never_loses_a_wakeup() {
+    const PRODUCERS: u64 = 4;
+    const PER: u64 = 250_000;
+    let (tx, mut rx) = mpsc::<u64>(4);
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let tx = tx.clone();
+            thread::spawn(move || {
+                for i in 0..PER {
+                    stall_sometimes(i + p * 31);
+                    if tx.send(p * PER + i).is_err() {
+                        return;
+                    }
+                }
+            })
+        })
+        .collect();
+    drop(tx);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let consumer = thread::spawn(move || {
+        // Each producer's values must arrive as exactly 0, 1, 2, …: a
+        // duplicate, a gap or a reorder all break the sequence.
+        let mut next = vec![0u64; PRODUCERS as usize];
+        let mut received = 0u64;
+        while let Some(v) = rx.recv() {
+            let p = (v / PER) as usize;
+            assert_eq!(v % PER, next[p], "producer {p} duplicated, lost or reordered an event");
+            next[p] += 1;
+            stall_sometimes(received);
+            received += 1;
+        }
+        done_tx.send((received, rx.stats())).expect("test thread waits");
+    });
+    let (received, st) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|e| panic!("4-slot MPSC ring lost a wake-up or failed: {e}"));
+    let n = PRODUCERS * PER;
+    assert_eq!(received, n, "lost events");
+    assert_eq!((st.enqueued, st.dequeued), (n, n));
+    assert!(st.high_watermark <= 4, "watermark {} exceeds capacity 4", st.high_watermark);
+    for p in producers {
+        p.join().unwrap();
+    }
+    consumer.join().unwrap();
+}
+
+/// Now and then, busy-wait a varying 0–150 µs. The ring's spin and yield
+/// rungs absorb an on-CPU peer's latency, so without stalls a side almost
+/// never reaches the park; with them, the stalled side's next operation
+/// lands at every point of its peer's spin → yield → park descent.
+fn stall_sometimes(i: u64) {
+    if i % 256 == 255 {
+        let until = std::time::Instant::now() + Duration::from_micros(i.wrapping_mul(7919) % 150);
+        while std::time::Instant::now() < until {
+            std::hint::spin_loop();
+        }
     }
 }
 

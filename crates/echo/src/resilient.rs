@@ -108,7 +108,7 @@ impl RetryPolicy {
         }
     }
 
-    fn backoff(&self, attempt: u32, jitter_state: &mut u64) -> Duration {
+    fn retry_delay(&self, attempt: u32, jitter_state: &mut u64) -> Duration {
         let exp = self
             .base_backoff
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
@@ -362,7 +362,7 @@ impl ResilientTransport {
             }
         }
         if !self.stopped() {
-            let d = self.policy.backoff(self.attempts, &mut self.jitter_state);
+            let d = self.policy.retry_delay(self.attempts, &mut self.jitter_state);
             std::thread::sleep(d);
         }
         Ok(false)

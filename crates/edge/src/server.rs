@@ -18,7 +18,8 @@
 //! deliveries, attaches, detaches — over one MPSC ring, so everything
 //! that mutates a given client's outbox is serialized without a global
 //! lock: a resume's window replay cannot race the live deliveries of the
-//! same client.
+//! same client. An idle worker parks inside the ring's `recv` until the
+//! next push; it polls nothing, so a quiet edge costs no CPU.
 //!
 //! ## The slow-client state machine
 //!
@@ -43,7 +44,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::Discriminant;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
@@ -52,7 +53,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use mirror_core::event::{Event, EventBody, FlightId};
-use mirror_core::ring::{self, MpscSender, RingRecv};
+use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_echo::wire::{encode_edge_event, encode_frame_shared, Frame};
 use mirror_echo::{RecvStatus, Subscriber, SubscriptionFilter};
@@ -524,7 +525,7 @@ enum WorkMsg {
     Deliver(Arc<EdgeEvent>),
     Attach { conn: Arc<ClientConn>, filter: SubscriptionFilter, resume_from: Option<u64> },
     Detach { conn: Arc<ClientConn> },
-    Quiesce(Arc<AtomicUsize>),
+    Quiesce(MpscSender<()>),
     Stop,
 }
 
@@ -739,66 +740,55 @@ impl Shard {
     }
 }
 
+/// A delivery worker: blocks in its ring's `recv` (spin, yield, then park
+/// until the next push) and handles work in ring order, until
+/// `WorkMsg::Stop` or until every producer handle is gone.
 fn worker_loop(mut rx: ring::MpscReceiver<WorkMsg>, inner: Arc<Inner>) {
     let mut shard = Shard::new();
     let cfg = inner.cfg.clone();
     let c = Arc::clone(&inner.counters);
-    let mut idle = 0u32;
-    loop {
-        match rx.try_recv() {
-            RingRecv::Item(msg) => {
-                idle = 0;
-                match msg {
-                    WorkMsg::Deliver(e) => {
-                        let flight = e.event.flight;
-                        let mut dead: Vec<Arc<ClientConn>> = Vec::new();
-                        let offer = |id: u64, shard: &Shard| match shard.conns.get(&id) {
-                            Some(conn) => match push_event(conn, &e, &cfg, &c) {
-                                Push::ClosedNow => Some(Arc::clone(conn)),
-                                _ => None,
-                            },
-                            None => None,
-                        };
-                        for i in 0..shard.all.len() {
-                            if let Some(d) = offer(shard.all[i], &shard) {
-                                dead.push(d);
-                            }
-                        }
-                        if let Some(list) = shard.by_flight.get(&flight) {
-                            for &id in list.iter() {
-                                if let Some(d) = offer(id, &shard) {
-                                    dead.push(d);
-                                }
-                            }
-                        }
-                        for conn in dead {
-                            shard.drop_conn(&conn, &c);
+    while let Some(msg) = rx.recv() {
+        match msg {
+            WorkMsg::Deliver(e) => {
+                let flight = e.event.flight;
+                let mut dead: Vec<Arc<ClientConn>> = Vec::new();
+                let offer = |id: u64, shard: &Shard| match shard.conns.get(&id) {
+                    Some(conn) => match push_event(conn, &e, &cfg, &c) {
+                        Push::ClosedNow => Some(Arc::clone(conn)),
+                        _ => None,
+                    },
+                    None => None,
+                };
+                for i in 0..shard.all.len() {
+                    if let Some(d) = offer(shard.all[i], &shard) {
+                        dead.push(d);
+                    }
+                }
+                if let Some(list) = shard.by_flight.get(&flight) {
+                    for &id in list.iter() {
+                        if let Some(d) = offer(id, &shard) {
+                            dead.push(d);
                         }
                     }
-                    WorkMsg::Attach { conn, filter, resume_from } => {
-                        // A stale connection for the same id is replaced.
-                        if let Some(old) = shard.conns.get(&conn.id).cloned() {
-                            old.state.lock().close(EdgeDisconnect::Replaced);
-                            shard.drop_conn(&old, &c);
-                        }
-                        attach(&mut shard, conn, filter, resume_from, &inner);
-                    }
-                    WorkMsg::Detach { conn } => {
-                        shard.drop_conn(&conn, &c);
-                    }
-                    WorkMsg::Quiesce(left) => {
-                        left.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    WorkMsg::Stop => break,
+                }
+                for conn in dead {
+                    shard.drop_conn(&conn, &c);
                 }
             }
-            RingRecv::Empty => {
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
+            WorkMsg::Attach { conn, filter, resume_from } => {
+                // A stale connection for the same id is replaced.
+                if let Some(old) = shard.conns.get(&conn.id).cloned() {
+                    old.state.lock().close(EdgeDisconnect::Replaced);
+                    shard.drop_conn(&old, &c);
                 }
-                idle_backoff(&mut idle);
+                attach(&mut shard, conn, filter, resume_from, &inner);
             }
-            RingRecv::Disconnected => break,
+            WorkMsg::Detach { conn } => {
+                shard.drop_conn(&conn, &c);
+            }
+            // Dropping the handle is the settle signal.
+            WorkMsg::Quiesce(_settled) => {}
+            WorkMsg::Stop => break,
         }
     }
     // Shutdown: surface a typed disconnect to still-connected clients.
@@ -882,17 +872,6 @@ fn attach(
     shard.index_add(conn.id, &filter);
     shard.conns.insert(conn.id, conn);
     c.connections.fetch_add(1, Ordering::Relaxed);
-}
-
-fn idle_backoff(idle: &mut u32) {
-    *idle = idle.saturating_add(1);
-    if *idle < 64 {
-        std::hint::spin_loop();
-    } else if *idle < 192 {
-        thread::yield_now();
-    } else {
-        thread::sleep(std::time::Duration::from_micros(200));
-    }
 }
 
 /// The edge server: owns the delivery workers, the retained window, the
@@ -1015,15 +994,17 @@ impl EdgeServer {
     /// Block until every delivery worker has processed all work enqueued
     /// before this call — a deterministic settle point for tests and
     /// benchmarks (e.g. "all fan-out for the published events is done").
+    /// A worker that is already gone (after [`stop`](Self::stop)) has
+    /// nothing left to settle and is not waited for.
     pub fn quiesce(&self) {
-        let left = Arc::new(AtomicUsize::new(self.inner.rings.len()));
+        let (settled, mut all_settled) = ring::mpsc::<()>(1);
         for ring in &self.inner.rings {
-            let _ = ring.send(WorkMsg::Quiesce(Arc::clone(&left)));
+            // A gone worker's ring hands the marker back, dropped here.
+            let _ = ring.send(WorkMsg::Quiesce(settled.clone()));
         }
-        let mut idle = 0u32;
-        while left.load(Ordering::Acquire) != 0 {
-            idle_backoff(&mut idle);
-        }
+        drop(settled);
+        // Nothing is ever pushed: this returns once the last marker drops.
+        all_settled.recv();
     }
 
     /// Subscribers currently in the resume directory (connected or not).
@@ -1466,6 +1447,22 @@ mod tests {
             }
             other => panic!("expected events, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn quiesce_after_stop_returns() {
+        let edge = Arc::new(EdgeServer::start(small_cfg(), empty_provider()));
+        edge.stop();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let settling = Arc::clone(&edge);
+        let h = thread::spawn(move || {
+            settling.quiesce();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("quiesce after stop must return, not wait on workers that are gone");
+        h.join().unwrap();
     }
 
     #[test]

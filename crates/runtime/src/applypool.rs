@@ -18,7 +18,10 @@
 //! * checkpoint-frontier and counter bookkeeping is **batched**: workers
 //!   join the vector stamps of up to [`ApplyPoolConfig::batch`] events and
 //!   take the responder lock once per batch, flushing eagerly whenever the
-//!   ring runs dry so the frontier never lags an idle site.
+//!   ring runs dry so the frontier never lags an idle site;
+//! * an idle worker blocks in the ring's `recv` (spin, yield, then park
+//!   until the dispatcher's next push), after that flush — it polls
+//!   nothing and burns no CPU while its shard has no traffic.
 //!
 //! Ordering contract: the checkpoint frontier only ever *trails* the
 //! store (an event is applied before its stamp is recorded). All
@@ -194,7 +197,6 @@ fn worker_loop(
     let mut applied = 0u64;
     let mut delay_sum = 0u64;
     let mut delay_count = 0u64;
-    let mut spins = 0u32;
     // Sampled once per batch, not per event: at apply rates of millions
     // of events/sec a per-event clock read dominates the apply itself,
     // and the µs-scale skew within one batch is far below the ms-scale
@@ -225,14 +227,23 @@ fn worker_loop(
     }
 
     loop {
+        let msg = match rx.try_recv() {
+            RingRecv::Item(m) => Some(m),
+            RingRecv::Empty => {
+                // Flush before blocking, so an idle site's frontier and
+                // counters never lag what it has applied.
+                flush!();
+                rx.recv()
+            }
+            RingRecv::Disconnected => None,
+        };
         if crashed.load(Ordering::Relaxed) {
             // Abandon the backlog (and any unflushed bookkeeping): crash
             // semantics — a dead process records nothing.
             return;
         }
-        match rx.try_recv() {
-            RingRecv::Item(WorkerMsg::Event(ev)) => {
-                spins = 0;
+        match msg {
+            Some(WorkerMsg::Event(ev)) => {
                 if applied == 0 {
                     now = sink.clock.now_us();
                 }
@@ -263,35 +274,16 @@ fn worker_loop(
                     flush!();
                 }
             }
-            RingRecv::Item(WorkerMsg::Quiesce(b)) => {
+            Some(WorkerMsg::Quiesce(b)) => {
                 flush!();
                 b.wait();
                 b.wait();
             }
-            RingRecv::Empty => {
-                flush!();
-                idle_backoff(&mut spins);
-            }
-            RingRecv::Disconnected => {
+            None => {
                 flush!();
                 return;
             }
         }
-    }
-}
-
-/// Consumer-side wait: spin, then yield, then sleep with an escalating cap
-/// (≤ 1 ms) — hot under load, near-zero CPU when the site idles, and the
-/// crash flag is still observed at every wakeup.
-pub(crate) fn idle_backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else if *spins < 192 {
-        std::thread::yield_now();
-    } else {
-        let us = (*spins as u64 - 191).saturating_mul(50).min(1_000);
-        std::thread::sleep(std::time::Duration::from_micros(us));
     }
 }
 

@@ -20,6 +20,10 @@
 //! a per-shard-locked [`ShardedEde`]. Control traffic (checkpoint rounds,
 //! and the exclusive sections behind seed, merge, delta and purge) is
 //! handled inline by the dispatcher so it serializes with dispatch order.
+//! The dispatcher blocks in the ring's `recv` between messages (spin,
+//! yield, then park until a push) and stops on `MainMsg::Stop`, which a
+//! crash sends too; a caller of an exclusive section blocks in the `recv`
+//! of a one-slot reply ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +37,7 @@ use mirror_core::api::MirrorHandle;
 use mirror_core::aux_unit::{AuxAction, AuxInput, SiteId};
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::{self, MpscSender, RingRecv};
+use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{EventChannel, Publisher, Subscriber};
@@ -41,7 +45,7 @@ use mirror_echo::resilient::{LinkEvent, LinkHealth, LinkMonitor};
 use mirror_echo::wire::SharedEvent;
 use mirror_ede::{OperationalState, ShardedEde, Snapshot};
 
-use crate::applypool::{idle_backoff, ApplyPool, ApplyPoolConfig, ApplySink};
+use crate::applypool::{ApplyPool, ApplyPoolConfig, ApplySink};
 use crate::clock::RuntimeClock;
 use crate::durability::Journal;
 use crate::statesync::{ServedSnapshot, SnapshotCachePolicy, StateSync};
@@ -375,22 +379,7 @@ impl SiteCore {
                 // (stale updates are absorbed idempotently by the EDE).
                 let mut awaiting_seed = await_seed;
                 let mut seed_buffer: Vec<Arc<Event>> = Vec::new();
-                let mut spins = 0u32;
-                loop {
-                    let msg = match main_rx.try_recv() {
-                        RingRecv::Item(m) => {
-                            spins = 0;
-                            m
-                        }
-                        RingRecv::Empty => {
-                            if main_crashed.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            idle_backoff(&mut spins);
-                            continue;
-                        }
-                        RingRecv::Disconnected => break,
-                    };
+                while let Some(msg) = main_rx.recv() {
                     match msg {
                         MainMsg::Event(ev) => {
                             if awaiting_seed {
@@ -457,27 +446,22 @@ impl SiteCore {
 
     /// Run `section` on the main thread as a [`MainMsg::Exclusive`] and
     /// block until it has run, so the caller can snapshot or serve reads
-    /// right after and see its effect. `None` if the site stops first.
+    /// right after and see its effect. `None` if the site stops first: a
+    /// dispatcher that exits drops the sections left in its ring, and with
+    /// each one its reply ring's producer, which ends the wait.
     fn exclusive<R: Send + 'static>(
         &self,
         seeds: bool,
         section: impl FnOnce(&SiteShared) -> R + Send + 'static,
     ) -> Option<R> {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (mut done_tx, mut done_rx) = ring::spsc(1);
         let section = Box::new(move |shared: &SiteShared| {
-            let _ = done_tx.send(section(shared));
+            // The only push into an empty ring: never full.
+            let _ = done_tx.try_send(section(shared));
         });
         // Err: the apply loop is already gone (site stopping).
         self.seed_tx.send(MainMsg::Exclusive { section, seeds }).ok()?;
-        let mut spins = 0u32;
-        loop {
-            match done_rx.try_recv() {
-                Ok(result) => return Some(result),
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return None,
-                Err(_) if self.stop.load(Ordering::SeqCst) => return None,
-                Err(_) => idle_backoff(&mut spins),
-            }
-        }
+        done_rx.recv()
     }
 }
 

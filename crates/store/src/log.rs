@@ -711,29 +711,6 @@ mod tests {
         (ev, b)
     }
 
-    /// Diagnostic, not a gate: per-append cost of the hot path under each
-    /// policy. Run with `--ignored --nocapture` when tuning.
-    #[test]
-    #[ignore]
-    fn append_throughput_diagnostic() {
-        use std::time::Instant;
-        let payload = vec![0xABu8; 1024];
-        for (name, fsync) in
-            [("OnCommit", FsyncPolicy::OnCommit), ("EveryN(64)", FsyncPolicy::EveryN(64))]
-        {
-            let dir = test_dir(&format!("diag-{name}"));
-            let mut log = EventLog::open(&dir, LogConfig { fsync, ..Default::default() }).unwrap();
-            let start = Instant::now();
-            for i in 1..=20_000u64 {
-                log.append(i, &payload).unwrap();
-            }
-            let us = start.elapsed().as_micros() as f64 / 20_000.0;
-            println!("  {name:<12} {us:.2} us/append");
-            drop(log);
-            let _ = fs::remove_dir_all(&dir);
-        }
-    }
-
     #[test]
     fn append_reopen_replay_roundtrip() {
         let dir = test_dir("roundtrip");
