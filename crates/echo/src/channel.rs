@@ -8,11 +8,16 @@
 //! queues so a slow sink never blocks the publisher (back-pressure is the
 //! application's job — it is precisely the monitored queue growth that
 //! drives adaptive mirroring).
+//!
+//! Unsubscribing is first-class: a closed subscription ([`Closer`]) gets
+//! nothing published afterwards, and its [`Subscriber::recv`] returns the
+//! backlog, then `None`, as when every publisher is gone. A forwarding
+//! thread is `while let Some(m) = sub.recv()`, stopped by closing its input.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use mirror_core::event::Event;
@@ -21,16 +26,32 @@ use mirror_core::ControlMsg;
 /// Shared state of one channel.
 struct Shared<T> {
     name: String,
-    subs: Mutex<Vec<Sender<T>>>,
+    /// Open subscriptions by id; removing one drops its sender, which ends
+    /// its `recv` after the backlog.
+    subs: Mutex<Vec<(u64, Sender<T>)>>,
+    next_id: AtomicU64,
     /// Lock-free counter: read by monitoring threads while publishers are
     /// hot, so it must not contend on the subscriber lock.
     published: AtomicU64,
-    /// Lock-free subscriber count, maintained by `subscribe` and the
-    /// publish-time prune. Read on apply hot paths (a mirror's per-update
+    /// Lock-free subscriber count, maintained by `subscribe` and
+    /// `unsubscribe`. Read on apply hot paths (a mirror's per-update
     /// "anyone listening?" check) where taking the subscriber lock — or
     /// cloning the message first — would be a per-event tax paid even with
     /// no edge attached.
     sub_count: AtomicUsize,
+}
+
+/// The type-erased side of a channel a [`Closer`] reaches.
+trait Unsubscribe: Send + Sync {
+    fn unsubscribe(&self, id: u64);
+}
+
+impl<T: Send> Unsubscribe for Shared<T> {
+    fn unsubscribe(&self, id: u64) {
+        let mut subs = self.subs.lock();
+        subs.retain(|(sub, _)| *sub != id);
+        self.sub_count.store(subs.len(), Ordering::Release);
+    }
 }
 
 /// A named, typed event channel.
@@ -51,6 +72,7 @@ impl<T: Clone + Send + 'static> EventChannel<T> {
             shared: Arc::new(Shared {
                 name: name.into(),
                 subs: Mutex::new(Vec::new()),
+                next_id: AtomicU64::new(0),
                 published: AtomicU64::new(0),
                 sub_count: AtomicUsize::new(0),
             }),
@@ -68,19 +90,22 @@ impl<T: Clone + Send + 'static> EventChannel<T> {
     }
 
     /// Subscribe; returns a handle owning an independent FIFO of every
-    /// message published after this call.
+    /// message published after this call, until the subscription is
+    /// closed.
     pub fn subscribe(&self) -> Subscriber<T> {
         let (tx, rx) = channel::unbounded();
+        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let mut subs = self.shared.subs.lock();
-        subs.push(tx);
+        subs.push((id, tx));
         self.shared.sub_count.store(subs.len(), Ordering::Release);
         drop(subs);
-        Subscriber { rx, name: self.shared.name.clone() }
+        let channel: Weak<dyn Unsubscribe> = Arc::downgrade(&self.shared) as _;
+        Subscriber { rx, closer: Closer { channel, id } }
     }
 
-    /// Number of live subscribers.
+    /// Number of open subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        self.shared.subs.lock().len()
+        self.shared.sub_count.load(Ordering::Acquire)
     }
 
     /// Total messages published on this channel.
@@ -101,35 +126,24 @@ impl<T> Clone for Publisher<T> {
 }
 
 impl<T: Clone + Send + 'static> Publisher<T> {
-    /// Publish one message to every current subscriber. Subscribers whose
-    /// receiving side has been dropped are pruned. Returns the number of
-    /// subscribers reached.
+    /// Publish one message to every open subscription. Returns the number
+    /// of subscriptions reached.
     pub fn publish(&self, msg: T) -> usize {
-        let mut subs = self.shared.subs.lock();
-        let mut delivered = 0;
-        subs.retain(|s| {
-            // One clone per subscriber; the last one could move, but the
-            // uniform path keeps the code simple and the clone is cheap
-            // relative to the wire work this models.
-            if s.send(msg.clone()).is_ok() {
-                delivered += 1;
-                true
-            } else {
-                false
-            }
-        });
-        self.shared.sub_count.store(subs.len(), Ordering::Release);
+        let subs = self.shared.subs.lock();
+        // One clone per subscriber; the last one could move, but the
+        // uniform path keeps the code simple and the clone is cheap
+        // relative to the wire work this models. A send cannot fail: a
+        // subscription leaves the list before its receiver drops.
+        let delivered = subs.iter().filter(|(_, s)| s.send(msg.clone()).is_ok()).count();
+        drop(subs);
         self.shared.published.fetch_add(1, Ordering::Relaxed);
         delivered
     }
 
-    /// `true` while at least one subscriber is attached — without taking
+    /// `true` while at least one subscription is open — without taking
     /// the subscriber lock. This is the hot-path guard that lets a site
     /// skip the per-update clone + publish entirely when nothing listens
-    /// (the common case for a mirror with no edge tier attached). May
-    /// briefly report `true` for subscribers that were dropped but not yet
-    /// pruned by a publish; that costs one wasted publish, never a missed
-    /// one.
+    /// (the common case for a mirror with no edge tier attached).
     pub fn has_subscribers(&self) -> bool {
         self.shared.sub_count.load(Ordering::Acquire) > 0
     }
@@ -140,73 +154,66 @@ impl<T: Clone + Send + 'static> Publisher<T> {
     }
 }
 
-/// Outcome of [`Subscriber::recv_status`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvStatus<T> {
-    /// A message arrived.
-    Msg(T),
-    /// Nothing arrived within the timeout; the channel is still open.
-    Timeout,
-    /// Every publisher is gone.
-    Disconnected,
+/// Closes one subscription ([`Subscriber::closer`]). Carries no message
+/// type and does not keep the channel alive: a channel whose last
+/// publisher drops still disconnects its subscribers.
+#[derive(Clone)]
+pub struct Closer {
+    channel: Weak<dyn Unsubscribe>,
+    id: u64,
+}
+
+impl Closer {
+    /// Close the subscription: nothing published afterwards reaches it,
+    /// and its [`recv`](Subscriber::recv) returns what is already queued,
+    /// then `None`. Idempotent, and a no-op once the channel is gone.
+    pub fn close(&self) {
+        if let Some(channel) = self.channel.upgrade() {
+            channel.unsubscribe(self.id);
+        }
+    }
 }
 
 /// Subscription handle: an independent FIFO of published messages.
+/// Dropping it closes the subscription.
 pub struct Subscriber<T> {
     rx: Receiver<T>,
-    name: String,
+    closer: Closer,
 }
 
 impl<T> Subscriber<T> {
-    /// Block until a message arrives or every publisher is gone.
+    /// A handle that closes this subscription from any thread — the way
+    /// to stop a thread blocked in [`recv`](Self::recv).
+    pub fn closer(&self) -> Closer {
+        self.closer.clone()
+    }
+
+    /// Block until a message arrives; `None` once the subscription is
+    /// closed (or every publisher is gone) and its backlog is drained.
     pub fn recv(&self) -> Option<T> {
         self.rx.recv().ok()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        match self.rx.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.rx.try_recv().ok()
     }
 
-    /// Receive with a timeout; `None` on timeout or disconnect.
+    /// Receive with a timeout; `None` on timeout, or at once when closed
+    /// and drained.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<T> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => Some(v),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    /// Receive with a timeout, distinguishing timeout from channel
-    /// shutdown — needed by pump threads that must keep polling a stop
-    /// flag while the channel is quiet.
-    pub fn recv_status(&self, timeout: std::time::Duration) -> RecvStatus<T> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => RecvStatus::Msg(v),
-            Err(RecvTimeoutError::Timeout) => RecvStatus::Timeout,
-            Err(RecvTimeoutError::Disconnected) => RecvStatus::Disconnected,
-        }
+        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Messages currently queued.
     pub fn backlog(&self) -> usize {
         self.rx.len()
     }
+}
 
-    /// Channel name this subscription belongs to.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.rx.len());
-        while let Ok(v) = self.rx.try_recv() {
-            out.push(v);
-        }
-        out
+impl<T> Drop for Subscriber<T> {
+    fn drop(&mut self) {
+        self.closer.close();
     }
 }
 
@@ -256,7 +263,7 @@ mod tests {
         for i in 0..100 {
             p.publish(i);
         }
-        let got = s.drain();
+        let got: Vec<u32> = std::iter::from_fn(|| s.try_recv()).collect();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
@@ -338,29 +345,100 @@ mod tests {
     }
 
     #[test]
-    fn recv_status_distinguishes_timeout_from_disconnect() {
-        let ch: EventChannel<u8> = EventChannel::new("t");
-        let s = ch.subscribe();
-        let p = ch.publisher();
-        assert_eq!(s.recv_status(Duration::from_millis(5)), RecvStatus::Timeout);
-        p.publish(9);
-        assert_eq!(s.recv_status(Duration::from_millis(5)), RecvStatus::Msg(9));
-        drop(p);
-        drop(ch);
-        assert_eq!(s.recv_status(Duration::from_millis(5)), RecvStatus::Disconnected);
-    }
-
-    #[test]
-    fn has_subscribers_tracks_attach_and_prune() {
+    fn has_subscribers_tracks_attach_drop_and_close() {
         let ch: EventChannel<u8> = EventChannel::new("t");
         let p = ch.publisher();
         assert!(!p.has_subscribers(), "fresh channel has no subscribers");
-        let s = ch.subscribe();
+        let s1 = ch.subscribe();
+        let s2 = ch.subscribe();
         assert!(p.has_subscribers());
-        drop(s);
-        // Dropped-but-unpruned may still read true; a publish prunes.
+        assert_eq!(ch.subscriber_count(), 2);
+        drop(s1);
+        assert_eq!(ch.subscriber_count(), 1, "a dropped subscriber leaves at once");
+        s2.closer().close();
+        assert!(!p.has_subscribers(), "a closed subscription no longer counts");
+        assert_eq!(ch.subscriber_count(), 0);
+    }
+
+    #[test]
+    fn close_wakes_a_parked_recv_after_the_backlog() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s = ch.subscribe();
+        let closer = s.closer();
+        let p = ch.publisher();
         p.publish(1);
-        assert!(!p.has_subscribers(), "prune must clear the flag");
+        p.publish(2);
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            while let Some(v) = s.recv() {
+                got.push(v);
+                let _ = seen_tx.send(());
+            }
+            got
+        });
+        // Both queued messages are consumed: the reader is now in (or on
+        // its way into) a `recv` with nothing queued, and the channel is
+        // still open — only the close can end it.
+        for _ in 0..2 {
+            seen_rx.recv_timeout(Duration::from_secs(5)).expect("backlog delivered");
+        }
+        closer.close();
+        assert_eq!(reader.join().unwrap(), vec![1, 2]);
+        drop(p);
+    }
+
+    #[test]
+    fn close_returns_the_backlog_then_none() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s = ch.subscribe();
+        let p = ch.publisher();
+        for i in 0..3 {
+            p.publish(i);
+        }
+        s.closer().close();
+        assert_eq!((s.recv(), s.recv(), s.recv(), s.recv()), (Some(0), Some(1), Some(2), None));
+    }
+
+    #[test]
+    fn nothing_is_delivered_after_close() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s = ch.subscribe();
+        let p = ch.publisher();
+        s.closer().close();
+        assert_eq!(p.publish(7), 0, "a closed subscription is not reached");
+        assert_eq!(s.try_recv(), None);
+        assert_eq!(s.recv_timeout(Duration::from_millis(5)), None);
+        assert_eq!(ch.published(), 1);
+    }
+
+    #[test]
+    fn a_second_close_does_nothing() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let closed = ch.subscribe();
+        let open = ch.subscribe();
+        let closer = closed.closer();
+        closer.close();
+        closer.clone().close();
+        assert_eq!(ch.subscriber_count(), 1);
+        assert_eq!(ch.publisher().publish(3), 1);
+        assert_eq!(open.try_recv(), Some(3), "other subscriptions stay open");
+        assert_eq!(closed.recv(), None);
+    }
+
+    #[test]
+    fn a_closer_does_not_keep_the_channel_open() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s = ch.subscribe();
+        let closer = s.closer();
+        let p = ch.publisher();
+        drop(ch);
+        p.publish(5);
+        drop(p);
+        // The last publisher is gone: the subscriber disconnects even
+        // though an unused close handle is still alive.
+        assert_eq!((s.recv(), s.recv()), (Some(5), None));
+        closer.close();
     }
 
     #[test]

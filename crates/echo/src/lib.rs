@@ -39,7 +39,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use channel::{ChannelPair, EventChannel, Publisher, RecvStatus, Subscriber};
+pub use channel::{ChannelPair, Closer, EventChannel, Publisher, Subscriber};
 pub use faults::{
     FaultPlan, FaultState, FaultSummary, FaultyTransport, LinkFate, LinkProfile, LinkShaper,
     ThrottleSchedule,

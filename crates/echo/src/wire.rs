@@ -17,7 +17,7 @@ use mirror_core::params::MirrorParams;
 use mirror_core::partition::PartitionMap;
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
-use mirror_ede::{FlightView, Snapshot, StateDelta};
+use mirror_ede::{FlightMap, FlightView, Snapshot, StateDelta};
 
 /// Wire-format version byte; bumped on incompatible change.
 pub const WIRE_VERSION: u8 = 1;
@@ -982,6 +982,21 @@ fn encode_flight_entry(id: u32, f: &FlightView, buf: &mut BytesMut) {
     buf.put_u64_le(f.updates);
 }
 
+/// Wire size of the smallest flight entry: one without a position fix.
+const MIN_FLIGHT_ENTRY: usize = 4 + 1 + 1 + 8 + 4 + 4 + 4 + 4 + 8;
+
+/// Decode `count` flight entries. The map is pre-sized for no more entries
+/// than the remaining bytes can hold: `count` is an unchecked wire field.
+fn decode_flight_entries(buf: &mut Bytes, count: usize) -> Result<FlightMap, WireError> {
+    let capacity = count.min(buf.remaining() / MIN_FLIGHT_ENTRY);
+    let mut flights = FlightMap::with_capacity_and_hasher(capacity, Default::default());
+    for _ in 0..count {
+        let (id, view) = decode_flight_entry(buf)?;
+        flights.insert(id, view);
+    }
+    Ok(flights)
+}
+
 fn decode_flight_entry(buf: &mut Bytes) -> Result<(u32, FlightView), WireError> {
     need(buf, 4)?;
     let id = buf.get_u32_le();
@@ -1022,11 +1037,7 @@ pub fn decode_snapshot(mut buf: Bytes) -> Result<Snapshot, WireError> {
     need(&buf, 4)?;
     let count = buf.get_u32_le() as usize;
     let as_of = decode_stamp(&mut buf)?;
-    let mut flights = mirror_ede::FlightMap::with_capacity_and_hasher(count, Default::default());
-    for _ in 0..count {
-        let (id, view) = decode_flight_entry(&mut buf)?;
-        flights.insert(id, view);
-    }
+    let flights = decode_flight_entries(&mut buf, count)?;
     Ok(Snapshot::from_parts(flights, as_of))
 }
 
@@ -1083,11 +1094,7 @@ pub fn decode_delta(mut buf: Bytes) -> Result<StateDelta, WireError> {
     }
     need(&buf, 4)?;
     let count = buf.get_u32_le() as usize;
-    let mut changed = mirror_ede::FlightMap::with_capacity_and_hasher(count, Default::default());
-    for _ in 0..count {
-        let (id, view) = decode_flight_entry(&mut buf)?;
-        changed.insert(id, view);
-    }
+    let changed = decode_flight_entries(&mut buf, count)?;
     Ok(StateDelta::from_parts(changed, removed, base, as_of))
 }
 
@@ -1494,6 +1501,27 @@ mod tests {
         let mut bad = good.to_vec();
         bad[1] = KIND_SNAPSHOT;
         assert!(matches!(decode_delta(Bytes::from(bad)), Err(WireError::BadTag(_))));
+    }
+
+    /// A flight count inflated to `u32::MAX` fails as truncated instead of
+    /// pre-sizing a map for four billion entries, which aborts the process.
+    #[test]
+    fn snapshot_decode_survives_an_inflated_flight_count() {
+        let snap = Snapshot::capture(&snapshot_state(), VectorTimestamp::from_components(vec![2]));
+        let mut bad = encode_snapshot(&snap).to_vec();
+        // version, kind, then the flight count.
+        bad[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_snapshot(Bytes::from(bad)), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn delta_decode_survives_an_inflated_flight_count() {
+        let mut bad = encode_delta(&sample_delta()).to_vec();
+        // version, kind, two 2-wide stamps, two removed ids, then the count.
+        let at = 2 + 2 * (2 + 2 * 8) + 4 + 2 * 4;
+        assert_eq!(bad[at..at + 4], 3u32.to_le_bytes(), "changed-count field");
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_delta(Bytes::from(bad)), Err(WireError::Truncated));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::Discriminant;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
@@ -56,7 +56,7 @@ use mirror_core::event::{Event, EventBody, FlightId};
 use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_echo::wire::{encode_edge_event, encode_frame_shared, Frame};
-use mirror_echo::{RecvStatus, Subscriber, SubscriptionFilter};
+use mirror_echo::{Closer, Subscriber, SubscriptionFilter};
 
 /// Tuning knobs for an edge server.
 #[derive(Debug, Clone)]
@@ -569,7 +569,6 @@ struct Inner {
     /// Swappable so a failover can re-point the edge at the successor's
     /// state (lock order: `reseed_slot` first, then `provider`).
     provider: Mutex<Box<dyn StateProvider>>,
-    stop: AtomicBool,
 }
 
 impl Inner {
@@ -878,7 +877,11 @@ fn attach(
 /// subscription directory and the counters.
 pub struct EdgeServer {
     inner: Arc<Inner>,
+    /// The delivery workers.
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Update pumps ([`pump_from`](Self::pump_from)) with the close
+    /// handles of the subscriptions they read.
+    pumps: Mutex<Vec<(Closer, thread::JoinHandle<()>)>>,
 }
 
 impl EdgeServer {
@@ -902,7 +905,6 @@ impl EdgeServer {
             rings,
             reseed_slot: Mutex::new(ReseedSlots::default()),
             provider: Mutex::new(provider),
-            stop: AtomicBool::new(false),
         });
         let threads = receivers
             .into_iter()
@@ -915,7 +917,7 @@ impl EdgeServer {
                     .expect("spawn edge worker")
             })
             .collect();
-        EdgeServer { inner, threads: Mutex::new(threads) }
+        EdgeServer { inner, threads: Mutex::new(threads), pumps: Mutex::new(Vec::new()) }
     }
 
     /// The edge's counters (share with `Cluster::stats()`).
@@ -934,25 +936,21 @@ impl EdgeServer {
     }
 
     /// Spawn a pump that publishes every event from `sub` (a mirror's
-    /// applied-updates subscription) until the channel closes or the
-    /// server stops. The handle is joined by [`stop`](Self::stop).
+    /// applied-updates subscription) until its publishers are gone or
+    /// [`stop`](Self::stop) closes it, which joins the pump after it has
+    /// published what the subscription already held.
     pub fn pump_from(&self, sub: Subscriber<Event>) {
+        let closer = sub.closer();
         let inner = Arc::clone(&self.inner);
         let h = thread::Builder::new()
             .name("edge-pump".into())
-            .spawn(move || loop {
-                match sub.recv_status(std::time::Duration::from_millis(20)) {
-                    RecvStatus::Msg(e) => inner.publish(Arc::new(e)),
-                    RecvStatus::Timeout => {
-                        if inner.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                    RecvStatus::Disconnected => break,
+            .spawn(move || {
+                while let Some(e) = sub.recv() {
+                    inner.publish(Arc::new(e));
                 }
             })
             .expect("spawn edge pump");
-        self.threads.lock().push(h);
+        self.pumps.lock().push((closer, h));
     }
 
     /// Subscribe a new client (the `Frame::Subscribe` service path).
@@ -1029,10 +1027,18 @@ impl EdgeServer {
         *slot = ReseedSlots::default();
     }
 
-    /// Stop workers and pumps; connected clients see
-    /// [`EdgeDisconnect::ServerStopped`].
+    /// Stop pumps and workers; connected clients see
+    /// [`EdgeDisconnect::ServerStopped`]. The pumps' subscriptions are
+    /// closed first, and what they already held is published before the
+    /// workers stop.
     pub fn stop(&self) {
-        self.inner.stop.store(true, Ordering::Release);
+        let pumps = std::mem::take(&mut *self.pumps.lock());
+        for (closer, _) in &pumps {
+            closer.close();
+        }
+        for (_, h) in pumps {
+            let _ = h.join();
+        }
         for ring in &self.inner.rings {
             let _ = ring.send(WorkMsg::Stop).map_err(|_| ());
         }

@@ -34,21 +34,23 @@
 //! the shared encoding), one ack covers the batch, and retransmission
 //! replays the stored bytes — the batch is the exactly-once unit.
 //!
-//! Shutdown cascades naturally: when one side's publishers drop, its pump
-//! threads end, the transport reaches EOF, and the remote side unwinds.
+//! Shutdown cascades naturally: once a side's subscriptions are closed
+//! ([`BridgeHandle::stop`]) or its publishers drop, its forwarders hand
+//! over what they hold and end, the transport reaches EOF, and the remote
+//! side unwinds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, RecvTimeoutError, Sender, TryRecvError};
 
 use mirror_core::ControlMsg;
-use mirror_echo::channel::{EventChannel, Publisher, RecvStatus, Subscriber};
+use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
 use mirror_echo::wire::{encode_batch_from_encoded, encode_frame_shared, Frame, SharedEvent};
 use mirror_echo::Transport;
 
+/// The writer's idle tick: how long it waits for traffic before it lets a
+/// resilient transport service acks and retransmit requests.
 const POLL: Duration = Duration::from_millis(20);
 
 /// Flush policy of the batching bridge writer: how long and how large a
@@ -103,14 +105,19 @@ impl BatchPolicy {
 /// endpoints (in any order) before calling [`BridgeHandle::join`] on
 /// either** — stop is non-blocking, join then completes on both sides.
 pub struct BridgeHandle {
-    stop: Arc<AtomicBool>,
+    /// Close handles of the subscriptions this endpoint forwards.
+    closers: Vec<Closer>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl BridgeHandle {
-    /// Ask the pumps to stop at their next poll.
+    /// Close the endpoint's subscriptions: its forwarders hand the writer
+    /// everything already published to them and exit, and the writer
+    /// sends it and closes its transport. Non-blocking and idempotent.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        for closer in &self.closers {
+            closer.close();
+        }
     }
 
     /// Stop and join all bridge threads.
@@ -141,33 +148,23 @@ impl OutMsg {
     }
 }
 
-fn pump_sub<T: Send + 'static>(
+/// Forward `sub` into a writer's queue on its own thread, until the
+/// subscription is closed (its backlog is forwarded first) or its
+/// publishers are gone.
+fn forward<T: Send + 'static>(
     sub: Subscriber<T>,
-    stop: Arc<AtomicBool>,
     tx: Sender<OutMsg>,
-    wrap: impl Fn(T) -> OutMsg + Send + 'static,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        if stop.load(Ordering::SeqCst) {
-            // Drain everything already published before stopping: stop is
-            // a shutdown signal, not permission to drop queued traffic.
-            while let Some(m) = sub.try_recv() {
-                if tx.send(wrap(m)).is_err() {
-                    return;
-                }
+    wrap: fn(T) -> OutMsg,
+) -> (Closer, std::thread::JoinHandle<()>) {
+    let closer = sub.closer();
+    let forwarder = std::thread::spawn(move || {
+        while let Some(m) = sub.recv() {
+            if tx.send(wrap(m)).is_err() {
+                break;
             }
-            break;
         }
-        match sub.recv_status(POLL) {
-            RecvStatus::Msg(m) => {
-                if tx.send(wrap(m)).is_err() {
-                    break;
-                }
-            }
-            RecvStatus::Timeout => continue,
-            RecvStatus::Disconnected => break,
-        }
-    })
+    });
+    (closer, forwarder)
 }
 
 /// The batching writer: drain the writer channel greedily under the flush
@@ -286,13 +283,10 @@ pub fn central_endpoint_with(
     mut up: Box<dyn Transport>,
     policy: BatchPolicy,
 ) -> BridgeHandle {
-    let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::unbounded::<OutMsg>();
-    let mut threads = vec![
-        pump_sub(data.subscribe(), Arc::clone(&stop), tx.clone(), OutMsg::Data),
-        pump_sub(ctrl_down.subscribe(), Arc::clone(&stop), tx, OutMsg::Ctrl),
-        writer(down, rx, policy),
-    ];
+    let (data_closer, data_fwd) = forward(data.subscribe(), tx.clone(), OutMsg::Data);
+    let (ctrl_closer, ctrl_fwd) = forward(ctrl_down.subscribe(), tx, OutMsg::Ctrl);
+    let mut threads = vec![data_fwd, ctrl_fwd, writer(down, rx, policy)];
     threads.push(std::thread::spawn(move || {
         while let Ok(Some(frame)) = up.recv() {
             for_each_app_frame(frame, &mut |f| {
@@ -302,7 +296,7 @@ pub fn central_endpoint_with(
             });
         }
     }));
-    BridgeHandle { stop, threads }
+    BridgeHandle { closers: vec![data_closer, ctrl_closer], threads }
 }
 
 /// Mirror-side endpoint: materialize local data/control-down channels from
@@ -343,7 +337,6 @@ pub fn mirror_endpoint_with<R>(
     // Attach consumers before any frame can flow.
     let out = setup(&data, &ctrl_down, &ctrl_up);
 
-    let stop = Arc::new(AtomicBool::new(false));
     let data_pub = data.publisher();
     let ctrl_down_pub = ctrl_down.publisher();
     let mut threads = vec![std::thread::spawn(move || {
@@ -360,10 +353,11 @@ pub fn mirror_endpoint_with<R>(
         }
     })];
     let (tx, rx) = channel::unbounded::<OutMsg>();
-    threads.push(pump_sub(ctrl_up.subscribe(), Arc::clone(&stop), tx, OutMsg::Ctrl));
+    let (up_closer, up_fwd) = forward(ctrl_up.subscribe(), tx, OutMsg::Ctrl);
+    threads.push(up_fwd);
     threads.push(writer(up, rx, policy));
 
-    (out, BridgeHandle { stop, threads })
+    (out, BridgeHandle { closers: vec![up_closer], threads })
 }
 
 #[cfg(test)]

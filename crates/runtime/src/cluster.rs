@@ -22,7 +22,7 @@
 //! traffic flows.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,7 @@ use mirror_core::event::Event;
 use mirror_core::membership::{MembershipError, MembershipRegistry, MembershipView, SiteState};
 use mirror_core::mirrorfn::MirrorFnKind;
 use mirror_core::ControlMsg;
-use mirror_echo::channel::{EventChannel, Subscriber};
+use mirror_echo::channel::{Closer, EventChannel, Subscriber};
 use mirror_echo::resilient::{LinkHealth, LinkMonitor};
 use mirror_echo::wire::SharedEvent;
 use mirror_ede::Snapshot;
@@ -254,10 +254,9 @@ pub struct Cluster {
     /// Serializes promotions (manual and automatic): two racing takeovers
     /// must resolve to one coherent coordinator, never a wedge.
     promotion: parking_lot::Mutex<()>,
-    /// Control-downlink watcher thread (failover armed only).
-    watcher: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Stop flag for the watcher thread.
-    watcher_stop: Arc<AtomicBool>,
+    /// Control-downlink watcher thread (failover armed only) and the
+    /// close handle of the subscription it reads.
+    watcher: parking_lot::Mutex<Option<(Closer, std::thread::JoinHandle<()>)>>,
     /// Configured aux→dispatcher ring capacity, applied to every site this
     /// cluster constructs (start, scale-out, rejoin, recovery, promotion).
     inbox_capacity: usize,
@@ -325,31 +324,23 @@ impl Cluster {
         );
 
         let cadence = Arc::new(CtrlCadence::new(clock.now_us()));
-        let watcher_stop = Arc::new(AtomicBool::new(false));
         let watcher = cfg.failover.map(|_| {
             // The watcher is a plain downlink subscriber: it sees exactly
             // the CHKPT/COMMIT traffic the mirrors see, so its cadence
             // estimate matches what a mirror-side detector would observe.
             let sub = ctrl_down.subscribe();
+            let closer = sub.closer();
             let cadence = Arc::clone(&cadence);
             let clock = clock.clone();
-            let stop = Arc::clone(&watcher_stop);
-            std::thread::Builder::new()
+            let watcher = std::thread::Builder::new()
                 .name("failover-watch".into())
                 .spawn(move || {
-                    use mirror_echo::channel::RecvStatus;
-                    loop {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match sub.recv_status(Duration::from_millis(20)) {
-                            RecvStatus::Msg(_) => cadence.on_ctrl(clock.now_us()),
-                            RecvStatus::Timeout => continue,
-                            RecvStatus::Disconnected => break,
-                        }
+                    while sub.recv().is_some() {
+                        cadence.on_ctrl(clock.now_us());
                     }
                 })
-                .expect("spawn failover watcher")
+                .expect("spawn failover watcher");
+            (closer, watcher)
         });
 
         Cluster {
@@ -368,7 +359,6 @@ impl Cluster {
             request_gate: Arc::new(RequestGate::new()),
             promotion: parking_lot::Mutex::new(()),
             watcher: parking_lot::Mutex::new(watcher),
-            watcher_stop,
             inbox_capacity: cfg.inbox_capacity,
             edges: parking_lot::Mutex::new(Vec::new()),
         }
@@ -1057,9 +1047,9 @@ impl Cluster {
         let _reopen = OpenOnDrop(&self.request_gate);
 
         // Retire the promoted mirror FIRST, after quiescing: wait for its
-        // processed counter to stop advancing (in-flight events draining
-        // through the pumps), then stop() — the aux and main threads
-        // process everything already delivered before exiting — then
+        // processed counter to stop advancing (a central still publishing
+        // keeps it moving), then stop() — which applies every event its
+        // subscriptions already hold before the threads exit — then
         // snapshot. The seed thus includes every event the old central
         // broadcast, so the new coordinator is not behind the survivors.
         let mut last = self.mirror(site).processed();
@@ -1204,9 +1194,9 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        self.watcher_stop.store(true, Ordering::Release);
-        if let Some(w) = self.watcher.lock().take() {
-            let _ = w.join();
+        if let Some((closer, watcher)) = self.watcher.lock().take() {
+            closer.close();
+            let _ = watcher.join();
         }
     }
 }

@@ -12,6 +12,10 @@
 //!
 //! Channel-subscription forwarder threads pump `mirror-echo` subscriptions
 //! into a site's inbox, so no thread ever blocks on more than one source.
+//! `stop()` closes the subscriptions, joins the forwarders once they have
+//! drained them into the inbox, then queues the inbox's `Stop` behind all
+//! of it: every event published to a site before `stop()` is applied.
+//! `crash()` sets the crash flag first, so that backlog is abandoned.
 //!
 //! The main thread is a **dispatcher** over a sharded apply path (see
 //! DESIGN.md §16): the aux thread feeds it over a bounded lock-free MPSC
@@ -40,7 +44,7 @@ use mirror_core::event::Event;
 use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
-use mirror_echo::channel::{EventChannel, Publisher, Subscriber};
+use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
 use mirror_echo::resilient::{LinkEvent, LinkHealth, LinkMonitor};
 use mirror_echo::wire::SharedEvent;
 use mirror_ede::{OperationalState, ShardedEde, Snapshot};
@@ -236,10 +240,13 @@ struct SiteCore {
     /// Configured aux→dispatcher ring capacity; also the refusal threshold
     /// for [`CentralSite::try_submit`].
     inbox_capacity: usize,
-    stop: Arc<std::sync::atomic::AtomicBool>,
     /// Crash simulation: when set, threads abandon queued work instead of
     /// draining it on the way out (see [`CentralSite::crash`]).
     crashed: Arc<std::sync::atomic::AtomicBool>,
+    /// Subscription forwarders ([`forward`](Self::forward)), each with
+    /// the close handle of the subscription it reads.
+    forwarders: Vec<(Closer, std::thread::JoinHandle<()>)>,
+    /// The aux and main threads.
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -256,7 +263,7 @@ impl SiteCore {
         updates_pub: Publisher<Event>,
         await_seed: bool,
         inbox_capacity: usize,
-    ) -> (Self, Sender<SiteMsg>) {
+    ) -> Self {
         let (inbox_tx, inbox_rx) = channel::unbounded::<SiteMsg>();
         // Aux → dispatcher: a bounded lock-free MPSC ring (producers: the
         // aux thread, exclusive sections, shutdown).
@@ -427,21 +434,60 @@ impl SiteCore {
             })
             .expect("spawn main thread");
 
-        let tx = inbox_tx.clone();
-        (
-            SiteCore {
-                shared,
-                sync,
-                handle,
-                inbox_tx,
-                seed_tx: main_tx,
-                inbox_capacity,
-                stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-                crashed,
-                threads: vec![aux, main],
-            },
-            tx,
-        )
+        SiteCore {
+            shared,
+            sync,
+            handle,
+            inbox_tx,
+            seed_tx: main_tx,
+            inbox_capacity,
+            crashed,
+            forwarders: Vec::new(),
+            threads: vec![aux, main],
+        }
+    }
+
+    /// Forward `sub` into the aux inbox on a thread named `name`, until
+    /// [`stop`](Self::stop) closes the subscription (its backlog is
+    /// forwarded first) or every publisher is gone. Once the site has
+    /// crashed the forwarder refuses, abandoning the backlog.
+    fn forward<T: Send + 'static>(
+        &mut self,
+        name: String,
+        sub: Subscriber<T>,
+        into: impl Fn(T) -> SiteMsg + Send + 'static,
+    ) {
+        let closer = sub.closer();
+        let inbox = self.inbox_tx.clone();
+        let crashed = Arc::clone(&self.crashed);
+        let forwarder = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                while let Some(m) = sub.recv() {
+                    if crashed.load(Ordering::SeqCst) || inbox.send(into(m)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn subscription forwarder");
+        self.forwarders.push((closer, forwarder));
+    }
+
+    /// Close the subscriptions, join the forwarders once they have
+    /// drained them into the inbox, then stop the aux and main threads
+    /// behind everything forwarded. Idempotent.
+    fn stop(&mut self) {
+        let forwarders = std::mem::take(&mut self.forwarders);
+        for (closer, _) in &forwarders {
+            closer.close();
+        }
+        for (_, t) in forwarders {
+            let _ = t.join();
+        }
+        let _ = self.inbox_tx.send(SiteMsg::Stop);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
     }
 
     /// Run `section` on the main thread as a [`MainMsg::Exclusive`] and
@@ -462,42 +508,6 @@ impl SiteCore {
         // Err: the apply loop is already gone (site stopping).
         self.seed_tx.send(MainMsg::Exclusive { section, seeds }).ok()?;
         done_rx.recv()
-    }
-}
-
-/// Pump a subscription into a sink until the stop flag is set or the
-/// channel closes. A set `crashed` flag abandons the backlog instead of
-/// draining it — crash semantics for [`CentralSite::crash`].
-fn pump<T>(
-    sub: Subscriber<T>,
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    crashed: Arc<std::sync::atomic::AtomicBool>,
-    mut sink: impl FnMut(T) -> bool,
-) {
-    use mirror_echo::channel::RecvStatus;
-    loop {
-        if crashed.load(Ordering::SeqCst) {
-            return;
-        }
-        if stop.load(Ordering::SeqCst) {
-            // Drain the backlog before exiting so a stop signal never
-            // drops traffic that was already published.
-            while let Some(m) = sub.try_recv() {
-                if !sink(m) {
-                    return;
-                }
-            }
-            break;
-        }
-        match sub.recv_status(FLUSH_PERIOD) {
-            RecvStatus::Msg(m) => {
-                if !sink(m) {
-                    break;
-                }
-            }
-            RecvStatus::Timeout => continue,
-            RecvStatus::Disconnected => break,
-        }
     }
 }
 
@@ -714,13 +724,10 @@ macro_rules! site_common_impl {
             snap
         }
 
-        /// Stop the site's threads (idempotent; joins on completion).
+        /// Stop the site's threads, after applying every event its
+        /// subscriptions already hold (idempotent; joins on completion).
         pub fn stop(&mut self) {
-            self.core.stop.store(true, Ordering::SeqCst);
-            let _ = self.core.inbox_tx.send(SiteMsg::Stop);
-            for t in self.core.threads.drain(..) {
-                let _ = t.join();
-            }
+            self.core.stop();
         }
     };
 }
@@ -825,7 +832,7 @@ impl CentralSite {
             }
             _ => {}
         };
-        let (core, inbox_tx) = SiteCore::spawn(
+        let core = SiteCore::spawn(
             mirror_core::CENTRAL_SITE,
             handle,
             clock,
@@ -836,7 +843,6 @@ impl CentralSite {
         );
 
         // Forward checkpoint replies from mirrors into the aux inbox.
-        let up_sub = ctrl_up.subscribe();
         let mut site = CentralSite {
             core,
             updates,
@@ -845,15 +851,7 @@ impl CentralSite {
             journal,
             scale,
         };
-        let stop = Arc::clone(&site.core.stop);
-        let crashed = Arc::clone(&site.core.crashed);
-        let fwd = std::thread::Builder::new()
-            .name("central-ctrl-up".into())
-            .spawn(move || {
-                pump(up_sub, stop, crashed, move |m| inbox_tx.send(SiteMsg::Ctrl(m)).is_ok())
-            })
-            .expect("spawn ctrl-up forwarder");
-        site.core.threads.push(fwd);
+        site.core.forward("central-ctrl-up".into(), ctrl_up.subscribe(), SiteMsg::Ctrl);
         site
     }
 
@@ -1020,11 +1018,7 @@ impl CentralSite {
             j.crash();
         }
         self.core.crashed.store(true, Ordering::SeqCst);
-        self.core.stop.store(true, Ordering::SeqCst);
-        let _ = self.core.inbox_tx.send(SiteMsg::Stop);
-        for t in self.core.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.core.stop();
     }
 
     /// Whether [`crash`](Self::crash) has been called on this site.
@@ -1108,33 +1102,14 @@ impl MirrorSite {
         };
         let updates = EventChannel::new(format!("mirror{site}.updates"));
         let updates_pub = updates.publisher();
-        let (core, inbox_tx) =
+        let core =
             SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed, inbox_capacity);
 
         let mut s = MirrorSite { core, updates };
-        let data_sub = data.subscribe();
-        let tx1 = inbox_tx.clone();
-        let stop1 = Arc::clone(&s.core.stop);
-        let crashed1 = Arc::clone(&s.core.crashed);
-        let f1 = std::thread::Builder::new()
-            .name(format!("mirror-{site}-data"))
-            .spawn(move || {
-                pump(data_sub, stop1, crashed1, move |e: SharedEvent| {
-                    tx1.send(SiteMsg::Data(e.into_event())).is_ok()
-                })
-            })
-            .expect("spawn data forwarder");
-        let ctrl_sub = ctrl_down.subscribe();
-        let stop2 = Arc::clone(&s.core.stop);
-        let crashed2 = Arc::clone(&s.core.crashed);
-        let f2 = std::thread::Builder::new()
-            .name(format!("mirror-{site}-ctrl"))
-            .spawn(move || {
-                pump(ctrl_sub, stop2, crashed2, move |m| inbox_tx.send(SiteMsg::Ctrl(m)).is_ok())
-            })
-            .expect("spawn ctrl forwarder");
-        s.core.threads.push(f1);
-        s.core.threads.push(f2);
+        s.core.forward(format!("mirror-{site}-data"), data.subscribe(), |e: SharedEvent| {
+            SiteMsg::Data(e.into_event())
+        });
+        s.core.forward(format!("mirror-{site}-ctrl"), ctrl_down.subscribe(), SiteMsg::Ctrl);
         s
     }
 

@@ -21,6 +21,10 @@
 //!
 //! All link randomness is seeded ([`LinkShaper`]), so a WAN chaos run
 //! reproduces from its seed alone.
+//!
+//! The pump polls nothing: it parks in `recv` while no frame is in flight
+//! and otherwise waits until the next one lands. [`WanMirror::stop`]
+//! closes its subscription; frames still in flight die with the link.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,6 +36,7 @@ use parking_lot::Mutex;
 
 use mirror_core::event::{Event, FlightId};
 use mirror_core::timestamp::VectorTimestamp;
+use mirror_echo::channel::Closer;
 use mirror_echo::faults::{LinkFate, LinkProfile, LinkShaper};
 use mirror_ede::{FlightView, OperationalState};
 
@@ -111,9 +116,10 @@ pub struct WanResync {
 /// [`StateSync`] provider; a pump thread then
 /// plays every update through the link shaper (latency, jitter, loss) into
 /// a local [`OperationalState`]. [`partition`](Self::partition) severs the
-/// link (events published meanwhile are lost on the wire),
-/// [`heal`](Self::heal) restores it, and [`resync`](Self::resync) closes
-/// the resulting divergence with a delta transfer when possible.
+/// link: a frame is lost on the wire if the link is down when it is sent
+/// or when it would land. [`heal`](Self::heal) restores it, and
+/// [`resync`](Self::resync) closes the resulting divergence with a delta
+/// transfer when possible.
 pub struct WanMirror {
     state: Arc<Mutex<OperationalState>>,
     /// Frontier of the last installed transfer — the next delta base.
@@ -126,7 +132,8 @@ pub struct WanMirror {
     stale_since: Arc<Mutex<Option<Instant>>>,
     applied: Arc<AtomicU64>,
     link_lost: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
+    /// Closes the pump's subscription.
+    closer: Closer,
     pump: Option<JoinHandle<()>>,
     cfg: WanMirrorConfig,
 }
@@ -147,14 +154,13 @@ impl WanMirror {
         let stale_since: Arc<Mutex<Option<Instant>>> = Arc::new(Mutex::new(None));
         let applied = Arc::new(AtomicU64::new(0));
         let link_lost = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
+        let closer = sub.closer();
 
         let pump = {
             let state = Arc::clone(&state);
             let link_down = Arc::clone(&link_down);
             let applied = Arc::clone(&applied);
             let link_lost = Arc::clone(&link_lost);
-            let stop = Arc::clone(&stop);
             let mut shaper = LinkShaper::new(cfg.seed, cfg.link);
             std::thread::Builder::new()
                 .name("wan-pump".into())
@@ -162,19 +168,29 @@ impl WanMirror {
                     // Events in flight on the link, with delivery deadlines.
                     let mut in_flight: VecDeque<(Instant, Event)> = VecDeque::new();
                     loop {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        if let Some(event) = sub.recv_timeout(Duration::from_millis(2)) {
-                            if link_down.load(Ordering::Acquire) {
-                                // Severed link: the frame is lost on the
-                                // wire, along with anything still in
-                                // flight when the cut happened.
-                                link_lost.fetch_add(1 + in_flight.len() as u64, Ordering::Relaxed);
-                                in_flight.clear();
-                                continue;
+                        let sent = match in_flight.iter().map(|(due, _)| *due).min() {
+                            None => match sub.recv() {
+                                None => return,
+                                sent => sent,
+                            },
+                            Some(due) => {
+                                let sent =
+                                    sub.recv_timeout(due.saturating_duration_since(Instant::now()));
+                                // Nothing, before the deadline: the
+                                // subscription has ended.
+                                if sent.is_none() && Instant::now() < due {
+                                    return;
+                                }
+                                sent
                             }
-                            match shaper.fate() {
+                        };
+                        if let Some(event) = sent {
+                            let fate = if link_down.load(Ordering::Acquire) {
+                                LinkFate::Lost
+                            } else {
+                                shaper.fate()
+                            };
+                            match fate {
                                 LinkFate::Lost => {
                                     link_lost.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -182,11 +198,8 @@ impl WanMirror {
                                     in_flight.push_back((Instant::now() + delay, event));
                                 }
                             }
-                        } else if link_down.load(Ordering::Acquire) && !in_flight.is_empty() {
-                            link_lost.fetch_add(in_flight.len() as u64, Ordering::Relaxed);
-                            in_flight.clear();
                         }
-                        // Deliver everything already due. Jitter may hand
+                        // Land everything already due. Jitter may hand
                         // frames over out of publish order; the store's
                         // per-flight monotone guards absorb the stale ones,
                         // same as any mirror.
@@ -199,8 +212,12 @@ impl WanMirror {
                             .map(|(i, _)| i)
                         {
                             let (_, event) = in_flight.remove(pos).expect("due frame present");
-                            state.lock().apply(&event);
-                            applied.fetch_add(1, Ordering::Relaxed);
+                            if link_down.load(Ordering::Acquire) {
+                                link_lost.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                state.lock().apply(&event);
+                                applied.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
                     }
                 })
@@ -215,7 +232,7 @@ impl WanMirror {
             stale_since,
             applied,
             link_lost,
-            stop,
+            closer,
             pump: Some(pump),
             cfg,
         }
@@ -327,7 +344,7 @@ impl WanMirror {
 
     /// Stop the pump thread (idempotent; joins on completion).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.closer.close();
         if let Some(t) = self.pump.take() {
             let _ = t.join();
         }
