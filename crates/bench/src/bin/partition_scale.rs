@@ -36,7 +36,8 @@
 use std::time::{Duration, Instant};
 
 use mirror_core::event::{Event, PositionFix};
-use mirror_ede::{OperationalState, SNAPSHOT_FLIGHT_WIRE_SIZE};
+use mirror_echo::wire::encode_snapshot;
+use mirror_ede::OperationalState;
 use mirror_runtime::{ClusterConfig, PartitionedCluster, PartitionedConfig};
 
 /// Sites on every rung of the ladder (1 central + N-1 mirrors per group).
@@ -67,7 +68,7 @@ struct RungStats {
     /// Largest per-site flight count (every site of a group holds that
     /// group's full share) — the flat-memory metric.
     per_site_flights: usize,
-    /// `per_site_flights` × the snapshot wire size per flight: a
+    /// Encoded size of the largest group's snapshot: a
     /// representation-independent per-site memory proxy.
     per_site_bytes: usize,
 }
@@ -111,14 +112,9 @@ fn run_rung(groups: u16, flights_per_group: u64, events_per_group: u64) -> RungS
 
     let held_flights = pc.total_flights();
     assert_eq!(held_flights as u64, total_flights, "no flight lost or duplicated");
-    let per_site_flights = (0..groups)
-        .map(|g| {
-            pc.group(g)
-                .snapshot(mirror_core::CENTRAL_SITE)
-                .expect("group central snapshot")
-                .flight_count()
-        })
-        .max()
+    let largest = (0..groups)
+        .map(|g| pc.group(g).snapshot(mirror_core::CENTRAL_SITE).expect("group central snapshot"))
+        .max_by_key(|snap| snap.flight_count())
         .unwrap();
     pc.shutdown();
 
@@ -129,8 +125,8 @@ fn run_rung(groups: u16, flights_per_group: u64, events_per_group: u64) -> RungS
         secs,
         events_per_sec: total_events as f64 / secs,
         total_flights: held_flights,
-        per_site_flights,
-        per_site_bytes: per_site_flights * SNAPSHOT_FLIGHT_WIRE_SIZE,
+        per_site_flights: largest.flight_count(),
+        per_site_bytes: encode_snapshot(&largest).len(),
     }
 }
 

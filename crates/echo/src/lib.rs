@@ -7,16 +7,16 @@
 //! units. ECho is not available as open source, so this crate provides the
 //! equivalent substrate:
 //!
-//! * [`wire`] — a compact, versioned binary wire format for events and
-//!   control messages ([`bytes`]-based). The encoded size of an event is
-//!   exactly [`mirror_core::event::Event::wire_size`], which is also what
-//!   the cluster simulator charges to links — real and simulated byte
-//!   accounting agree by construction.
+//! * [`wire`] — a compact, versioned binary wire format for events,
+//!   control messages, snapshots and deltas ([`bytes`]-based), and the only
+//!   place a byte layout is stated: sizes are what its encoders count, and
+//!   its decoders reject input that is too short or too long. The encoded
+//!   size of an event is exactly [`mirror_core::event::Event::wire_size`],
+//!   which is also what the cluster simulator charges to links — real and
+//!   simulated byte accounting agree, and a test pins them together.
 //! * [`channel`] — in-process typed event channels with multiple
 //!   subscribers ([`crossbeam`] under the hood), paired into
 //!   [`channel::ChannelPair`]s (data + control) as the paper prescribes.
-//! * [`trace`] — record/replay persistence for timed event streams (the
-//!   "demo replay" capability the paper's experiments rely on);
 //! * [`transport`] — a length-delimited framed TCP transport
 //!   (`std::net`) carrying the same wire format between processes, plus a
 //!   loopback in-process transport with identical semantics. Both provide
@@ -35,7 +35,6 @@
 pub mod channel;
 pub mod faults;
 pub mod resilient;
-pub mod trace;
 pub mod transport;
 pub mod wire;
 
@@ -53,6 +52,6 @@ pub use transport::{
 };
 pub use wire::{
     decode_delta, decode_frame, encode_batch_from_encoded, encode_delta, encode_delta_reseed,
-    encode_edge_event, encode_frame, encode_frame_shared, encode_reseed, encode_seq_envelope,
-    Frame, SharedEvent, SubscriptionFilter, WireError, WIRE_VERSION,
+    encode_edge_event, encode_frame, encode_reseed, encode_seq_envelope, Frame, SharedEvent,
+    SubscriptionFilter, WireError, WIRE_VERSION,
 };

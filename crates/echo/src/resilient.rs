@@ -41,7 +41,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::transport::{Polled, Transport};
-use crate::wire::{encode_frame_shared, encode_seq_envelope, Frame};
+use crate::wire::{encode_frame, encode_seq_envelope, Frame};
 
 /// Default retransmit-window bound (frames retained awaiting ack).
 pub const DEFAULT_WINDOW: usize = 8192;
@@ -537,7 +537,7 @@ impl ResilientTransport {
 
 impl Transport for ResilientTransport {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.send_encoded(&encode_frame_shared(frame))
+        self.send_encoded(&encode_frame(frame))
     }
 
     fn send_encoded(&mut self, bytes: &Bytes) -> io::Result<()> {

@@ -47,10 +47,9 @@ pub trait Transport: Send {
     /// Send one frame.
     fn send(&mut self, frame: &Frame) -> io::Result<()>;
 
-    /// Send a frame that has already been encoded (see
-    /// [`encode_frame_shared`](crate::wire::encode_frame_shared)). This is
-    /// the zero-copy fast path: callers that fan one frame out to many
-    /// links encode once and hand the same `Bytes` to every transport.
+    /// Send a frame that has already been encoded (see [`encode_frame`]).
+    /// This is the zero-copy fast path: callers that fan one frame out to
+    /// many links encode once and hand the same `Bytes` to every transport.
     ///
     /// The default implementation decodes and delegates to
     /// [`send`](Transport::send), so wrappers that inspect frames (fault
@@ -82,6 +81,19 @@ pub trait Transport: Send {
 
 fn wire_err(e: WireError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Parse the `[u32 len]` prefix at the start of `buf`: `None` until all
+/// four bytes are there, an `InvalidData` error for a length above
+/// [`MAX_FRAME`], which guards against corrupt prefixes.
+pub fn frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(prefix) = buf.first_chunk::<4>() else { return Ok(None) };
+    match u32::from_le_bytes(*prefix) {
+        len if len > MAX_FRAME => {
+            Err(io::Error::new(io::ErrorKind::InvalidData, "frame length corrupt"))
+        }
+        len => Ok(Some(len as usize)),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -317,19 +329,8 @@ impl TcpTransport {
     /// How many bytes the in-progress frame still needs before it is
     /// complete, and (once known) the body length.
     fn frame_want(&self) -> io::Result<usize> {
-        if self.partial.len() < 4 {
-            return Ok(4 - self.partial.len());
-        }
-        let len = u32::from_le_bytes([
-            self.partial[0],
-            self.partial[1],
-            self.partial[2],
-            self.partial[3],
-        ]);
-        if len > MAX_FRAME {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length corrupt"));
-        }
-        Ok(4 + len as usize - self.partial.len())
+        let len = frame_len(&self.partial)?.unwrap_or(0);
+        Ok(4 + len - self.partial.len())
     }
 
     /// One bounded read pass: accumulate until a full frame, EOF, or the
@@ -513,16 +514,14 @@ mod tests {
 
     #[test]
     fn inproc_send_encoded_matches_send() {
-        use crate::wire::encode_frame_shared;
         let (mut a, mut b) = InProcTransport::pair("enc");
         let f = ev(7);
-        a.send_encoded(&encode_frame_shared(&f)).unwrap();
+        a.send_encoded(&encode_frame(&f)).unwrap();
         assert_eq!(b.recv().unwrap(), Some(f));
     }
 
     #[test]
     fn tcp_send_encoded_batch_roundtrip() {
-        use crate::wire::encode_frame_shared;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let batch = Frame::Batch(vec![ev(1), ev(2), ev(3)]);
@@ -533,7 +532,7 @@ mod tests {
             assert_eq!(t.recv().unwrap(), None);
         });
         let mut c = TcpTransport::connect(addr).unwrap();
-        c.send_encoded(&encode_frame_shared(&batch)).unwrap();
+        c.send_encoded(&encode_frame(&batch)).unwrap();
         drop(c);
         server.join().unwrap();
     }

@@ -3,12 +3,21 @@
 //! Every frame is `[u8 version][u8 kind][payload…]`; transports additionally
 //! length-prefix frames with a little-endian `u32`. Integers are
 //! little-endian throughout. The format is hand-rolled (no reflection, no
-//! text) because mirroring throughput is the whole point of the paper: an
-//! event's encoded size equals [`Event::wire_size`] exactly, byte for byte.
+//! text) because mirroring throughput is the whole point of the paper.
+//!
+//! This module is the only place a byte layout is stated. Every encoder
+//! writes through one private sink, either into a buffer or into a counter
+//! that only adds up lengths: a size is what the encoder counts, and every
+//! buffer is allocated once at exactly that size. Every decoder reads
+//! through one bounds-checked reader: input shorter than its layout fails
+//! with [`WireError::Truncated`], and input longer than it with
+//! [`WireError::Trailing`]. An event's encoded size equals
+//! [`Event::wire_size`], which the cost model charges; a test pins the two
+//! together.
 
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mirror_core::adapt::MonitorReport;
 use mirror_core::control::AdaptDirective;
 use mirror_core::event::{Event, EventBody, FlightStatus, PositionFix};
@@ -46,6 +55,9 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown frame kind / body tag / enum discriminant.
     BadTag(u8),
+    /// Bytes left over after a complete layout: a count or length field
+    /// edited downward, or junk appended.
+    Trailing(usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -54,6 +66,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame truncated"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadTag(t) => write!(f, "unknown tag {t}"),
+            WireError::Trailing(n) => write!(f, "{n} bytes trail the frame"),
         }
     }
 }
@@ -185,46 +198,209 @@ pub enum Frame {
     },
 }
 
-/// Encode a frame (version + kind + payload) into a fresh buffer.
-pub fn encode_frame(frame: &Frame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(frame_size_hint(frame));
-    encode_frame_into(frame, &mut buf);
-    buf.freeze()
-}
+// ---------------------------------------------------------------------
+// The one writer and the one reader
+// ---------------------------------------------------------------------
 
-/// Capacity to reserve before encoding `frame`, so the hot encode paths
-/// (notably ~1 KiB padded data events) fill one right-sized allocation
-/// instead of growing a small buffer through a realloc-and-copy chain.
-/// Exact for data/seq/ack/hello frames ([`Event::wire_size`] is exact);
-/// a floor for control and batch frames, which are off the hot path.
-fn frame_size_hint(frame: &Frame) -> usize {
-    2 + match frame {
-        Frame::Data(e) => e.wire_size(),
-        Frame::Seq { seq: _, inner } => 8 + frame_size_hint(inner),
-        Frame::Ack { .. } | Frame::Hello { .. } => 8,
-        Frame::Control(_) | Frame::Batch(_) => 62,
-        Frame::Subscribe { filter, .. } => match filter {
-            SubscriptionFilter::All => 9,
-            SubscriptionFilter::Flights(ids) => 13 + ids.len() * 4,
-        },
-        Frame::Resume { .. } => 16,
-        Frame::EdgeEvent { event, .. } => 8 + 2 + event.wire_size(),
-        Frame::Reseed { snapshot, .. } => 8 + 4 + snapshot.len(),
-        Frame::DeltaSnapshot { delta, .. } => 8 + 4 + delta.len(),
+/// Where an encoder writes: every layout in this module is written once,
+/// against this trait.
+trait Sink {
+    /// Append raw bytes.
+    fn slice(&mut self, bytes: &[u8]);
+
+    fn u8(&mut self, v: u8) {
+        self.slice(&[v]);
+    }
+
+    fn u16(&mut self, v: u16) {
+        self.slice(&v.to_le_bytes());
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.slice(&v.to_le_bytes());
     }
 }
 
-/// Encode a frame once into a shareable buffer.
+impl Sink for BytesMut {
+    fn slice(&mut self, bytes: &[u8]) {
+        self.put_slice(bytes);
+    }
+
+    // A push, not a one-byte copy: the data path writes several per event.
+    fn u8(&mut self, v: u8) {
+        self.put_u8(v);
+    }
+}
+
+/// A [`Sink`] that only adds up lengths: an encoding's exact size.
+struct Count(usize);
+
+impl Sink for Count {
+    fn slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// Encode into one allocation of exactly the size the same writer counts:
+/// `$write` runs twice, with `$s` bound first to a [`Count`], then to the
+/// buffer.
+macro_rules! exact {
+    (|$s:ident| $write:expr) => {{
+        let mut count = Count(0);
+        let $s = &mut count;
+        $write;
+        let mut buf = BytesMut::with_capacity(count.0);
+        let $s = &mut buf;
+        $write;
+        buf.freeze()
+    }};
+}
+
+/// The cursor every decoder reads through: a read past the end fails with
+/// [`WireError::Truncated`], and [`finish`](Reader::finish) fails with
+/// [`WireError::Trailing`] when a layout leaves bytes unread.
+struct Reader<'a> {
+    /// The whole input, for zero-copy slices of it.
+    buf: &'a Bytes,
+    /// The unread tail of `buf`.
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn new(buf: &'a Bytes) -> Self {
+        Reader { buf, rest: buf }
+    }
+
+    /// A reader over a standalone frame that must be of `kind`.
+    fn open(buf: &'a Bytes, kind: u8) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        match r.header()? {
+            k if k == kind => Ok(r),
+            k => Err(WireError::BadTag(k)),
+        }
+    }
+
+    /// The frame header: checks the version byte, returns the kind.
+    fn header(&mut self) -> Result<u8, WireError> {
+        match self.u8()? {
+            WIRE_VERSION => self.u8(),
+            v => Err(WireError::BadVersion(v)),
+        }
+    }
+
+    /// The next `n` bytes.
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, tail) = self.rest.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// The next `n` bytes as a zero-copy slice of the input.
+    fn take(&mut self, n: usize) -> Result<Bytes, WireError> {
+        let at = self.buf.len() - self.rest.len();
+        self.slice(n)?;
+        Ok(self.buf.slice(at..at + n))
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, tail) = self.rest.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// `n` values read by `item`. `n` is an unchecked wire field, so the
+    /// vector is pre-sized for no more memory than the unread input holds.
+    fn many<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(n.min(self.rest.len() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Everything not yet read: a wrapped frame, decoded on its own.
+    fn remainder(&mut self) -> Bytes {
+        self.take(self.rest.len()).expect("the unread tail is in bounds")
+    }
+
+    /// End of a layout: every byte must have been read.
+    fn finish(self) -> Result<(), WireError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(WireError::Trailing(n)),
+        }
+    }
+}
+
+/// Every frame opens `[version][kind]`. Kinds that carry a sequence number
+/// follow it with that `u64`, and kinds that carry other bytes with a `u32`
+/// length or member count. Written here once, for [`encode_frame`] and for
+/// the functions that prepend a header to an existing encoding.
+fn put_head(s: &mut impl Sink, kind: u8, seq: Option<u64>, len: Option<usize>) {
+    s.u8(WIRE_VERSION);
+    s.u8(kind);
+    if let Some(seq) = seq {
+        s.u64(seq);
+    }
+    if let Some(len) = len {
+        s.u32(len as u32);
+    }
+}
+
+/// A frame of `kind` whose header is followed by `body` verbatim.
+fn prepend_head(kind: u8, seq: u64, len: Option<usize>, body: &[u8]) -> Bytes {
+    exact!(|s| {
+        put_head(s, kind, Some(seq), len);
+        s.slice(body)
+    })
+}
+
+// ---------------------------------------------------------------------
+// Frames
+// ---------------------------------------------------------------------
+
+/// Encode a frame (version + kind + payload) into one buffer allocated at
+/// exactly its counted size.
 ///
 /// The returned [`Bytes`] is the encode-once handle of the zero-copy send
 /// path: cloning it is a reference-count bump, so one encoding can be
 /// handed to every outgoing mirror channel (and retained in a
 /// retransmission window) without re-encoding or copying. Transports accept
 /// it directly via [`crate::Transport::send_encoded`].
-///
-/// The byte layout is identical to [`encode_frame`].
-pub fn encode_frame_shared(frame: &Frame) -> Bytes {
-    encode_frame(frame)
+pub fn encode_frame(frame: &Frame) -> Bytes {
+    exact!(|s| put_frame(s, frame))
 }
 
 /// Build the encoded form of `Frame::Seq { seq, inner }` by prepending the
@@ -232,15 +408,10 @@ pub fn encode_frame_shared(frame: &Frame) -> Bytes {
 ///
 /// A Seq envelope embeds its inner frame's encoding verbatim as a suffix,
 /// so a sender that already holds `encode_frame(inner)` (e.g. from the
-/// encode-once fan-out) can build the envelope with one small copy of the
-/// 10-byte header instead of re-encoding the payload.
+/// encode-once fan-out) can build the envelope with one copy behind the
+/// header instead of re-encoding the payload.
 pub fn encode_seq_envelope(seq: u64, inner_encoded: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(10 + inner_encoded.len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_SEQ);
-    buf.put_u64_le(seq);
-    buf.put_slice(inner_encoded);
-    buf.freeze()
+    prepend_head(KIND_SEQ, seq, None, inner_encoded)
 }
 
 /// Build the encoded form of `Frame::EdgeEvent { pub_seq, event }` by
@@ -250,41 +421,24 @@ pub fn encode_seq_envelope(seq: u64, inner_encoded: &Bytes) -> Bytes {
 /// This is the edge tier's encode-once delivery path: the mirror's applied
 /// event is encoded exactly once (the [`SharedEvent::encoded`] cache or a
 /// single `encode_frame`), and every subscribed connection's write queue
-/// holds the same `Bytes` — building the delivery frame costs one 10-byte
-/// header copy, regardless of fan-out width.
+/// holds the same `Bytes` — building the delivery frame costs one header
+/// and one copy, regardless of fan-out width.
 pub fn encode_edge_event(pub_seq: u64, data_encoded: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(10 + data_encoded.len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_EDGE_EVENT);
-    buf.put_u64_le(pub_seq);
-    buf.put_slice(data_encoded);
-    buf.freeze()
+    prepend_head(KIND_EDGE_EVENT, pub_seq, None, data_encoded)
 }
 
 /// Build the encoded form of `Frame::Reseed { pub_seq, snapshot }` from an
 /// already-encoded snapshot ([`encode_snapshot`] output — e.g. the §13
-/// cache's shared encoding), copied once behind the 14-byte header.
+/// cache's shared encoding), copied once behind the header.
 pub fn encode_reseed(pub_seq: u64, snapshot_wire: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(14 + snapshot_wire.len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_RESEED);
-    buf.put_u64_le(pub_seq);
-    buf.put_u32_le(snapshot_wire.len() as u32);
-    buf.put_slice(snapshot_wire);
-    buf.freeze()
+    prepend_head(KIND_RESEED, pub_seq, Some(snapshot_wire.len()), snapshot_wire)
 }
 
 /// Build the encoded form of `Frame::DeltaSnapshot { pub_seq, delta }` from
 /// an already-encoded delta ([`encode_delta`] output — e.g. the StateSync
-/// cache's shared encoding), copied once behind the 14-byte header.
+/// cache's shared encoding), copied once behind the header.
 pub fn encode_delta_reseed(pub_seq: u64, delta_wire: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(14 + delta_wire.len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_DELTA_SNAPSHOT);
-    buf.put_u64_le(pub_seq);
-    buf.put_u32_le(delta_wire.len() as u32);
-    buf.put_slice(delta_wire);
-    buf.freeze()
+    prepend_head(KIND_DELTA_SNAPSHOT, pub_seq, Some(delta_wire.len()), delta_wire)
 }
 
 /// Build the encoded form of `Frame::Batch` from already-encoded member
@@ -294,16 +448,13 @@ pub fn encode_delta_reseed(pub_seq: u64, delta_wire: &Bytes) -> Bytes {
 /// cached [`SharedEvent::encoded`] (or any `encode_frame` output), and the
 /// batch frame is their concatenation behind a count header.
 pub fn encode_batch_from_encoded(parts: &[Bytes]) -> Bytes {
-    let total: usize = parts.iter().map(|p| 4 + p.len()).sum();
-    let mut buf = BytesMut::with_capacity(2 + 4 + total);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_BATCH);
-    buf.put_u32_le(parts.len() as u32);
-    for p in parts {
-        buf.put_u32_le(p.len() as u32);
-        buf.put_slice(p);
-    }
-    buf.freeze()
+    exact!(|s| {
+        put_head(s, KIND_BATCH, None, Some(parts.len()));
+        for p in parts {
+            s.u32(p.len() as u32);
+            s.slice(p);
+        }
+    })
 }
 
 /// An event paired with a lazily computed, shared wire encoding.
@@ -339,9 +490,7 @@ impl SharedEvent {
     /// The event's wire encoding as a [`Frame::Data`] frame, computed once
     /// across all clones of this `SharedEvent` and shared thereafter.
     pub fn encoded(&self) -> Bytes {
-        self.encoded
-            .get_or_init(|| encode_frame_shared(&Frame::Data(Arc::clone(&self.event))))
-            .clone()
+        self.encoded.get_or_init(|| encode_frame(&Frame::Data(Arc::clone(&self.event)))).clone()
     }
 }
 
@@ -363,250 +512,198 @@ impl PartialEq for SharedEvent {
     }
 }
 
-fn encode_frame_into(frame: &Frame, buf: &mut BytesMut) {
-    buf.put_u8(WIRE_VERSION);
+fn put_frame(s: &mut impl Sink, frame: &Frame) {
     match frame {
         Frame::Data(e) => {
-            buf.put_u8(KIND_DATA);
-            encode_event(e, buf);
+            put_head(s, KIND_DATA, None, None);
+            put_event(s, e);
         }
         Frame::Control(c) => {
-            buf.put_u8(KIND_CONTROL);
-            encode_control(c, buf);
+            put_head(s, KIND_CONTROL, None, None);
+            put_control(s, c);
         }
         Frame::Seq { seq, inner } => {
-            buf.put_u8(KIND_SEQ);
-            buf.put_u64_le(*seq);
-            encode_frame_into(inner, buf);
+            put_head(s, KIND_SEQ, Some(*seq), None);
+            put_frame(s, inner);
         }
-        Frame::Ack { cum } => {
-            buf.put_u8(KIND_ACK);
-            buf.put_u64_le(*cum);
-        }
-        Frame::Hello { next } => {
-            buf.put_u8(KIND_HELLO);
-            buf.put_u64_le(*next);
-        }
+        Frame::Ack { cum } => put_head(s, KIND_ACK, Some(*cum), None),
+        Frame::Hello { next } => put_head(s, KIND_HELLO, Some(*next), None),
         Frame::Batch(frames) => {
-            buf.put_u8(KIND_BATCH);
-            buf.put_u32_le(frames.len() as u32);
+            put_head(s, KIND_BATCH, None, Some(frames.len()));
             for f in frames {
-                let mut inner = BytesMut::with_capacity(frame_size_hint(f));
-                encode_frame_into(f, &mut inner);
-                buf.put_u32_le(inner.len() as u32);
-                buf.put_slice(&inner);
+                let mut len = Count(0);
+                put_frame(&mut len, f);
+                s.u32(len.0 as u32);
+                put_frame(s, f);
             }
         }
         Frame::Subscribe { client, filter } => {
-            buf.put_u8(KIND_SUBSCRIBE);
-            buf.put_u64_le(*client);
+            put_head(s, KIND_SUBSCRIBE, None, None);
+            s.u64(*client);
             match filter {
-                SubscriptionFilter::All => buf.put_u8(0),
+                SubscriptionFilter::All => s.u8(0),
                 SubscriptionFilter::Flights(ids) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(ids.len() as u32);
+                    s.u8(1);
+                    s.u32(ids.len() as u32);
                     for id in ids {
-                        buf.put_u32_le(*id);
+                        s.u32(*id);
                     }
                 }
             }
         }
         Frame::Resume { client, last_seq } => {
-            buf.put_u8(KIND_RESUME);
-            buf.put_u64_le(*client);
-            buf.put_u64_le(*last_seq);
+            put_head(s, KIND_RESUME, None, None);
+            s.u64(*client);
+            s.u64(*last_seq);
         }
         Frame::EdgeEvent { pub_seq, event } => {
-            buf.put_u8(KIND_EDGE_EVENT);
-            buf.put_u64_le(*pub_seq);
+            put_head(s, KIND_EDGE_EVENT, Some(*pub_seq), None);
             // The embedded Data frame is byte-identical to its standalone
             // encoding, so `encode_edge_event` can prepend this header to a
             // cached encoding without re-encoding the event.
-            buf.put_u8(WIRE_VERSION);
-            buf.put_u8(KIND_DATA);
-            encode_event(event, buf);
+            put_head(s, KIND_DATA, None, None);
+            put_event(s, event);
         }
         Frame::Reseed { pub_seq, snapshot } => {
-            buf.put_u8(KIND_RESEED);
-            buf.put_u64_le(*pub_seq);
-            buf.put_u32_le(snapshot.len() as u32);
-            buf.put_slice(snapshot);
+            put_head(s, KIND_RESEED, Some(*pub_seq), Some(snapshot.len()));
+            s.slice(snapshot);
         }
         Frame::DeltaSnapshot { pub_seq, delta } => {
-            buf.put_u8(KIND_DELTA_SNAPSHOT);
-            buf.put_u64_le(*pub_seq);
-            buf.put_u32_le(delta.len() as u32);
-            buf.put_slice(delta);
+            put_head(s, KIND_DELTA_SNAPSHOT, Some(*pub_seq), Some(delta.len()));
+            s.slice(delta);
         }
     }
 }
 
-/// Decode a frame from a buffer (consumes it).
+/// Decode a frame from a buffer (consumes it). The frame must fill the
+/// buffer exactly.
 pub fn decode_frame(buf: Bytes) -> Result<Frame, WireError> {
     decode_frame_at(buf, 0)
 }
 
-fn decode_frame_at(mut buf: Bytes, depth: u8) -> Result<Frame, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let version = buf.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    match buf.get_u8() {
-        KIND_DATA => Ok(Frame::Data(Arc::new(decode_event(&mut buf)?))),
-        KIND_CONTROL => Ok(Frame::Control(decode_control(&mut buf)?)),
+fn decode_frame_at(buf: Bytes, depth: u8) -> Result<Frame, WireError> {
+    let mut r = Reader::new(&buf);
+    let frame = match r.header()? {
+        KIND_DATA => Frame::Data(Arc::new(decode_event(&mut r)?)),
+        KIND_CONTROL => Frame::Control(decode_control(&mut r)?),
         // A Seq envelope may not carry another Seq envelope: one level of
         // nesting is all the protocol produces, and the cap keeps a corrupt
         // or hostile frame from driving unbounded recursion.
         KIND_SEQ if depth == 0 => {
-            need(&buf, 8)?;
-            let seq = buf.get_u64_le();
-            let inner = decode_frame_at(buf, depth + 1)?;
-            Ok(Frame::Seq { seq, inner: Box::new(inner) })
+            let seq = r.u64()?;
+            Frame::Seq { seq, inner: Box::new(decode_frame_at(r.remainder(), depth + 1)?) }
         }
-        KIND_ACK if depth < 2 => {
-            need(&buf, 8)?;
-            Ok(Frame::Ack { cum: buf.get_u64_le() })
-        }
-        KIND_HELLO if depth < 2 => {
-            need(&buf, 8)?;
-            Ok(Frame::Hello { next: buf.get_u64_le() })
-        }
+        KIND_ACK if depth < 2 => Frame::Ack { cum: r.u64()? },
+        KIND_HELLO if depth < 2 => Frame::Hello { next: r.u64()? },
         // A batch may stand alone or sit inside one Seq envelope; its
         // members (decoded at depth 2) may only be Data/Control frames —
         // no nested batches, no reliability frames smuggled inside.
         KIND_BATCH if depth <= 1 => {
-            need(&buf, 4)?;
-            let count = buf.get_u32_le() as usize;
-            let mut frames = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                need(&buf, 4)?;
-                let len = buf.get_u32_le() as usize;
-                need(&buf, len)?;
-                let part = buf.slice(..len);
-                buf.advance(len);
-                frames.push(decode_frame_at(part, 2)?);
-            }
-            Ok(Frame::Batch(frames))
+            let count = r.u32()? as usize;
+            Frame::Batch(r.many(count, |r| {
+                let len = r.u32()? as usize;
+                decode_frame_at(r.take(len)?, 2)
+            })?)
         }
         // Edge-tier frames are top-level only: the edge protocol never
         // wraps them in Seq envelopes (pub_seq IS the sequencing) and never
         // batches them through Frame::Batch (delivery batching reuses the
         // shared Data encodings directly).
         KIND_SUBSCRIBE if depth == 0 => {
-            need(&buf, 9)?;
-            let client = buf.get_u64_le();
-            let filter = match buf.get_u8() {
+            let client = r.u64()?;
+            let filter = match r.u8()? {
                 0 => SubscriptionFilter::All,
                 1 => {
-                    need(&buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    need(&buf, n * 4)?;
-                    let mut ids = Vec::with_capacity(n.min(65_536));
-                    for _ in 0..n {
-                        ids.push(buf.get_u32_le());
-                    }
-                    SubscriptionFilter::Flights(ids)
+                    let n = r.u32()? as usize;
+                    SubscriptionFilter::Flights(r.many(n, Reader::u32)?)
                 }
                 t => return Err(WireError::BadTag(t)),
             };
-            Ok(Frame::Subscribe { client, filter })
+            Frame::Subscribe { client, filter }
         }
-        KIND_RESUME if depth == 0 => {
-            need(&buf, 16)?;
-            let client = buf.get_u64_le();
-            let last_seq = buf.get_u64_le();
-            Ok(Frame::Resume { client, last_seq })
-        }
+        KIND_RESUME if depth == 0 => Frame::Resume { client: r.u64()?, last_seq: r.u64()? },
         KIND_EDGE_EVENT if depth == 0 => {
-            need(&buf, 8)?;
-            let pub_seq = buf.get_u64_le();
+            let pub_seq = r.u64()?;
             // The remainder is an embedded Data frame, verbatim; decoding
             // at depth 2 keeps reliability/edge frames from hiding inside.
-            match decode_frame_at(buf, 2)? {
-                Frame::Data(event) => Ok(Frame::EdgeEvent { pub_seq, event }),
-                _ => Err(WireError::BadTag(KIND_EDGE_EVENT)),
+            match decode_frame_at(r.remainder(), 2)? {
+                Frame::Data(event) => Frame::EdgeEvent { pub_seq, event },
+                _ => return Err(WireError::BadTag(KIND_EDGE_EVENT)),
             }
         }
         KIND_RESEED if depth == 0 => {
-            need(&buf, 12)?;
-            let pub_seq = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            need(&buf, len)?;
+            let pub_seq = r.u64()?;
+            let len = r.u32()? as usize;
             // Zero-copy: the snapshot stays a slice of the receive buffer
             // until the client decodes it with `decode_snapshot`.
-            let snapshot = buf.slice(..len);
-            buf.advance(len);
-            Ok(Frame::Reseed { pub_seq, snapshot })
+            Frame::Reseed { pub_seq, snapshot: r.take(len)? }
         }
         KIND_DELTA_SNAPSHOT if depth == 0 => {
-            need(&buf, 12)?;
-            let pub_seq = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            need(&buf, len)?;
+            let pub_seq = r.u64()?;
+            let len = r.u32()? as usize;
             // Zero-copy, like Reseed: decoded by the client with
             // `decode_delta` when it installs the catch-up.
-            let delta = buf.slice(..len);
-            buf.advance(len);
-            Ok(Frame::DeltaSnapshot { pub_seq, delta })
+            Frame::DeltaSnapshot { pub_seq, delta: r.take(len)? }
         }
-        t => Err(WireError::BadTag(t)),
-    }
+        t => return Err(WireError::BadTag(t)),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 // ---------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------
 
-/// Encode an event. Layout (matching `EVENT_HEADER_WIRE_SIZE`): stream u16,
-/// seq u64, flight u32, body-tag u8, stamp-count u16, padding-len u32,
-/// ingress u64, stamp components, body fields, padding zeros.
+/// Encode an event. Layout (`EVENT_HEADER_WIRE_SIZE` is its fixed prefix):
+/// stream u16, seq u64, flight u32, body-tag u8, stamp-count u16,
+/// padding-len u32, ingress u64, stamp components, body fields, padding
+/// zeros.
 pub fn encode_event(e: &Event, buf: &mut BytesMut) {
-    buf.put_u16_le(e.stream);
-    buf.put_u64_le(e.seq);
-    buf.put_u32_le(e.flight);
-    buf.put_u8(e.body.tag());
-    buf.put_u16_le(e.stamp.width() as u16);
-    buf.put_u32_le(e.padding);
-    buf.put_u64_le(e.ingress_us);
+    put_event(buf, e);
+}
+
+fn put_event(s: &mut impl Sink, e: &Event) {
+    s.u16(e.stream);
+    s.u64(e.seq);
+    s.u32(e.flight);
+    s.u8(e.body.tag());
+    s.u16(e.stamp.width() as u16);
+    s.u32(e.padding);
+    s.u64(e.ingress_us);
     for &c in e.stamp.components() {
-        buf.put_u64_le(c);
+        s.u64(c);
     }
     match &e.body {
-        EventBody::Position(p) => encode_fix(p, buf),
-        EventBody::Status(s) => buf.put_u8(*s as u8),
+        EventBody::Position(p) => put_fix(s, p),
+        EventBody::Status(st) => s.u8(*st as u8),
         EventBody::Boarding { boarded, expected } => {
-            buf.put_u32_le(*boarded);
-            buf.put_u32_le(*expected);
+            s.u32(*boarded);
+            s.u32(*expected);
         }
         EventBody::Derived { status, collapsed } => {
-            buf.put_u8(*status as u8);
-            buf.put_u32_le(*collapsed);
+            s.u8(*status as u8);
+            s.u32(*collapsed);
         }
         EventBody::Coalesced { last, count } => {
-            encode_fix(last, buf);
-            buf.put_u32_le(*count);
+            put_fix(s, last);
+            s.u32(*count);
         }
         EventBody::Opaque(b) => {
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
+            s.u32(b.len() as u32);
+            s.slice(b);
         }
         EventBody::Baggage { loaded, reconciled } => {
-            buf.put_u32_le(*loaded);
-            buf.put_u32_le(*reconciled);
+            s.u32(*loaded);
+            s.u32(*reconciled);
         }
     }
-    // Chunked zero fill instead of `put_bytes(0, n)`: padding dominates the
-    // wire size of benchmark-scale events (~1 KiB), and `put_bytes` is
-    // byte-at-a-time in minimal `BufMut` implementations, which made this
-    // single call most of the whole encode cost. `put_slice` is a bulk copy
-    // everywhere.
+    // Padding dominates the wire size of benchmark-scale events (~1 KiB):
+    // fill it with bulk copies from a static zero block.
     let mut left = e.padding as usize;
     while left > 0 {
         let n = left.min(ZERO_PAD.len());
-        buf.put_slice(&ZERO_PAD[..n]);
+        s.slice(&ZERO_PAD[..n]);
         left -= n;
     }
 }
@@ -614,102 +711,54 @@ pub fn encode_event(e: &Event, buf: &mut BytesMut) {
 /// Source block for zero padding in [`encode_event`].
 static ZERO_PAD: [u8; 1024] = [0; 1024];
 
-/// Decode an event.
-pub fn decode_event(buf: &mut Bytes) -> Result<Event, WireError> {
-    const FIXED: usize = 2 + 8 + 4 + 1 + 2 + 4 + 8;
-    if buf.remaining() < FIXED {
-        return Err(WireError::Truncated);
-    }
-    let stream = buf.get_u16_le();
-    let seq = buf.get_u64_le();
-    let flight = buf.get_u32_le();
-    let tag = buf.get_u8();
-    let stamp_n = buf.get_u16_le() as usize;
-    let padding = buf.get_u32_le();
-    let ingress_us = buf.get_u64_le();
-    if buf.remaining() < stamp_n * 8 {
-        return Err(WireError::Truncated);
-    }
-    let mut comps = Vec::with_capacity(stamp_n);
-    for _ in 0..stamp_n {
-        comps.push(buf.get_u64_le());
-    }
+fn decode_event(r: &mut Reader) -> Result<Event, WireError> {
+    let stream = r.u16()?;
+    let seq = r.u64()?;
+    let flight = r.u32()?;
+    let tag = r.u8()?;
+    let stamp_n = r.u16()? as usize;
+    let padding = r.u32()?;
+    let ingress_us = r.u64()?;
+    let stamp = VectorTimestamp::from_components(r.many(stamp_n, Reader::u64)?);
     let body = match tag {
-        0 => EventBody::Position(decode_fix(buf)?),
-        1 => EventBody::Status(decode_status(buf)?),
-        2 => {
-            need(buf, 8)?;
-            EventBody::Boarding { boarded: buf.get_u32_le(), expected: buf.get_u32_le() }
-        }
-        3 => {
-            need(buf, 5)?;
-            let status = decode_status(buf)?;
-            EventBody::Derived { status, collapsed: buf.get_u32_le() }
-        }
-        4 => {
-            let last = decode_fix(buf)?;
-            need(buf, 4)?;
-            EventBody::Coalesced { last, count: buf.get_u32_le() }
-        }
+        0 => EventBody::Position(decode_fix(r)?),
+        1 => EventBody::Status(decode_status(r)?),
+        2 => EventBody::Boarding { boarded: r.u32()?, expected: r.u32()? },
+        3 => EventBody::Derived { status: decode_status(r)?, collapsed: r.u32()? },
+        4 => EventBody::Coalesced { last: decode_fix(r)?, count: r.u32()? },
         5 => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n)?;
             // Zero-copy: the payload is a slice of the receive buffer.
-            let b = buf.slice(..n);
-            buf.advance(n);
-            EventBody::Opaque(b)
+            let n = r.u32()? as usize;
+            EventBody::Opaque(r.take(n)?)
         }
-        6 => {
-            need(buf, 8)?;
-            EventBody::Baggage { loaded: buf.get_u32_le(), reconciled: buf.get_u32_le() }
-        }
+        6 => EventBody::Baggage { loaded: r.u32()?, reconciled: r.u32()? },
         t => return Err(WireError::BadTag(t)),
     };
-    need(buf, padding as usize)?;
-    buf.advance(padding as usize);
-    Ok(Event {
-        stream,
-        seq,
-        flight,
-        body,
-        stamp: VectorTimestamp::from_components(comps),
-        padding,
-        ingress_us,
-    })
+    r.take(padding as usize)?;
+    Ok(Event { stream, seq, flight, body, stamp, padding, ingress_us })
 }
 
-fn encode_fix(p: &PositionFix, buf: &mut BytesMut) {
-    buf.put_f64_le(p.lat);
-    buf.put_f64_le(p.lon);
-    buf.put_f64_le(p.alt_ft);
-    buf.put_f64_le(p.speed_kts);
-    buf.put_f64_le(p.heading_deg);
+fn put_fix(s: &mut impl Sink, p: &PositionFix) {
+    s.f64(p.lat);
+    s.f64(p.lon);
+    s.f64(p.alt_ft);
+    s.f64(p.speed_kts);
+    s.f64(p.heading_deg);
 }
 
-fn decode_fix(buf: &mut Bytes) -> Result<PositionFix, WireError> {
-    need(buf, PositionFix::WIRE_SIZE)?;
+fn decode_fix(r: &mut Reader) -> Result<PositionFix, WireError> {
     Ok(PositionFix {
-        lat: buf.get_f64_le(),
-        lon: buf.get_f64_le(),
-        alt_ft: buf.get_f64_le(),
-        speed_kts: buf.get_f64_le(),
-        heading_deg: buf.get_f64_le(),
+        lat: r.f64()?,
+        lon: r.f64()?,
+        alt_ft: r.f64()?,
+        speed_kts: r.f64()?,
+        heading_deg: r.f64()?,
     })
 }
 
-fn decode_status(buf: &mut Bytes) -> Result<FlightStatus, WireError> {
-    need(buf, 1)?;
-    let b = buf.get_u8();
+fn decode_status(r: &mut Reader) -> Result<FlightStatus, WireError> {
+    let b = r.u8()?;
     FlightStatus::from_u8(b).ok_or(WireError::BadTag(b))
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -720,80 +769,72 @@ const CTRL_CHKPT: u8 = 0;
 const CTRL_REP: u8 = 1;
 const CTRL_COMMIT: u8 = 2;
 
-/// Encode a control message.
-pub fn encode_control(c: &ControlMsg, buf: &mut BytesMut) {
+fn put_control(s: &mut impl Sink, c: &ControlMsg) {
     match c {
         ControlMsg::Chkpt { round, stamp, epoch, term } => {
-            buf.put_u8(CTRL_CHKPT);
-            buf.put_u64_le(*round);
-            buf.put_u64_le(*term);
-            buf.put_u64_le(*epoch);
-            encode_stamp(stamp, buf);
+            s.u8(CTRL_CHKPT);
+            s.u64(*round);
+            s.u64(*term);
+            s.u64(*epoch);
+            put_stamp(s, stamp);
         }
         ControlMsg::ChkptRep { round, site, stamp, monitor, term } => {
-            buf.put_u8(CTRL_REP);
-            buf.put_u64_le(*round);
-            buf.put_u64_le(*term);
-            buf.put_u16_le(*site);
-            encode_stamp(stamp, buf);
-            buf.put_u64_le(monitor.ready_len);
-            buf.put_u64_le(monitor.backup_len);
-            buf.put_u64_le(monitor.pending_requests);
+            s.u8(CTRL_REP);
+            s.u64(*round);
+            s.u64(*term);
+            s.u16(*site);
+            put_stamp(s, stamp);
+            s.u64(monitor.ready_len);
+            s.u64(monitor.backup_len);
+            s.u64(monitor.pending_requests);
         }
         ControlMsg::Commit { round, stamp, epoch, term, adapt } => {
-            buf.put_u8(CTRL_COMMIT);
-            buf.put_u64_le(*round);
-            buf.put_u64_le(*term);
-            buf.put_u64_le(*epoch);
-            encode_stamp(stamp, buf);
+            s.u8(CTRL_COMMIT);
+            s.u64(*round);
+            s.u64(*term);
+            s.u64(*epoch);
+            put_stamp(s, stamp);
             match adapt {
-                None => buf.put_u8(0),
+                None => s.u8(0),
                 Some(d) => {
-                    buf.put_u8(1);
-                    encode_params(&d.params, buf);
-                    encode_kind(&d.mirror_fn, buf);
-                    encode_partition(&d.partition, buf);
+                    s.u8(1);
+                    put_params(s, &d.params);
+                    put_kind(s, &d.mirror_fn);
+                    put_partition(s, &d.partition);
                 }
             }
         }
     }
 }
 
-/// Decode a control message.
-pub fn decode_control(buf: &mut Bytes) -> Result<ControlMsg, WireError> {
-    need(buf, 1 + 8 + 8)?;
-    let tag = buf.get_u8();
-    let round = buf.get_u64_le();
-    let term = buf.get_u64_le();
+fn decode_control(r: &mut Reader) -> Result<ControlMsg, WireError> {
+    let tag = r.u8()?;
+    let round = r.u64()?;
+    let term = r.u64()?;
     match tag {
         CTRL_CHKPT => {
-            need(buf, 8)?;
-            let epoch = buf.get_u64_le();
-            Ok(ControlMsg::Chkpt { round, stamp: decode_stamp(buf)?, epoch, term })
+            let epoch = r.u64()?;
+            Ok(ControlMsg::Chkpt { round, stamp: decode_stamp(r)?, epoch, term })
         }
         CTRL_REP => {
-            need(buf, 2)?;
-            let site = buf.get_u16_le();
-            let stamp = decode_stamp(buf)?;
-            need(buf, 24)?;
+            let site = r.u16()?;
+            let stamp = decode_stamp(r)?;
             let monitor = MonitorReport {
-                ready_len: buf.get_u64_le(),
-                backup_len: buf.get_u64_le(),
-                pending_requests: buf.get_u64_le(),
+                ready_len: r.u64()?,
+                backup_len: r.u64()?,
+                pending_requests: r.u64()?,
             };
             Ok(ControlMsg::ChkptRep { round, site, stamp, monitor, term })
         }
         CTRL_COMMIT => {
-            need(buf, 8)?;
-            let epoch = buf.get_u64_le();
-            let stamp = decode_stamp(buf)?;
-            need(buf, 1)?;
-            let adapt = match buf.get_u8() {
+            let epoch = r.u64()?;
+            let stamp = decode_stamp(r)?;
+            let adapt = match r.u8()? {
                 0 => None,
                 1 => Some(AdaptDirective {
-                    params: decode_params(buf)?,
-                    mirror_fn: decode_kind(buf)?,
-                    partition: decode_partition(buf)?,
+                    params: decode_params(r)?,
+                    mirror_fn: decode_kind(r)?,
+                    partition: decode_partition(r)?,
                 }),
                 t => return Err(WireError::BadTag(t)),
             };
@@ -803,52 +844,40 @@ pub fn decode_control(buf: &mut Bytes) -> Result<ControlMsg, WireError> {
     }
 }
 
-fn encode_stamp(s: &VectorTimestamp, buf: &mut BytesMut) {
-    buf.put_u16_le(s.width() as u16);
-    for &c in s.components() {
-        buf.put_u64_le(c);
+fn put_stamp(s: &mut impl Sink, stamp: &VectorTimestamp) {
+    s.u16(stamp.width() as u16);
+    for &c in stamp.components() {
+        s.u64(c);
     }
 }
 
-fn decode_stamp(buf: &mut Bytes) -> Result<VectorTimestamp, WireError> {
-    need(buf, 2)?;
-    let n = buf.get_u16_le() as usize;
-    need(buf, n * 8)?;
-    let mut comps = Vec::with_capacity(n);
-    for _ in 0..n {
-        comps.push(buf.get_u64_le());
-    }
-    Ok(VectorTimestamp::from_components(comps))
+fn decode_stamp(r: &mut Reader) -> Result<VectorTimestamp, WireError> {
+    let n = r.u16()? as usize;
+    Ok(VectorTimestamp::from_components(r.many(n, Reader::u64)?))
 }
 
-fn encode_partition(p: &Option<PartitionMap>, buf: &mut BytesMut) {
+fn put_partition(s: &mut impl Sink, p: &Option<PartitionMap>) {
     match p {
-        None => buf.put_u8(0),
+        None => s.u8(0),
         Some(pm) => {
-            buf.put_u8(1);
-            buf.put_u64_le(pm.epoch());
+            s.u8(1);
+            s.u64(pm.epoch());
             let slots = pm.slot_table();
-            buf.put_u16_le(slots.len() as u16);
+            s.u16(slots.len() as u16);
             for &g in slots {
-                buf.put_u16_le(g);
+                s.u16(g);
             }
         }
     }
 }
 
-fn decode_partition(buf: &mut Bytes) -> Result<Option<PartitionMap>, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
+fn decode_partition(r: &mut Reader) -> Result<Option<PartitionMap>, WireError> {
+    match r.u8()? {
         0 => Ok(None),
         1 => {
-            need(buf, 8 + 2)?;
-            let epoch = buf.get_u64_le();
-            let n = buf.get_u16_le() as usize;
-            need(buf, n * 2)?;
-            let mut slots = Vec::with_capacity(n);
-            for _ in 0..n {
-                slots.push(buf.get_u16_le());
-            }
+            let epoch = r.u64()?;
+            let n = r.u16()? as usize;
+            let slots = r.many(n, Reader::u16)?;
             // from_parts normalizes a wrong-length table instead of letting
             // a malformed frame panic the routing path.
             Ok(Some(PartitionMap::from_parts(epoch, slots)))
@@ -857,73 +886,56 @@ fn decode_partition(buf: &mut Bytes) -> Result<Option<PartitionMap>, WireError> 
     }
 }
 
-fn encode_params(p: &MirrorParams, buf: &mut BytesMut) {
-    buf.put_u8(p.coalesce as u8);
-    buf.put_u32_le(p.coalesce_max);
-    buf.put_u32_le(p.checkpoint_every);
-    buf.put_u32_le(p.overwrite_max);
-    buf.put_u64_le(p.generation);
+fn put_params(s: &mut impl Sink, p: &MirrorParams) {
+    s.u8(p.coalesce as u8);
+    s.u32(p.coalesce_max);
+    s.u32(p.checkpoint_every);
+    s.u32(p.overwrite_max);
+    s.u64(p.generation);
 }
 
-fn decode_params(buf: &mut Bytes) -> Result<MirrorParams, WireError> {
-    need(buf, 1 + 4 + 4 + 4 + 8)?;
+fn decode_params(r: &mut Reader) -> Result<MirrorParams, WireError> {
     Ok(MirrorParams {
-        coalesce: buf.get_u8() != 0,
-        coalesce_max: buf.get_u32_le(),
-        checkpoint_every: buf.get_u32_le(),
-        overwrite_max: buf.get_u32_le(),
-        generation: buf.get_u64_le(),
+        coalesce: r.u8()? != 0,
+        coalesce_max: r.u32()?,
+        checkpoint_every: r.u32()?,
+        overwrite_max: r.u32()?,
+        generation: r.u64()?,
     })
 }
 
-fn encode_kind(k: &Option<MirrorFnKind>, buf: &mut BytesMut) {
+fn put_kind(s: &mut impl Sink, k: &Option<MirrorFnKind>) {
     match k {
-        None => buf.put_u8(0),
-        Some(MirrorFnKind::None) => buf.put_u8(1),
-        Some(MirrorFnKind::Simple) => buf.put_u8(2),
+        None => s.u8(0),
+        Some(MirrorFnKind::None) => s.u8(1),
+        Some(MirrorFnKind::Simple) => s.u8(2),
         Some(MirrorFnKind::Selective { overwrite }) => {
-            buf.put_u8(3);
-            buf.put_u32_le(*overwrite);
+            s.u8(3);
+            s.u32(*overwrite);
         }
         Some(MirrorFnKind::Coalescing { coalesce, checkpoint_every }) => {
-            buf.put_u8(4);
-            buf.put_u32_le(*coalesce);
-            buf.put_u32_le(*checkpoint_every);
+            s.u8(4);
+            s.u32(*coalesce);
+            s.u32(*checkpoint_every);
         }
         Some(MirrorFnKind::Overwriting { overwrite, checkpoint_every }) => {
-            buf.put_u8(5);
-            buf.put_u32_le(*overwrite);
-            buf.put_u32_le(*checkpoint_every);
+            s.u8(5);
+            s.u32(*overwrite);
+            s.u32(*checkpoint_every);
         }
     }
 }
 
-fn decode_kind(buf: &mut Bytes) -> Result<Option<MirrorFnKind>, WireError> {
-    need(buf, 1)?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(MirrorFnKind::None)),
-        2 => Ok(Some(MirrorFnKind::Simple)),
-        3 => {
-            need(buf, 4)?;
-            Ok(Some(MirrorFnKind::Selective { overwrite: buf.get_u32_le() }))
-        }
-        4 => {
-            need(buf, 8)?;
-            Ok(Some(MirrorFnKind::Coalescing {
-                coalesce: buf.get_u32_le(),
-                checkpoint_every: buf.get_u32_le(),
-            }))
-        }
-        5 => {
-            need(buf, 8)?;
-            Ok(Some(MirrorFnKind::Overwriting {
-                overwrite: buf.get_u32_le(),
-                checkpoint_every: buf.get_u32_le(),
-            }))
-        }
-        t => Err(WireError::BadTag(t)),
-    }
+fn decode_kind(r: &mut Reader) -> Result<Option<MirrorFnKind>, WireError> {
+    Ok(Some(match r.u8()? {
+        0 => return Ok(None),
+        1 => MirrorFnKind::None,
+        2 => MirrorFnKind::Simple,
+        3 => MirrorFnKind::Selective { overwrite: r.u32()? },
+        4 => MirrorFnKind::Coalescing { coalesce: r.u32()?, checkpoint_every: r.u32()? },
+        5 => MirrorFnKind::Overwriting { overwrite: r.u32()?, checkpoint_every: r.u32()? },
+        t => return Err(WireError::BadTag(t)),
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -938,106 +950,100 @@ fn decode_kind(buf: &mut Bytes) -> Result<Option<MirrorFnKind>, WireError> {
 /// changes. Layout: version u8, kind u8, flight-count u32, `as_of` stamp,
 /// then one entry per flight **in ascending flight-id order** (canonical —
 /// equal snapshots encode to equal bytes): id u32, status u8,
-/// position-presence u8, position fix (40 B, when present), position-seq
-/// u64, boarded u32, expected u32, bags-loaded u32, bags-reconciled u32,
+/// position-presence u8, position fix (when present), position-seq u64,
+/// boarded u32, expected u32, bags-loaded u32, bags-reconciled u32,
 /// updates u64.
 ///
 /// The returned [`Bytes`] is the encode-once handle for storm serving: the
 /// gateway's epoch cache encodes a snapshot once and hands the same buffer
 /// (a reference-count bump per request) to every client of that epoch.
 pub fn encode_snapshot(snap: &Snapshot) -> Bytes {
-    let mut entries: Vec<_> = snap.iter().collect();
-    entries.sort_unstable_by_key(|(id, _)| **id);
-    let mut buf = BytesMut::with_capacity(snap.wire_size() + entries.len() * 10);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_SNAPSHOT);
-    buf.put_u32_le(entries.len() as u32);
-    encode_stamp(&snap.as_of, &mut buf);
-    for (id, f) in entries {
-        encode_flight_entry(*id, f, &mut buf);
-    }
-    buf.freeze()
+    let entries = by_id(snap.iter());
+    exact!(|s| {
+        put_head(s, KIND_SNAPSHOT, None, Some(entries.len()));
+        put_stamp(s, &snap.as_of);
+        for (id, f) in &entries {
+            put_flight_entry(s, **id, f);
+        }
+    })
 }
 
-/// One snapshot/delta flight entry: id u32, status u8, position-presence
-/// u8, position fix (40 B, when present), position-seq u64, boarded u32,
-/// expected u32, bags-loaded u32, bags-reconciled u32, updates u64.
-/// Shared by [`encode_snapshot`] and [`encode_delta`], so a delta entry is
-/// byte-identical to the same flight's full-snapshot entry.
-fn encode_flight_entry(id: u32, f: &FlightView, buf: &mut BytesMut) {
-    buf.put_u32_le(id);
-    buf.put_u8(f.status as u8);
+/// Flight entries in ascending id order: the canonical encoding order.
+fn by_id<'a>(
+    entries: impl Iterator<Item = (&'a u32, &'a FlightView)>,
+) -> Vec<(&'a u32, &'a FlightView)> {
+    let mut entries: Vec<_> = entries.collect();
+    entries.sort_unstable_by_key(|(id, _)| **id);
+    entries
+}
+
+/// One snapshot/delta flight entry, in the field order
+/// [`encode_snapshot`] documents. Shared by [`encode_snapshot`] and
+/// [`encode_delta`], so a delta entry is byte-identical to the same
+/// flight's full-snapshot entry.
+fn put_flight_entry(s: &mut impl Sink, id: u32, f: &FlightView) {
+    s.u32(id);
+    s.u8(f.status as u8);
     match &f.position {
         Some(p) => {
-            buf.put_u8(1);
-            encode_fix(p, buf);
+            s.u8(1);
+            put_fix(s, p);
         }
-        None => buf.put_u8(0),
+        None => s.u8(0),
     }
-    buf.put_u64_le(f.position_seq);
-    buf.put_u32_le(f.boarded);
-    buf.put_u32_le(f.expected);
-    buf.put_u32_le(f.bags_loaded);
-    buf.put_u32_le(f.bags_reconciled);
-    buf.put_u64_le(f.updates);
+    s.u64(f.position_seq);
+    s.u32(f.boarded);
+    s.u32(f.expected);
+    s.u32(f.bags_loaded);
+    s.u32(f.bags_reconciled);
+    s.u64(f.updates);
 }
 
-/// Wire size of the smallest flight entry: one without a position fix.
-const MIN_FLIGHT_ENTRY: usize = 4 + 1 + 1 + 8 + 4 + 4 + 4 + 4 + 8;
+/// The counted size of the smallest flight entry: one without a position
+/// fix.
+fn min_flight_entry() -> usize {
+    let mut n = Count(0);
+    put_flight_entry(&mut n, 0, &FlightView::default());
+    n.0
+}
 
 /// Decode `count` flight entries. The map is pre-sized for no more entries
 /// than the remaining bytes can hold: `count` is an unchecked wire field.
-fn decode_flight_entries(buf: &mut Bytes, count: usize) -> Result<FlightMap, WireError> {
-    let capacity = count.min(buf.remaining() / MIN_FLIGHT_ENTRY);
+fn decode_flight_entries(r: &mut Reader, count: usize) -> Result<FlightMap, WireError> {
+    let capacity = count.min(r.rest.len() / min_flight_entry());
     let mut flights = FlightMap::with_capacity_and_hasher(capacity, Default::default());
     for _ in 0..count {
-        let (id, view) = decode_flight_entry(buf)?;
+        let id = r.u32()?;
+        let status = decode_status(r)?;
+        let position = match r.u8()? {
+            0 => None,
+            1 => Some(decode_fix(r)?),
+            t => return Err(WireError::BadTag(t)),
+        };
+        let view = FlightView {
+            status,
+            position,
+            position_seq: r.u64()?,
+            boarded: r.u32()?,
+            expected: r.u32()?,
+            bags_loaded: r.u32()?,
+            bags_reconciled: r.u32()?,
+            updates: r.u64()?,
+        };
         flights.insert(id, view);
     }
     Ok(flights)
 }
 
-fn decode_flight_entry(buf: &mut Bytes) -> Result<(u32, FlightView), WireError> {
-    need(buf, 4)?;
-    let id = buf.get_u32_le();
-    let status = decode_status(buf)?;
-    need(buf, 1)?;
-    let position = match buf.get_u8() {
-        0 => None,
-        1 => Some(decode_fix(buf)?),
-        t => return Err(WireError::BadTag(t)),
-    };
-    need(buf, 8 + 4 + 4 + 4 + 4 + 8)?;
-    let view = FlightView {
-        status,
-        position,
-        position_seq: buf.get_u64_le(),
-        boarded: buf.get_u32_le(),
-        expected: buf.get_u32_le(),
-        bags_loaded: buf.get_u32_le(),
-        bags_reconciled: buf.get_u32_le(),
-        updates: buf.get_u64_le(),
-    };
-    Ok((id, view))
-}
-
 /// Decode a snapshot frame produced by [`encode_snapshot`]. The restored
 /// snapshot compares equal to the original (and `restore()` hashes
 /// identically to the captured state).
-pub fn decode_snapshot(mut buf: Bytes) -> Result<Snapshot, WireError> {
-    need(&buf, 2)?;
-    let version = buf.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let kind = buf.get_u8();
-    if kind != KIND_SNAPSHOT {
-        return Err(WireError::BadTag(kind));
-    }
-    need(&buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    let as_of = decode_stamp(&mut buf)?;
-    let flights = decode_flight_entries(&mut buf, count)?;
+pub fn decode_snapshot(buf: Bytes) -> Result<Snapshot, WireError> {
+    let mut r = Reader::open(&buf, KIND_SNAPSHOT)?;
+    let count = r.u32()? as usize;
+    let as_of = decode_stamp(&mut r)?;
+    let flights = decode_flight_entries(&mut r, count)?;
+    r.finish()?;
     Ok(Snapshot::from_parts(flights, as_of))
 }
 
@@ -1052,49 +1058,34 @@ pub fn decode_snapshot(mut buf: Bytes) -> Result<Snapshot, WireError> {
 /// flight **in ascending flight-id order** (canonical — equal deltas encode
 /// to equal bytes).
 pub fn encode_delta(delta: &StateDelta) -> Bytes {
-    let mut entries: Vec<_> = delta.changed().iter().collect();
-    entries.sort_unstable_by_key(|(id, _)| **id);
-    let mut buf = BytesMut::with_capacity(delta.wire_size() + entries.len() * 10);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(KIND_DELTA);
-    encode_stamp(&delta.base, &mut buf);
-    encode_stamp(&delta.as_of, &mut buf);
-    buf.put_u32_le(delta.removed().len() as u32);
-    for id in delta.removed() {
-        buf.put_u32_le(*id);
-    }
-    buf.put_u32_le(entries.len() as u32);
-    for (id, f) in entries {
-        encode_flight_entry(*id, f, &mut buf);
-    }
-    buf.freeze()
+    let entries = by_id(delta.changed().iter());
+    exact!(|s| {
+        put_head(s, KIND_DELTA, None, None);
+        put_stamp(s, &delta.base);
+        put_stamp(s, &delta.as_of);
+        s.u32(delta.removed().len() as u32);
+        for id in delta.removed() {
+            s.u32(*id);
+        }
+        s.u32(entries.len() as u32);
+        for (id, f) in &entries {
+            put_flight_entry(s, **id, f);
+        }
+    })
 }
 
 /// Decode a delta frame produced by [`encode_delta`]. The restored delta
 /// compares equal to the original, so applying it converges the consumer to
 /// the producer's `state_hash` exactly as the un-encoded delta would.
-pub fn decode_delta(mut buf: Bytes) -> Result<StateDelta, WireError> {
-    need(&buf, 2)?;
-    let version = buf.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let kind = buf.get_u8();
-    if kind != KIND_DELTA {
-        return Err(WireError::BadTag(kind));
-    }
-    let base = decode_stamp(&mut buf)?;
-    let as_of = decode_stamp(&mut buf)?;
-    need(&buf, 4)?;
-    let removed_n = buf.get_u32_le() as usize;
-    need(&buf, removed_n * 4)?;
-    let mut removed = Vec::with_capacity(removed_n.min(65_536));
-    for _ in 0..removed_n {
-        removed.push(buf.get_u32_le());
-    }
-    need(&buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    let changed = decode_flight_entries(&mut buf, count)?;
+pub fn decode_delta(buf: Bytes) -> Result<StateDelta, WireError> {
+    let mut r = Reader::open(&buf, KIND_DELTA)?;
+    let base = decode_stamp(&mut r)?;
+    let as_of = decode_stamp(&mut r)?;
+    let removed_n = r.u32()? as usize;
+    let removed = r.many(removed_n, Reader::u32)?;
+    let count = r.u32()? as usize;
+    let changed = decode_flight_entries(&mut r, count)?;
+    r.finish()?;
     Ok(StateDelta::from_parts(changed, removed, base, as_of))
 }
 
@@ -1217,10 +1208,10 @@ mod tests {
             Some(MirrorFnKind::Coalescing { coalesce: 20, checkpoint_every: 100 }),
             Some(MirrorFnKind::Overwriting { overwrite: 20, checkpoint_every: 100 }),
         ] {
-            let mut buf = BytesMut::new();
-            encode_kind(&k, &mut buf);
-            let mut b = buf.freeze();
-            assert_eq!(decode_kind(&mut b).unwrap(), k);
+            let encoded = exact!(|s| put_kind(s, &k));
+            let mut r = Reader::new(&encoded);
+            assert_eq!(decode_kind(&mut r).unwrap(), k);
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
@@ -1329,14 +1320,14 @@ mod tests {
     fn batch_from_encoded_matches_frame_encoding() {
         let frames =
             vec![Frame::Data(Arc::new(stamped_event())), Frame::Data(Arc::new(stamped_event()))];
-        let parts: Vec<Bytes> = frames.iter().map(encode_frame_shared).collect();
+        let parts: Vec<Bytes> = frames.iter().map(encode_frame).collect();
         assert_eq!(encode_batch_from_encoded(&parts), encode_frame(&Frame::Batch(frames)));
     }
 
     #[test]
     fn seq_envelope_helper_matches_frame_encoding() {
         let inner = Frame::Data(Arc::new(stamped_event()));
-        let encoded = encode_frame_shared(&inner);
+        let encoded = encode_frame(&inner);
         let expect = encode_frame(&Frame::Seq { seq: 99, inner: Box::new(inner) });
         assert_eq!(encode_seq_envelope(99, &encoded), expect);
     }
@@ -1428,7 +1419,7 @@ mod tests {
     #[test]
     fn edge_event_helper_matches_frame_encoding() {
         let e = Arc::new(stamped_event());
-        let data_encoded = encode_frame_shared(&Frame::Data(Arc::clone(&e)));
+        let data_encoded = encode_frame(&Frame::Data(Arc::clone(&e)));
         let expect = encode_frame(&Frame::EdgeEvent { pub_seq: 314, event: e });
         assert_eq!(encode_edge_event(314, &data_encoded), expect);
     }
@@ -1590,6 +1581,56 @@ mod tests {
                 assert!(decode_frame(bytes.slice(..cut)).is_err(), "{f:?} cut at {cut}");
             }
         }
+    }
+
+    /// A flight count edited downward used to decode into fewer flights;
+    /// the entry it no longer covers is now reported as trailing.
+    #[test]
+    fn snapshot_with_a_lowered_flight_count_is_rejected() {
+        let snap = Snapshot::capture(&snapshot_state(), VectorTimestamp::from_components(vec![2]));
+        assert_eq!(snap.flight_count(), 26);
+        let mut bad = encode_snapshot(&snap).to_vec();
+        bad[2..6].copy_from_slice(&25u32.to_le_bytes());
+        // Flight 999, the one without a fix, sorts last.
+        let last = min_flight_entry();
+        assert_eq!(decode_snapshot(Bytes::from(bad)), Err(WireError::Trailing(last)));
+    }
+
+    #[test]
+    fn batch_with_a_lowered_member_count_is_rejected() {
+        let members: Vec<Frame> = (1..=3)
+            .map(|seq| Frame::Data(Arc::new(Event::delta_status(seq, 8, FlightStatus::Landed))))
+            .collect();
+        let last = 4 + encode_frame(&members[2]).len();
+        let mut bad = encode_frame(&Frame::Batch(members)).to_vec();
+        bad[2..6].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_frame(Bytes::from(bad)), Err(WireError::Trailing(last)));
+    }
+
+    #[test]
+    fn ack_with_trailing_junk_is_rejected() {
+        let mut bad = encode_frame(&Frame::Ack { cum: 5 }).to_vec();
+        bad.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF]);
+        assert_eq!(decode_frame(Bytes::from(bad)), Err(WireError::Trailing(4)));
+    }
+
+    #[test]
+    fn wrapped_frames_must_fill_their_wrapper() {
+        // A Seq envelope, a batch member and an EdgeEvent payload each own
+        // exactly the bytes their wrapper gives them.
+        let ack = encode_frame(&Frame::Ack { cum: 1 });
+        let mut padded = ack.to_vec();
+        padded.push(0);
+        let padded = Bytes::from(padded);
+        assert_eq!(decode_frame(encode_seq_envelope(1, &padded)), Err(WireError::Trailing(1)));
+        let data = encode_frame(&Frame::Data(Arc::new(stamped_event())));
+        let mut padded = data.to_vec();
+        padded.push(0);
+        let padded = Bytes::from(padded);
+        let batch = encode_batch_from_encoded(&[data.clone(), padded.clone()]);
+        assert_eq!(decode_frame(batch), Err(WireError::Trailing(1)));
+        assert_eq!(decode_frame(encode_edge_event(2, &padded)), Err(WireError::Trailing(1)));
+        assert!(decode_frame(encode_edge_event(2, &data)).is_ok());
     }
 
     #[test]

@@ -23,8 +23,8 @@ use mirror_core::partition::PartitionMap;
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::wire::{
-    decode_delta, decode_frame, decode_snapshot, encode_delta, encode_frame, encode_snapshot,
-    Frame, SubscriptionFilter,
+    decode_delta, decode_frame, decode_snapshot, encode_delta, encode_event, encode_frame,
+    encode_snapshot, Frame, SubscriptionFilter,
 };
 use mirror_ede::{FlightMap, FlightView, Snapshot, StateDelta};
 use mirror_workload::rng::{check, Rng};
@@ -250,6 +250,47 @@ fn damage(rng: &mut Rng, valid: &[u8], decode: impl Fn(Bytes) -> bool) {
         inflated[at..at + field.len()].copy_from_slice(field);
         decode(Bytes::from(inflated));
     }
+}
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// The encoders' bytes, pinned: one digest over 256 generated frames of
+/// every kind, generated snapshots and deltas, and a 1 KiB padded position
+/// event. Journals, peers and the benchmark's input digest all depend on
+/// these bytes, so a codec rewrite must leave the digest unchanged.
+#[test]
+fn golden_wire_bytes() {
+    let mut rng = Rng::seed_from_u64(0x601D_E2B1_7E5A_0001);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut kinds = std::collections::HashSet::new();
+    for _ in 0..256 {
+        let frame = arb_frame(&mut rng);
+        kinds.insert(std::mem::discriminant(&frame));
+        h = fnv1a(h, &encode_frame(&frame));
+    }
+    assert_eq!(kinds.len(), 11, "every frame kind is covered");
+    for _ in 0..32 {
+        h = fnv1a(h, &encode_snapshot(&arb_snapshot(&mut rng)));
+        h = fnv1a(h, &encode_delta(&arb_delta(&mut rng)));
+    }
+    let fix = PositionFix {
+        lat: 33.6,
+        lon: -84.4,
+        alt_ft: 31000.0,
+        speed_kts: 450.0,
+        heading_deg: 271.5,
+    };
+    let mut event = Event::faa_position(7, 42, fix).with_ingress_us(99);
+    event.stamp = VectorTimestamp::from_components(vec![3, 1, 4]);
+    let event = event.with_total_size(1024);
+    let mut buf = bytes::BytesMut::new();
+    encode_event(&event, &mut buf);
+    assert_eq!(buf.len(), 1024);
+    h = fnv1a(h, &buf);
+    assert_eq!(h, 0x0AC7_7186_CC08_9505, "wire bytes changed: digest {h:#018x}");
 }
 
 #[test]

@@ -20,8 +20,8 @@ use mirror_echo::faults::{FaultPlan, FaultState, FaultyTransport};
 use mirror_echo::resilient::{ResilientTransport, RetryPolicy};
 use mirror_echo::transport::{inproc_rendezvous, InProcDialer, InProcListener, Polled, MAX_FRAME};
 use mirror_echo::wire::{
-    decode_frame, decode_snapshot, encode_edge_event, encode_frame, encode_frame_shared,
-    encode_reseed, encode_snapshot, Frame, SubscriptionFilter, WIRE_VERSION,
+    decode_frame, decode_snapshot, encode_edge_event, encode_frame, encode_reseed, encode_snapshot,
+    Frame, SubscriptionFilter, WIRE_VERSION,
 };
 use mirror_echo::{TcpTransport, Transport};
 use mirror_ede::{FlightView, Snapshot};
@@ -164,7 +164,7 @@ fn edge_helpers_match_frame_encoding() {
         let seq = rng.gen_range(1..10_000u64);
         let snapshot = arb_bytes(rng, 256);
         let inner = data(seq);
-        let cached = encode_frame_shared(&inner);
+        let cached = encode_frame(&inner);
         let event = match inner {
             Frame::Data(e) => e,
             _ => unreachable!(),

@@ -65,24 +65,11 @@ impl StateDelta {
     pub fn is_empty(&self) -> bool {
         self.changed.is_empty() && self.removed.is_empty()
     }
-
-    /// Bytes this delta occupies on a link, exactly matching the encoder:
-    /// version + kind + two stamp widths + two entry counts (14 bytes of
-    /// framing), the stamps, the removed ids and the per-flight entries —
-    /// the same per-entry footprint as a full snapshot, but only over the
-    /// changed subset. Used by the WAN catch-up accounting.
-    pub fn wire_size(&self) -> usize {
-        14 + self.base.wire_size()
-            + self.as_of.wire_size()
-            + self.removed.len() * 4
-            + self.changed.values().map(crate::flight::FlightView::wire_size).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::FlightView;
     use crate::state::OperationalState;
     use mirror_core::event::{Event, FlightStatus, PositionFix};
 
@@ -117,38 +104,5 @@ mod tests {
 
         base.apply_delta(&delta);
         assert_eq!(base.state_hash(), target.state_hash());
-    }
-
-    #[test]
-    fn wire_size_tracks_contents() {
-        let empty = StateDelta::from_parts(
-            FlightMap::default(),
-            Vec::new(),
-            VectorTimestamp::empty(),
-            VectorTimestamp::empty(),
-        );
-        assert!(empty.is_empty());
-        let mut one = FlightMap::default();
-        one.insert(1, FlightView::default());
-        let d = StateDelta::from_parts(
-            one,
-            vec![2, 3],
-            VectorTimestamp::empty(),
-            VectorTimestamp::empty(),
-        );
-        // One fix-less changed entry plus two removed ids.
-        assert_eq!(d.wire_size() - empty.wire_size(), FlightView::default().wire_size() + 8);
-        // A position-carrying view is exactly the cost-model constant.
-        let full = FlightView {
-            position: Some(PositionFix {
-                lat: 0.0,
-                lon: 0.0,
-                alt_ft: 0.0,
-                speed_kts: 0.0,
-                heading_deg: 0.0,
-            }),
-            ..Default::default()
-        };
-        assert_eq!(full.wire_size(), crate::snapshot::SNAPSHOT_FLIGHT_WIRE_SIZE);
     }
 }

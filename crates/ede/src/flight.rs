@@ -67,15 +67,6 @@ impl FlightView {
         Self::default()
     }
 
-    /// Bytes this view occupies as one snapshot/delta wire entry: id (4),
-    /// status (1), position-presence tag (1), position fix (40 when
-    /// present), position-seq (8), boarded (4), expected (4), bags loaded
-    /// (4), bags reconciled (4), updates (8). Matches the echo-layer
-    /// flight-entry encoder byte for byte.
-    pub fn wire_size(&self) -> usize {
-        4 + 1 + 1 + if self.position.is_some() { 40 } else { 0 } + 8 + 4 + 4 + 4 + 4 + 8
-    }
-
     /// Apply a status transition. Forward transitions succeed; regressions
     /// and post-cancellation updates are rejected (callers treat rejection
     /// as "ignore", not as an error to propagate — see module docs).

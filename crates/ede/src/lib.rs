@@ -40,7 +40,7 @@ pub use engine::{Ede, EdeOutput};
 pub use flight::{FlightView, TransitionError};
 pub use ops::{OpsAlert, OpsMonitor};
 pub use sharded::{ShardMap, ShardedEde};
-pub use snapshot::{Snapshot, SNAPSHOT_FLIGHT_WIRE_SIZE};
+pub use snapshot::Snapshot;
 pub use state::{
     hash_sorted_flights, union_state_hash, BuildFlightHasher, FlightMap, OperationalState,
     DELTA_BASE_WINDOW,

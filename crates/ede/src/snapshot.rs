@@ -18,14 +18,6 @@ use mirror_core::timestamp::VectorTimestamp;
 use crate::flight::FlightView;
 use crate::state::{FlightMap, OperationalState};
 
-/// On-wire footprint of one position-carrying flight entry in a snapshot
-/// or delta: id (4), status (1), position-presence tag (1), fix (40),
-/// position-seq (8), boarded (4), expected (4), bags loaded (4), bags
-/// reconciled (4), updates (8). The steady-state common case — cost models
-/// use this constant; exact accounting uses [`FlightView::wire_size`],
-/// which is smaller for entries with no fix yet.
-pub const SNAPSHOT_FLIGHT_WIRE_SIZE: usize = 4 + 1 + 1 + 40 + 8 + 4 + 4 + 4 + 4 + 8;
-
 /// A client-initialization snapshot: a consistent copy of the operational
 /// state plus the timestamp frontier it reflects.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,15 +37,6 @@ impl Snapshot {
     /// Number of flights in the snapshot.
     pub fn flight_count(&self) -> usize {
         self.flights.len()
-    }
-
-    /// Bytes this snapshot occupies on a client link, exactly matching the
-    /// encoder: version + kind + entry count + stamp width (8 bytes of
-    /// framing), the frontier stamp, then the per-flight entries. Used by
-    /// both the request-servicing cost model and the real server's
-    /// accounting.
-    pub fn wire_size(&self) -> usize {
-        8 + self.as_of.wire_size() + self.flights.values().map(FlightView::wire_size).sum::<usize>()
     }
 
     /// Install the snapshot into a fresh state store (client-side
@@ -116,14 +99,6 @@ mod tests {
         let restored = snap.restore();
         assert_eq!(restored.state_hash(), s.state_hash());
         assert_eq!(snap.flight_count(), 50);
-    }
-
-    #[test]
-    fn wire_size_scales_with_flights() {
-        let small = Snapshot::capture(&populated_state(10), VectorTimestamp::empty());
-        let large = Snapshot::capture(&populated_state(100), VectorTimestamp::empty());
-        assert!(large.wire_size() > small.wire_size());
-        assert_eq!(large.wire_size() - small.wire_size(), 90 * SNAPSHOT_FLIGHT_WIRE_SIZE);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 use mirror_core::event::{Event, EventBody, FlightId};
 use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
-use mirror_echo::wire::{encode_edge_event, encode_frame_shared, Frame};
+use mirror_echo::wire::{encode_edge_event, encode_frame, Frame};
 use mirror_echo::{Closer, Subscriber, SubscriptionFilter};
 
 /// Tuning knobs for an edge server.
@@ -166,7 +166,7 @@ impl EdgeEvent {
     pub fn wire(&self) -> Bytes {
         self.wire
             .get_or_init(|| {
-                let data = encode_frame_shared(&Frame::Data(Arc::clone(&self.event)));
+                let data = encode_frame(&Frame::Data(Arc::clone(&self.event)));
                 encode_edge_event(self.pub_seq, &data)
             })
             .clone()

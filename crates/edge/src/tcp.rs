@@ -24,7 +24,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::server::{EdgeClient, EdgeServer};
-use mirror_echo::transport::MAX_FRAME;
+use mirror_echo::transport::frame_len;
 use mirror_echo::{decode_frame, Frame};
 
 /// Stop pumping deliveries into a connection whose unflushed write
@@ -86,16 +86,14 @@ impl TcpConn {
     /// the control frames a subscriber may send.
     fn parse_frames(&mut self, edge: &EdgeServer) {
         loop {
-            if self.inbuf.len() < 4 {
-                return;
-            }
-            let len =
-                u32::from_le_bytes([self.inbuf[0], self.inbuf[1], self.inbuf[2], self.inbuf[3]])
-                    as usize;
-            if len > MAX_FRAME as usize {
-                self.dead = true;
-                return;
-            }
+            let len = match frame_len(&self.inbuf) {
+                Ok(Some(len)) => len,
+                Ok(None) => return,
+                Err(_) => {
+                    self.dead = true;
+                    return;
+                }
+            };
             if self.inbuf.len() < 4 + len {
                 return;
             }

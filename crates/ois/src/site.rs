@@ -25,12 +25,12 @@ use mirror_sim::{CostModel, SimTime};
 use crate::payload::Payload;
 
 /// Per-flight record size the simulation's snapshot cost model is
-/// calibrated at. Deliberately decoupled from the runtime encoder's
-/// [`SNAPSHOT_FLIGHT_WIRE_SIZE`](mirror_ede::SNAPSHOT_FLIGHT_WIRE_SIZE):
-/// the figures' service-rate parameters were fit against this record
-/// size (the paper's OIS record format is not our wire format), so
-/// retuning the wire encoder must not silently re-shape the reproduced
-/// figures. Exact live-path accounting uses `FlightView::wire_size`.
+/// calibrated at. Deliberately decoupled from the runtime's snapshot
+/// encoding (`mirror_echo::wire::encode_snapshot`): the figures'
+/// service-rate parameters were fit against this record size (the paper's
+/// OIS record format is not our wire format), so retuning the wire encoder
+/// must not silently re-shape the reproduced figures. Live-path accounting
+/// uses the encoded length.
 const CALIBRATED_SNAPSHOT_ENTRY_BYTES: usize = 69;
 
 /// Metrics collected at one site during a run.

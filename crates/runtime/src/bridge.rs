@@ -46,7 +46,7 @@ use crossbeam::channel::{self, RecvTimeoutError, Sender, TryRecvError};
 
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
-use mirror_echo::wire::{encode_batch_from_encoded, encode_frame_shared, Frame, SharedEvent};
+use mirror_echo::wire::{encode_batch_from_encoded, encode_frame, Frame, SharedEvent};
 use mirror_echo::Transport;
 
 /// The writer's idle tick: how long it waits for traffic before it lets a
@@ -143,7 +143,7 @@ impl OutMsg {
     fn encoded(&self) -> Bytes {
         match self {
             OutMsg::Data(e) => e.encoded(),
-            OutMsg::Ctrl(m) => encode_frame_shared(&Frame::Control(m.clone())),
+            OutMsg::Ctrl(m) => encode_frame(&Frame::Control(m.clone())),
         }
     }
 }

@@ -192,11 +192,12 @@ impl Transfer {
         }
     }
 
-    /// Bytes this transfer occupies on a link.
+    /// Bytes this transfer occupies on a link: the length of its cached
+    /// encoding.
     pub fn wire_size(&self) -> usize {
         match self {
-            Transfer::Full(s) => s.wire_size(),
-            Transfer::Delta(d) => d.wire_size(),
+            Transfer::Full(s) => s.wire().len(),
+            Transfer::Delta(d) => d.wire().len(),
         }
     }
 }
@@ -623,7 +624,7 @@ mod tests {
         match sync.transfer_since(Some(&base)) {
             Transfer::Delta(d) => {
                 assert_eq!(d.changed_count(), 1, "only the diverged flight travels");
-                assert!(d.wire_size() < base_snap.wire_size());
+                assert!(d.wire().len() < base_snap.wire().len());
             }
             Transfer::Full(_) => panic!("base was remembered; expected a delta"),
         }

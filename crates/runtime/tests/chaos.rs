@@ -23,7 +23,7 @@ use mirror_core::event::{Event, PositionFix};
 use mirror_echo::faults::{FaultPlan, FaultSummary, FaultyTransport};
 use mirror_echo::resilient::{ResilientTransport, RetryPolicy};
 use mirror_echo::transport::{inproc_rendezvous, InProcDialer, InProcListener, Polled};
-use mirror_echo::wire::{encode_batch_from_encoded, encode_frame_shared, Frame};
+use mirror_echo::wire::{encode_batch_from_encoded, encode_frame, Frame};
 use mirror_echo::Transport;
 use mirror_runtime::bridge::{central_endpoint, mirror_endpoint};
 use mirror_runtime::{Cluster, ClusterConfig, MirrorSite, RuntimeClock};
@@ -292,11 +292,7 @@ fn batched_frames_survive_chaos_exactly_once() {
             sent += 1;
             let parts: Vec<_> = (1..=PER_BATCH)
                 .map(|i| {
-                    encode_frame_shared(&Frame::Data(Arc::new(Event::faa_position(
-                        base + i,
-                        1,
-                        fix(),
-                    ))))
+                    encode_frame(&Frame::Data(Arc::new(Event::faa_position(base + i, 1, fix()))))
                 })
                 .collect();
             tx.send_encoded(&encode_batch_from_encoded(&parts)).unwrap();

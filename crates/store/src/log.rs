@@ -41,12 +41,17 @@
 //! ## Recovery
 //!
 //! [`EventLog::open`] scans segments in index order, verifying each frame's
-//! length, CRC, and index monotonicity. At the first torn or corrupt frame
-//! the segment is truncated to the last valid frame boundary and any later
-//! segments are discarded: everything after a hole is beyond the durable
-//! prefix. What survives is exactly the set of frames whose bytes were fully
-//! persisted — the crash-recovery property tests drive this with arbitrary
-//! byte-offset truncations.
+//! length, CRC, and index monotonicity, and that each segment continues
+//! its predecessor: send indices are consecutive, so a segment must be
+//! named after the index following the previous segment's last frame. At
+//! the first torn or corrupt frame, or the first break in that chain (a
+//! closed segment cut short at a frame boundary, or emptied), the segment
+//! is truncated to the last valid frame boundary and any later segments
+//! are discarded: everything after a hole is beyond the durable prefix.
+//! What survives is exactly the gap-free run of frames whose bytes were
+//! fully persisted — the crash-recovery property tests drive this with
+//! arbitrary byte-offset truncations, bit flips, and forged lengths and
+//! CRCs.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -342,31 +347,33 @@ impl EventLog {
                 continue;
             }
             let (mut frames, mut valid_end) = scan_segment(path)?;
-            // Monotonicity across the segment boundary: scan_segment only
-            // checks within one file, so a corrupt/misnamed segment whose
-            // first frame does not exceed the previous segment's last index
-            // would otherwise replay overlapping or out-of-order indices.
-            // Treat the regression like any other corruption: discard this
-            // segment entirely (and, via `hole`, everything after it).
-            if last_idx.is_some_and(|last| frames.first().is_some_and(|f| f.idx <= last)) {
+            // Continuity across the segment boundary: scan_segment only
+            // checks within one file. A segment continues the log when it
+            // is named after the index that follows its predecessor's last
+            // frame and its first frame carries that index. Anything else —
+            // an overlapping or misnamed segment, or a predecessor cut short
+            // at a frame boundary, which no CRC can see — would replay a
+            // gap or a regression. Treat it like any other corruption:
+            // discard this segment entirely (and, via `hole`, everything
+            // after it).
+            let continues = last_idx.is_none_or(|last| *first == last + 1)
+                && frames.first().is_none_or(|f| f.idx == *first);
+            if !continues {
                 frames.clear();
                 valid_end = 0;
             }
             let file_len = fs::metadata(path)?.len();
-            if valid_end < file_len {
+            // An empty segment is a hole unless it is the tail: a roll
+            // writes the new segment's first frame before the next roll,
+            // so only the newest segment can be empty after a crash.
+            let empty_inside = frames.is_empty() && i + 1 < names.len();
+            if valid_end < file_len || !continues || empty_inside {
                 // Torn/corrupt tail: truncate to the last valid frame.
                 OpenOptions::new().write(true).open(path)?.set_len(valid_end)?;
                 hole = true;
             }
             if let Some(f) = frames.last() {
                 last_idx = Some(f.idx);
-            }
-            if frames.is_empty() && valid_end == 0 && i + 1 < names.len() && !hole {
-                // An empty non-tail segment (crash between roll and first
-                // append). Harmless, but remove it so the name map stays
-                // consistent with "first_idx = first frame's index".
-                fs::remove_file(path)?;
-                continue;
             }
             if hole || i + 1 == names.len() {
                 tail = Some((*first, path.clone(), valid_end));
@@ -460,7 +467,9 @@ impl EventLog {
 
     /// Append one event frame. `wire` must be the wire encoding of a
     /// [`Frame`] (as produced by `encode_frame`/`SharedEvent::encoded`);
-    /// `idx` must exceed every previously appended index.
+    /// `idx` must exceed every previously appended index, and should be the
+    /// next one: recovery keeps frames only up to the first gap between
+    /// segments (see the module docs).
     pub fn append(&mut self, idx: u64, wire: &[u8]) -> io::Result<()> {
         if self.abandoned {
             return Ok(());
@@ -801,6 +810,32 @@ mod tests {
         assert_eq!(log.segment_count(), 1, "the overlapping segment is deleted");
         assert!(!segment_path(&dir, 6).exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A closed segment cut at a frame boundary, or emptied, passes every
+    /// CRC; the next segment no longer continues it, so recovery stops
+    /// there instead of replaying across the gap.
+    #[test]
+    fn a_closed_segment_cut_at_a_frame_boundary_ends_the_prefix() {
+        for keep in [0u64, 1] {
+            let dir = test_dir(&format!("gap{keep}"));
+            let cfg = LogConfig { fsync: FsyncPolicy::OnCommit, segment_bytes: 250 };
+            let mut log = EventLog::open(&dir, cfg).unwrap();
+            for i in 1..=9u64 {
+                log.append(i, &wire_bytes(i).1).unwrap();
+            }
+            drop(log);
+            let record = HEADER + 8 + wire_bytes(1).1.len() as u64;
+            let seg = segment_path(&dir, 1);
+            assert!(fs::metadata(&seg).unwrap().len() > record, "two frames per segment");
+            OpenOptions::new().write(true).open(&seg).unwrap().set_len(keep * record).unwrap();
+
+            let mut log = EventLog::open(&dir, cfg).unwrap();
+            let got: Vec<u64> = log.replay_from(0).unwrap().iter().map(|(i, _)| *i).collect();
+            assert_eq!(got, (1..=keep).collect::<Vec<_>>(), "kept {keep} frames");
+            assert_eq!(log.segment_count(), keep as usize);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

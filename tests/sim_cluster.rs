@@ -161,25 +161,24 @@ fn update_delay_metrics_are_internally_consistent() {
 }
 
 #[test]
-fn recorded_trace_replays_to_identical_results() {
-    // Record the generated workload to a trace file, load it back, and
-    // verify the loaded stream is bit-identical — experiments are portable
-    // artifacts, not in-memory accidents.
-    let events = adaptable_mirroring::workload::faa::generate(&stream(500, 700));
-    let path = std::env::temp_dir().join(format!("mirror-it-{}.mtrc", std::process::id()));
-    adaptable_mirroring::echo::trace::save(&path, &events).unwrap();
-    let loaded = adaptable_mirroring::echo::trace::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(loaded, events);
+fn seeded_stream_replays_to_identical_results() {
+    // A workload is reproduced from its config and seed, not from a saved
+    // file: generating the stream twice gives the same events, in the same
+    // order, with the same timestamps — experiments are portable artifacts,
+    // not in-memory accidents.
+    let cfg = stream(500, 700);
+    let events = adaptable_mirroring::workload::faa::generate(&cfg);
+    let replayed = adaptable_mirroring::workload::faa::generate(&cfg);
+    assert_eq!(replayed, events);
 
-    // Feeding the loaded trace through an EDE gives the same state hash as
-    // the original — replay fidelity end to end.
+    // Feeding the replayed stream through an EDE gives the same state hash
+    // as the original — replay fidelity end to end.
     let mut a = adaptable_mirroring::ede::Ede::new();
     let mut b = adaptable_mirroring::ede::Ede::new();
     for (_, e) in &events {
         a.process(e);
     }
-    for (_, e) in &loaded {
+    for (_, e) in &replayed {
         b.process(e);
     }
     assert_eq!(a.state_hash(), b.state_hash());
