@@ -140,6 +140,22 @@ impl<T: Clone + Send + 'static> Publisher<T> {
         delivered
     }
 
+    /// Publish a run of messages under one subscriber-lock acquisition.
+    /// Every subscription sees them in order, exactly as `msgs.len()`
+    /// [`publish`](Self::publish) calls would deliver them; an empty run
+    /// takes no lock. Returns the number of subscriptions reached.
+    pub fn publish_all(&self, msgs: &[T]) -> usize {
+        if msgs.is_empty() {
+            return 0;
+        }
+        let subs = self.shared.subs.lock();
+        let delivered =
+            subs.iter().filter(|(_, s)| msgs.iter().all(|m| s.send(m.clone()).is_ok())).count();
+        drop(subs);
+        self.shared.published.fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        delivered
+    }
+
     /// `true` while at least one subscription is open — without taking
     /// the subscriber lock. This is the hot-path guard that lets a site
     /// skip the per-update clone + publish entirely when nothing listens
@@ -439,6 +455,50 @@ mod tests {
         // though an unused close handle is still alive.
         assert_eq!((s.recv(), s.recv()), (Some(5), None));
         closer.close();
+    }
+
+    #[test]
+    fn publish_all_keeps_fifo_interleaved_with_publish() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s1 = ch.subscribe();
+        let s2 = ch.subscribe();
+        let p = ch.publisher();
+        p.publish(0);
+        assert_eq!(p.publish_all(&[1, 2, 3]), 2);
+        p.publish(4);
+        assert_eq!(p.publish_all(&[5, 6]), 2);
+        for s in [&s1, &s2] {
+            let got: Vec<u32> = std::iter::from_fn(|| s.try_recv()).collect();
+            assert_eq!(got, (0..7).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn publish_all_skips_a_closed_subscription() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let open = ch.subscribe();
+        let closed = ch.subscribe();
+        closed.closer().close();
+        assert_eq!(ch.publisher().publish_all(&[1, 2]), 1);
+        assert_eq!((open.try_recv(), open.try_recv()), (Some(1), Some(2)));
+        assert_eq!(closed.recv(), None, "nothing reaches a subscription closed before the run");
+    }
+
+    #[test]
+    fn publish_all_counts_messages_not_calls() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let _s = ch.subscribe();
+        ch.publisher().publish_all(&[1, 2, 3]);
+        assert_eq!(ch.published(), 3);
+    }
+
+    #[test]
+    fn publish_all_of_an_empty_run_does_nothing() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let s = ch.subscribe();
+        assert_eq!(ch.publisher().publish_all(&[]), 0);
+        assert_eq!(ch.published(), 0);
+        assert_eq!(s.try_recv(), None);
     }
 
     #[test]

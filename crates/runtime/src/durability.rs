@@ -181,13 +181,14 @@ impl Journal {
         })
     }
 
-    fn send(&self, op: Op, notify: bool) {
+    /// Push `ops` in order under one inbox lock.
+    fn send(&self, ops: impl IntoIterator<Item = Op>, notify: bool) {
         if self.crashed.load(std::sync::atomic::Ordering::Acquire) {
             // Dropping the op also drops a Barrier's ack sender, so a
             // concurrent `drain` unblocks instead of hanging forever.
             return;
         }
-        self.queue.state.lock().unwrap().0.push(op);
+        self.queue.state.lock().unwrap().0.extend(ops);
         if notify {
             self.queue.cv.notify_one();
         }
@@ -196,25 +197,27 @@ impl Journal {
     /// Block until the writer has applied every op enqueued before now.
     fn drain(&self) {
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.send(Op::Barrier(ack_tx), true);
+        self.send([Op::Barrier(ack_tx)], true);
         let _ = ack_rx.recv();
     }
 
-    /// Journal one mirrored event (called on the aux thread, between the
-    /// backup-queue push and the data-channel publish). Non-blocking and
-    /// wake-free — the cost on the data path is two reference-count bumps
-    /// and a queue push; even the wire encoding happens on the writer
-    /// thread (into the event's shared encode cache, so bridges reuse it).
-    /// The writer picks the op up within the 1 ms poll interval.
-    pub fn append(&self, idx: u64, event: &SharedEvent) {
-        self.send(Op::Append(idx, event.clone()), false);
+    /// Journal a run of mirrored events, in order (called on the aux
+    /// thread for each run of mirror actions, after the backup-queue
+    /// pushes and before the run's data-channel publish). Non-blocking and
+    /// wake-free — the cost on the data path is one inbox lock per run and
+    /// two reference-count bumps and a push per event; even the wire
+    /// encoding happens on the writer thread (into each event's shared
+    /// encode cache, so bridges reuse it). The writer picks the ops up
+    /// within the 1 ms poll interval.
+    pub fn append_all(&self, run: impl IntoIterator<Item = (u64, SharedEvent)>) {
+        self.send(run.into_iter().map(|(idx, event)| Op::Append(idx, event)), false);
     }
 
     /// Checkpoint commit: sync the log and advance the truncation
     /// watermark to `floor` (the backup queue's oldest retained index).
     /// Non-blocking; FIFO order makes it cover all prior appends.
     pub fn commit(&self, floor: u64) {
-        self.send(Op::Commit(floor), true);
+        self.send([Op::Commit(floor)], true);
     }
 
     /// Drain pending ops and force the log to stable storage — the barrier

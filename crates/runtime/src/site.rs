@@ -10,6 +10,16 @@
 //!   main unit's checkpoint responder, feeding replies back to the aux
 //!   thread.
 //!
+//! The aux thread drains its inbox in **runs**. It blocks for the first
+//! message (waking every `FLUSH_PERIOD` when idle to flush and keep
+//! checkpoints moving), then takes whatever else is already queued, up to
+//! `AUX_BATCH` messages. There is no linger: a lone event is a run of one
+//! and is never held back waiting for company. A run goes through the
+//! unit under one lock, in inbox order, into one action buffer; the
+//! central publishes each contiguous stretch of mirror actions in it with
+//! one [`Publisher::publish_all`]. A `Stop` ends the run it lands in, and
+//! a crash flag seen after the run is fed routes none of its actions.
+//!
 //! Channel-subscription forwarder threads pump `mirror-echo` subscriptions
 //! into a site's inbox, so no thread ever blocks on more than one source.
 //! `stop()` closes the subscriptions, joins the forwarders once they have
@@ -56,6 +66,10 @@ use crate::statesync::{ServedSnapshot, SnapshotCachePolicy, StateSync};
 
 /// How often an idle aux thread flushes coalescing buffers.
 const FLUSH_PERIOD: Duration = Duration::from_millis(20);
+
+/// Most inbox messages the aux thread feeds through its unit as one run
+/// (one unit lock, one routed action buffer).
+const AUX_BATCH: usize = 256;
 
 /// Shards in a site's operational store. More shards than the worker-pool
 /// maximum (4) so per-shard lock contention stays low even when captures
@@ -132,6 +146,10 @@ pub struct SiteCounters {
     /// Apply-worker bookkeeping batches flushed (processed ÷ batches =
     /// achieved batching ratio on the sharded apply path).
     pub apply_batches: AtomicU64,
+    /// Inbox runs carrying data that the aux thread fed through its unit
+    /// under one lock and routed together (the unit's `received` ÷
+    /// `aux_batches` = achieved batching ratio at the aux boundary).
+    pub aux_batches: AtomicU64,
     /// Gateway requests refused because the requested flight belongs to a
     /// different partition group (`RequestError::WrongPartition`) — the
     /// misroute signal the ois balancer re-routes on.
@@ -259,7 +277,7 @@ impl SiteCore {
         site: SiteId,
         handle: MirrorHandle,
         clock: RuntimeClock,
-        on_action: impl Fn(&AuxAction) + Send + 'static,
+        on_action: impl Fn(&[AuxAction]) + Send + 'static,
         updates_pub: Publisher<Event>,
         await_seed: bool,
         inbox_capacity: usize,
@@ -315,43 +333,71 @@ impl SiteCore {
         let aux_crashed = Arc::clone(&crashed);
         let aux = std::thread::Builder::new()
             .name(format!("aux-{site}"))
-            .spawn(move || loop {
-                if aux_crashed.load(Ordering::SeqCst) {
-                    // Simulated crash: queued inbox traffic and coalescing
-                    // buffers are abandoned, exactly as a dead process
-                    // would abandon them. The main thread is released so
-                    // the crashed site can be joined.
-                    let _ = aux_main_tx.send(MainMsg::Stop);
-                    break;
-                }
-                let msg = match inbox_rx.recv_timeout(FLUSH_PERIOD) {
-                    Ok(m) => m,
-                    Err(channel::RecvTimeoutError::Timeout) => {
-                        // Sending-task wakeup: drain coalescing buffers and
-                        // keep the checkpoint frontier moving while idle.
-                        let mut actions = aux_handle.mirror();
-                        actions.extend(aux_handle.idle_checkpoint());
-                        route_actions(actions, &aux_shared, &aux_main_tx, &on_action);
-                        continue;
+            .spawn(move || {
+                let mut run: Vec<SiteMsg> = Vec::with_capacity(AUX_BATCH);
+                let mut actions: Vec<AuxAction> = Vec::new();
+                loop {
+                    if aux_crashed.load(Ordering::SeqCst) {
+                        // Simulated crash: queued inbox traffic and
+                        // coalescing buffers are abandoned, exactly as a
+                        // dead process would abandon them. The main thread
+                        // is released so the crashed site can be joined.
+                        let _ = aux_main_tx.send(MainMsg::Stop);
+                        break;
                     }
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
-                };
-                match msg {
-                    SiteMsg::Data(e) => {
-                        let actions = aux_handle.fwd(e);
-                        route_actions(actions, &aux_shared, &aux_main_tx, &on_action);
+                    let first = match inbox_rx.recv_timeout(FLUSH_PERIOD) {
+                        Ok(m) => m,
+                        Err(channel::RecvTimeoutError::Timeout) => {
+                            // Sending-task wakeup: drain coalescing buffers
+                            // and keep the checkpoint frontier moving while
+                            // idle.
+                            aux_handle.with(|a| {
+                                actions.extend(a.handle(AuxInput::Flush));
+                                actions.extend(a.idle_checkpoint());
+                            });
+                            route_actions(&actions, &aux_shared, &aux_main_tx, &on_action);
+                            actions.clear();
+                            continue;
+                        }
+                        Err(channel::RecvTimeoutError::Disconnected) => break,
+                    };
+                    // The run: `first` plus whatever is already queued, up
+                    // to a `Stop`, which ends it.
+                    let mut stop = false;
+                    let mut next = Some(first);
+                    while let Some(msg) = next {
+                        if matches!(msg, SiteMsg::Stop) {
+                            stop = true;
+                            break;
+                        }
+                        run.push(msg);
+                        next = if run.len() < AUX_BATCH { inbox_rx.try_recv().ok() } else { None };
                     }
-                    SiteMsg::Ctrl(m) => {
-                        let actions = aux_handle.with(|a| a.handle(AuxInput::Control(m)));
-                        route_actions(actions, &aux_shared, &aux_main_tx, &on_action);
-                    }
-                    SiteMsg::Stop => {
-                        if !aux_crashed.load(Ordering::SeqCst) {
+                    let data = run.iter().any(|m| matches!(m, SiteMsg::Data(_)));
+                    aux_handle.with(|a| {
+                        for msg in run.drain(..) {
+                            actions.extend(a.handle(match msg {
+                                SiteMsg::Data(e) => AuxInput::Data(e),
+                                SiteMsg::Ctrl(m) => AuxInput::Control(m),
+                                SiteMsg::Stop => unreachable!("a Stop ends the run"),
+                            }));
+                        }
+                        if stop && !aux_crashed.load(Ordering::SeqCst) {
                             // Clean shutdown flushes the coalescing
                             // buffers; a crash loses them.
-                            let actions = aux_handle.mirror();
-                            route_actions(actions, &aux_shared, &aux_main_tx, &on_action);
+                            actions.extend(a.handle(AuxInput::Flush));
                         }
+                    });
+                    if aux_crashed.load(Ordering::SeqCst) {
+                        let _ = aux_main_tx.send(MainMsg::Stop);
+                        break;
+                    }
+                    if data {
+                        aux_shared.counters.aux_batches.fetch_add(1, Ordering::Relaxed);
+                    }
+                    route_actions(&actions, &aux_shared, &aux_main_tx, &on_action);
+                    actions.clear();
+                    if stop {
                         let _ = aux_main_tx.send(MainMsg::Stop);
                         break;
                     }
@@ -511,16 +557,17 @@ impl SiteCore {
     }
 }
 
-/// Route aux actions: local main-unit traffic by channel, everything else
-/// through the site-specific callback.
+/// Route a run's aux actions: local main-unit traffic by ring, in order,
+/// then the whole run through the site-specific callback, which ignores
+/// the local kinds.
 fn route_actions(
-    actions: Vec<AuxAction>,
+    actions: &[AuxAction],
     shared: &Arc<SiteShared>,
     main_tx: &MpscSender<MainMsg>,
-    on_action: &impl Fn(&AuxAction),
+    on_action: &impl Fn(&[AuxAction]),
 ) {
     for action in actions {
-        match &action {
+        match action {
             AuxAction::ForwardToMain(ev) => {
                 // Arc clone: the main thread shares the aux unit's copy.
                 let _ = main_tx.send(MainMsg::Event(Arc::clone(ev)));
@@ -530,14 +577,14 @@ fn route_actions(
             }
             AuxAction::Mirror { .. } => {
                 shared.counters.mirrored.fetch_add(1, Ordering::Relaxed);
-                on_action(&action);
             }
             AuxAction::Reconfigured(_) => {
                 shared.counters.adaptations.fetch_add(1, Ordering::Relaxed);
             }
-            _ => on_action(&action),
+            _ => {}
         }
     }
+    on_action(actions);
 }
 
 /// Shared behaviour of running sites.
@@ -800,37 +847,58 @@ impl CentralSite {
         // routed, so querying the backup queue's truncation floor from
         // inside the route closure is deadlock-free.
         let floor_handle = handle.clone();
-        let route = move |action: &AuxAction| match action {
-            AuxAction::Mirror { idx, event } => {
-                // One publish fans out to every mirror subscriber as an
-                // Arc clone; the wire encoding is computed at most once
-                // across all consumers (SharedEvent's cache) — the journal
-                // writer forces it off-thread and bridges then reuse it.
-                let shared = SharedEvent::new(Arc::clone(event));
+        let route = move |actions: &[AuxAction]| {
+            // Contiguous mirror actions are journaled and published as one
+            // run; the run is flushed before any control publish or
+            // journal commit, so program order between data and control
+            // is what the aux unit emitted.
+            let mut idxs: Vec<u64> = Vec::new();
+            let mut run: Vec<SharedEvent> = Vec::new();
+            let flush = |idxs: &mut Vec<u64>, run: &mut Vec<SharedEvent>| {
+                if run.is_empty() {
+                    return;
+                }
                 if let Some(j) = &journal_in_route {
-                    // Write-ahead: the event is durable (per the fsync
+                    // Write-ahead: the run is durable (per the fsync
                     // policy) before the mirrors acknowledge a checkpoint
                     // covering it.
-                    j.append(*idx, &shared);
+                    j.append_all(idxs.drain(..).zip(run.iter().cloned()));
                 }
-                data_pub.publish(shared);
-            }
-            AuxAction::ControlToMirrors(m) => {
-                if let (Some(j), ControlMsg::Commit { .. }) = (&journal_in_route, m) {
-                    // The aux unit pruned its backup queue when it emitted
-                    // this commit; the queue's oldest retained index is the
-                    // durable truncation watermark.
-                    j.commit(floor_handle.truncation_floor());
+                // One subscriber-lock acquisition per run; each mirror gets
+                // an Arc clone, and the wire encoding is computed at most
+                // once across all consumers (SharedEvent's cache) — the
+                // journal writer forces it off-thread and bridges reuse it.
+                data_pub.publish_all(run);
+                idxs.clear();
+                run.clear();
+            };
+            for action in actions {
+                match action {
+                    AuxAction::Mirror { idx, event } => {
+                        idxs.push(*idx);
+                        run.push(SharedEvent::new(Arc::clone(event)));
+                    }
+                    AuxAction::ControlToMirrors(m) => {
+                        flush(&mut idxs, &mut run);
+                        if let (Some(j), ControlMsg::Commit { .. }) = (&journal_in_route, m) {
+                            // The aux unit pruned its backup queue when it
+                            // emitted this commit; the queue's oldest
+                            // retained index is the durable truncation
+                            // watermark.
+                            j.commit(floor_handle.truncation_floor());
+                        }
+                        ctrl_down_pub.publish(m.clone());
+                    }
+                    AuxAction::MirrorFailed(site) => {
+                        failed_in_route.lock().push(*site);
+                    }
+                    AuxAction::ScaleDirective(d) => {
+                        scale_in_route.lock().push(*d);
+                    }
+                    _ => {}
                 }
-                ctrl_down_pub.publish(m.clone());
             }
-            AuxAction::MirrorFailed(site) => {
-                failed_in_route.lock().push(*site);
-            }
-            AuxAction::ScaleDirective(d) => {
-                scale_in_route.lock().push(*d);
-            }
-            _ => {}
+            flush(&mut idxs, &mut run);
         };
         let core = SiteCore::spawn(
             mirror_core::CENTRAL_SITE,
@@ -1095,9 +1163,11 @@ impl MirrorSite {
     ) -> Self {
         let site = handle.with(|a| a.site());
         assert_ne!(site, mirror_core::CENTRAL_SITE);
-        let route = move |action: &AuxAction| {
-            if let AuxAction::ControlToCentral(m) = action {
-                ctrl_up_pub.publish(m.clone());
+        let route = move |actions: &[AuxAction]| {
+            for action in actions {
+                if let AuxAction::ControlToCentral(m) = action {
+                    ctrl_up_pub.publish(m.clone());
+                }
             }
         };
         let updates = EventChannel::new(format!("mirror{site}.updates"));

@@ -4,16 +4,24 @@
 //! called: the publisher (the central, or a bridge reader) runs ahead of
 //! the forwarder and aux threads. Stopping closes the subscriptions, lets
 //! the forwarders drain them into the site's inbox, and only then queues
-//! the site's own stop, so no published event is left behind. (A crash is
-//! the opposite contract and abandons the backlog; `failover_chaos` and
-//! `recovery` cover it.)
+//! the site's own stop, so no published event is left behind. The same
+//! holds at a central, whose aux thread drains its inbox in runs: a `Stop`
+//! that lands inside a run ends it after the messages before it. (A crash
+//! is the opposite contract and abandons the backlog; `failover_chaos` and
+//! `recovery` cover it, and the last test here pins that a crashed central
+//! routes nothing more.)
+
+use std::path::PathBuf;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use mirror_core::api::{MirrorConfig, MirrorHandle};
 use mirror_core::event::{Event, PositionFix};
 use mirror_core::ControlMsg;
 use mirror_echo::channel::EventChannel;
 use mirror_echo::wire::SharedEvent;
-use mirror_runtime::{MirrorSite, RuntimeClock};
+use mirror_runtime::durability::DurabilityConfig;
+use mirror_runtime::{Cluster, ClusterConfig, MirrorSite, RuntimeClock};
 
 const EVENTS: u64 = 50_000;
 const RUNS: usize = 5;
@@ -51,4 +59,61 @@ fn stop_processes_everything_published_before_it() {
         short.is_empty(),
         "runs that lost published events (run, processed of {EVENTS}): {short:?}"
     );
+}
+
+#[test]
+fn central_stop_processes_everything_submitted_before_it() {
+    let mut short = Vec::new();
+    for run in 0..RUNS {
+        let cluster = Cluster::start(ClusterConfig::default());
+        for seq in 1..=EVENTS {
+            cluster.submit(Event::faa_position(seq, (seq % 64) as u32, fix()));
+        }
+        cluster.stop_central();
+        let central = cluster.central().processed();
+        let mirrored = cluster.wait(Duration::from_secs(30), |c| c.mirror(1).processed() == EVENTS);
+        if central != EVENTS || !mirrored {
+            short.push((run, central, cluster.mirror(1).processed()));
+        }
+        cluster.shutdown();
+    }
+    assert!(
+        short.is_empty(),
+        "runs that lost submitted events (run, central, mirror of {EVENTS}): {short:?}"
+    );
+}
+
+fn store_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("mirror-rt-drain-{}-{}", std::process::id(), tag));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+#[test]
+fn a_crashed_central_routes_nothing_more() {
+    let dir = store_dir("crash");
+    let cluster = Cluster::start(ClusterConfig {
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..Default::default()
+    });
+    for seq in 1..=EVENTS {
+        cluster.submit(Event::faa_position(seq, (seq % 64) as u32, fix()));
+        if seq == EVENTS / 2 {
+            cluster.crash_central();
+        }
+    }
+    let journal = cluster.central().journal().cloned().expect("durable central");
+    let (last_idx, mirrored) =
+        (journal.last_idx(), cluster.central().counters().mirrored.load(Ordering::Relaxed));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(journal.last_idx(), last_idx, "nothing is journaled after the crash");
+    assert_eq!(
+        cluster.central().counters().mirrored.load(Ordering::Relaxed),
+        mirrored,
+        "nothing is mirrored after the crash"
+    );
+    assert!(cluster.central().processed() < EVENTS, "the crash abandoned the backlog");
+    drop(journal);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
