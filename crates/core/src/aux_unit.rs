@@ -14,7 +14,10 @@
 //! 3. the **control task** runs checkpointing and adaptation.
 //!
 //! [`AuxUnit`] composes the three tasks into one deterministic step
-//! machine: every [`AuxInput`] yields a list of [`AuxAction`]s. The *same*
+//! machine: every [`AuxInput`] yields a list of [`AuxAction`]s. An event
+//! keeps one allocation through the unit: the receiving task stamps the
+//! submitted `Arc<Event>` in place, and the forward copy, the ready and
+//! backup queues and the mirror copy all share it. The *same*
 //! state machine runs threaded under `mirror-runtime` (each task a thread
 //! sharing the unit behind a lock) and single-stepped under `mirror-sim`
 //! (actions costed onto virtual CPU/links), which is what makes the
@@ -47,7 +50,7 @@ pub enum AuxInput {
     /// site's mirroring channel (mirror site). Shared (`Arc`) so the same
     /// allocation can flow through channels, queues and transports without
     /// deep copies; at ingress the `Arc` is typically unique and the unit
-    /// reclaims it without copying.
+    /// stamps it in place without copying.
     Data(Arc<Event>),
     /// A control-channel message (checkpoint traffic; at the central site
     /// this includes `ChkptRep`s relayed from mirrors and from the local
@@ -160,6 +163,12 @@ pub struct AuxUnit {
     /// converge to the newest assignment.
     partition: Option<PartitionMap>,
     counters: AuxCounters,
+    /// Scratch for the forward function's one-event run, reused so the
+    /// pass-through path allocates nothing per event.
+    fwd_run: Vec<Arc<Event>>,
+    /// Scratch for the sending task's run: drained ready events, then the
+    /// mirroring function's wire events.
+    wire: Vec<Arc<Event>>,
 }
 
 impl AuxUnit {
@@ -183,6 +192,8 @@ impl AuxUnit {
             heartbeat_idle_ticks: 0,
             partition: None,
             counters: AuxCounters::default(),
+            fwd_run: Vec::new(),
+            wire: Vec::new(),
         }
     }
 
@@ -246,6 +257,8 @@ impl AuxUnit {
             leader_term: _,
             heartbeat_idle_ticks: _,
             counters: _,
+            fwd_run: _,
+            wire: _,
         } = self;
         let Role::Central { checkpointer, adapt } = role else {
             panic!("only a coordinator has a successor");
@@ -256,7 +269,7 @@ impl AuxUnit {
         let mut next = AuxUnit::new(CENTRAL_SITE, role, params.clone());
         // A half-built coalescing run dies with this incarnation, as in a
         // crash (a graceful stop has already flushed it).
-        drop(mirror_fn.flush(params));
+        mirror_fn.flush(&mut Vec::new(), params);
         let idle = || Box::new(crate::mirrorfn::IndependentMirror) as Box<dyn MirrorFn>;
         next.mirror_fn = std::mem::replace(mirror_fn, idle());
         next.fwd_fn = std::mem::replace(fwd_fn, idle());
@@ -300,6 +313,8 @@ impl AuxUnit {
             leader_term: _,
             heartbeat_idle_ticks: _,
             counters: _,
+            fwd_run: _,
+            wire: _,
         } = self;
         let mut aux = AuxUnit::mirror(site, params.clone());
         aux.rules = rules.clone();
@@ -587,13 +602,21 @@ impl AuxUnit {
 
     /// Feed one input through the unit, producing the actions to perform.
     pub fn handle(&mut self, input: AuxInput) -> Vec<AuxAction> {
+        let mut actions = Vec::new();
+        self.handle_into(input, &mut actions);
+        actions
+    }
+
+    /// [`handle`](Self::handle), appending the actions to `actions` — an
+    /// embedding feeding a run of inputs collects them in one buffer.
+    pub fn handle_into(&mut self, input: AuxInput, actions: &mut Vec<AuxAction>) {
         match input {
             AuxInput::Data(event) => match self.is_central() {
-                true => self.central_on_data(event),
-                false => self.mirror_on_data(event),
+                true => self.central_on_data(event, actions),
+                false => self.mirror_on_data(event, actions),
             },
-            AuxInput::Control(msg) => self.on_control(msg),
-            AuxInput::Flush => self.drain_ready(true),
+            AuxInput::Control(msg) => actions.extend(self.on_control(msg)),
+            AuxInput::Flush => self.drain_ready(true, actions),
         }
     }
 
@@ -601,46 +624,46 @@ impl AuxUnit {
     // Receiving task (central): stamp, record, filter.
     // ------------------------------------------------------------------
 
-    fn central_on_data(&mut self, event: Arc<Event>) -> Vec<AuxAction> {
+    fn central_on_data(&mut self, mut event: Arc<Event>, actions: &mut Vec<AuxAction>) {
         self.counters.received += 1;
 
-        // Reclaim the event: at ingress the Arc is almost always unique
-        // (freshly submitted), so this is a move, not a copy.
-        let mut event = Arc::try_unwrap(event).unwrap_or_else(|a| (*a).clone());
-
         // Timestamping: advance the clock with this event's (stream, seq)
-        // and stamp the event with the resulting frontier.
-        self.clock.advance(event.stream as usize, event.seq);
-        event.stamp = self.clock.clone();
+        // and stamp the event with the resulting frontier. At ingress the
+        // `Arc` is almost always unique (freshly submitted), so this
+        // stamps the submitted allocation in place rather than a copy.
+        let stamped = Arc::make_mut(&mut event);
+        self.clock.advance(stamped.stream as usize, stamped.seq);
+        stamped.stamp = self.clock.clone();
 
         // Status-table history first, then rule evaluation (§3.2.1).
         self.status.observe(&event);
-        let outcome = self.rules.evaluate(event, &mut self.status);
+        let outcome = self.rules.evaluate(&event, &mut self.status);
 
-        let mut actions = Vec::new();
-        if let Some(fwd) = outcome.forward {
-            for f in self.fwd_fn.prepare(vec![fwd], &self.params) {
-                self.counters.forwarded += 1;
-                actions.push(AuxAction::ForwardToMain(Arc::new(f)));
-            }
+        self.fwd_run.push(Arc::clone(&event));
+        self.fwd_fn.prepare(&mut self.fwd_run, &self.params);
+        for f in self.fwd_run.drain(..) {
+            self.counters.forwarded += 1;
+            actions.push(AuxAction::ForwardToMain(f));
         }
-        if let Some(mir) = outcome.mirror {
-            self.ready.push(mir);
+        if outcome.mirror {
+            self.ready.push(event);
         } else {
             self.counters.suppressed += 1;
         }
         for derived in outcome.derived {
             // Derived events are new application-level facts: they go to
-            // the main unit and onto the mirror path.
+            // the main unit and onto the mirror path, sharing one
+            // allocation.
+            let derived = Arc::new(derived);
             self.counters.forwarded += 1;
-            actions.push(AuxAction::ForwardToMain(Arc::new(derived.clone())));
+            actions.push(AuxAction::ForwardToMain(Arc::clone(&derived)));
             self.ready.push(derived);
         }
 
         // Sending task: drain whatever is pending. Per-flight coalescing
         // state is held inside the mirroring function, so draining eagerly
         // still produces coalesced wire events.
-        actions.extend(self.drain_ready(false));
+        self.drain_ready(false, actions);
 
         // Control task: checkpoint once per `checkpoint_every` processed
         // events.
@@ -649,36 +672,35 @@ impl AuxUnit {
             self.processed_since_chkpt = 0;
             actions.extend(self.begin_checkpoint());
         }
-        actions
     }
 
     // ------------------------------------------------------------------
     // Sending task (central): mirror, retain, trigger checkpoints.
     // ------------------------------------------------------------------
 
-    fn drain_ready(&mut self, flush: bool) -> Vec<AuxAction> {
+    fn drain_ready(&mut self, flush: bool, actions: &mut Vec<AuxAction>) {
         if !self.is_central() {
             // Mirror-side data drains in mirror_on_data; a Flush on a
             // mirror site is a no-op.
-            return Vec::new();
+            return;
         }
-        let batch = self.ready.drain_up_to(usize::MAX);
-        let mut wire = self.mirror_fn.prepare(batch, &self.params);
+        self.ready.drain_into(&mut self.wire);
+        self.mirror_fn.prepare(&mut self.wire, &self.params);
         if flush {
-            wire.extend(self.mirror_fn.flush(&self.params));
+            self.mirror_fn.flush(&mut self.wire, &self.params);
         }
+        self.send_wire(actions);
+    }
 
-        let mut actions = Vec::with_capacity(wire.len() + 2);
-        for ev in wire {
+    /// Mirror the sending task's prepared run: each event is retained in
+    /// the backup queue and put on the wire, sharing one allocation.
+    fn send_wire(&mut self, actions: &mut Vec<AuxAction>) {
+        for ev in self.wire.drain(..) {
             self.counters.mirrored += 1;
             self.counters.mirrored_bytes += ev.wire_size() as u64;
-            // One allocation shared between the backup queue and every
-            // outgoing mirror channel.
-            let ev = Arc::new(ev);
             let idx = self.backup.push(Arc::clone(&ev));
             actions.push(AuxAction::Mirror { idx, event: ev });
         }
-        actions
     }
 
     /// Idle-time liveness for the central unit, called by embeddings on
@@ -922,13 +944,8 @@ impl AuxUnit {
             // Release anything the outgoing function buffered (partial
             // coalescing runs) before swapping it out — a reconfiguration
             // must never silently drop events from the mirror path.
-            for ev in self.mirror_fn.flush(&self.params) {
-                self.counters.mirrored += 1;
-                self.counters.mirrored_bytes += ev.wire_size() as u64;
-                let ev = Arc::new(ev);
-                let idx = self.backup.push(Arc::clone(&ev));
-                actions.push(AuxAction::Mirror { idx, event: ev });
-            }
+            self.mirror_fn.flush(&mut self.wire, &self.params);
+            self.send_wire(&mut actions);
             self.mirror_fn = kind.build();
             self.rules = kind.rules();
         }
@@ -946,7 +963,7 @@ impl AuxUnit {
     // Mirror-site data path.
     // ------------------------------------------------------------------
 
-    fn mirror_on_data(&mut self, event: Arc<Event>) -> Vec<AuxAction> {
+    fn mirror_on_data(&mut self, event: Arc<Event>, actions: &mut Vec<AuxAction>) {
         self.counters.received += 1;
         self.clock.merge(&event.stamp);
         self.status.observe(&event);
@@ -955,7 +972,7 @@ impl AuxUnit {
         // serves client requests). Both copies share one allocation.
         self.backup.push(Arc::clone(&event));
         self.counters.forwarded += 1;
-        vec![AuxAction::ForwardToMain(event)]
+        actions.push(AuxAction::ForwardToMain(event));
     }
 }
 
@@ -988,7 +1005,7 @@ fn route_one(msg: CheckpointMsg) -> AuxAction {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventType, PositionFix};
+    use crate::event::{Event, EventBody, EventType, FlightStatus, PositionFix};
     use crate::rules::Rule;
 
     fn fix() -> PositionFix {
@@ -1280,6 +1297,127 @@ mod tests {
         }
         assert!(carried, "commit must carry the partition map: {commits:?}");
         assert_eq!(mirror.partition_epoch(), 1, "mirror adopted the map from the commit");
+    }
+
+    /// One allocation per event: the forward copy, the queues and the
+    /// mirror copy share the `Arc` the receiving task stamped.
+    mod sharing {
+        use super::*;
+
+        /// The `ForwardToMain` and `Mirror` events of a batch of actions.
+        fn split(actions: &[AuxAction]) -> (Vec<&Arc<Event>>, Vec<&Arc<Event>>) {
+            let (mut fwd, mut mir) = (Vec::new(), Vec::new());
+            for a in actions {
+                match a {
+                    AuxAction::ForwardToMain(e) => fwd.push(e),
+                    AuxAction::Mirror { event, .. } => mir.push(event),
+                    _ => {}
+                }
+            }
+            (fwd, mir)
+        }
+
+        #[test]
+        fn a_simple_central_forwards_and_mirrors_one_allocation() {
+            let mut aux = AuxUnit::central(vec![1], MirrorParams::default());
+            for seq in 1..=3 {
+                let actions = aux.handle(AuxInput::Data(pos(seq, 7).into()));
+                let (fwd, mir) = split(&actions);
+                assert_eq!((fwd.len(), mir.len()), (1, 1));
+                assert!(Arc::ptr_eq(fwd[0], mir[0]), "forward and mirror copies share one Arc");
+            }
+        }
+
+        #[test]
+        fn a_uniquely_held_event_is_stamped_in_place() {
+            let mut aux = AuxUnit::central(vec![1], MirrorParams::default());
+            let submitted = Arc::new(pos(1, 7));
+            let at = Arc::as_ptr(&submitted);
+            let actions = aux.handle(AuxInput::Data(submitted));
+            let (fwd, mir) = split(&actions);
+            assert_eq!(Arc::as_ptr(fwd[0]), at, "forwarded as the submitted allocation");
+            assert_eq!(Arc::as_ptr(mir[0]), at, "mirrored as the submitted allocation");
+            assert_eq!(fwd[0].stamp.get(0), 1, "stamped");
+
+            // A submitter that keeps its own reference never sees the stamp:
+            // the unit stamps a copy.
+            let held = Arc::new(pos(2, 7));
+            let actions = aux.handle(AuxInput::Data(Arc::clone(&held)));
+            let (fwd, _) = split(&actions);
+            assert!(!Arc::ptr_eq(fwd[0], &held));
+            assert!(held.stamp.is_zero() && fwd[0].stamp.get(0) == 2);
+        }
+
+        #[test]
+        fn an_overwritten_event_forwards_the_submitted_allocation_and_mirrors_nothing() {
+            let mut aux = AuxUnit::central(vec![1], MirrorParams::default());
+            aux.rules_mut().push(Rule::Overwrite { ty: EventType::FaaPosition, max_len: 3 });
+            for seq in 1..=3 {
+                let submitted = Arc::new(pos(seq, 4));
+                let at = Arc::as_ptr(&submitted);
+                let actions = aux.handle(AuxInput::Data(submitted));
+                let (fwd, mir) = split(&actions);
+                assert_eq!(Arc::as_ptr(fwd[0]), at, "event {seq} forwarded as submitted");
+                match seq {
+                    1 => assert_eq!(Arc::as_ptr(mir[0]), at, "the admitted event is shared"),
+                    _ => assert!(mir.is_empty(), "event {seq} is overwritten"),
+                }
+            }
+            assert_eq!(aux.counters().suppressed, 2);
+        }
+
+        #[test]
+        fn a_derived_event_forwards_and_mirrors_one_allocation() {
+            let mut aux = AuxUnit::central(vec![1], MirrorParams::default());
+            aux.rules_mut().push(Rule::ComplexTuple {
+                parts: vec![FlightStatus::Landed, FlightStatus::AtGate],
+                emit: FlightStatus::Arrived,
+            });
+            aux.handle(AuxInput::Data(Event::delta_status(1, 2, FlightStatus::Landed).into()));
+            let actions =
+                aux.handle(AuxInput::Data(Event::delta_status(2, 2, FlightStatus::AtGate).into()));
+            let (fwd, mir) = split(&actions);
+            assert_eq!((fwd.len(), mir.len()), (2, 1), "constituent and derived forwarded");
+            assert_eq!(mir[0].status_value(), Some(FlightStatus::Arrived));
+            assert!(Arc::ptr_eq(fwd[1], mir[0]), "the derived event's actions share one Arc");
+        }
+
+        #[test]
+        fn coalescing_mirrors_new_events_and_leaves_forward_copies_untouched() {
+            let mut params = MirrorParams::default();
+            params.coalesce = true;
+            params.coalesce_max = 3;
+            let mut aux = AuxUnit::central(vec![1], params);
+            aux.set_mirror_fn(Box::new(crate::mirrorfn::CoalescingMirror::new()));
+            let (mut forwarded, mut mirrored) = (Vec::new(), Vec::new());
+            let mut feed = |aux: &mut AuxUnit, ev: Event| {
+                let submitted = Arc::new(ev);
+                let at = Arc::as_ptr(&submitted);
+                let actions = aux.handle(AuxInput::Data(submitted));
+                let (fwd, mir) = split(&actions);
+                assert_eq!(Arc::as_ptr(fwd[0]), at, "forwarded as submitted");
+                forwarded.push(Arc::clone(fwd[0]));
+                mirrored.extend(mir.into_iter().cloned());
+            };
+            for seq in 1..=4 {
+                feed(&mut aux, pos(seq, 1));
+            }
+            feed(&mut aux, Event::delta_status(5, 1, FlightStatus::Landed));
+            assert!(forwarded.iter().take(4).all(|e| matches!(e.body, EventBody::Position(_))));
+            let bodies: Vec<_> = mirrored.iter().map(|e| e.body.clone()).collect();
+            assert!(
+                matches!(
+                    bodies[..],
+                    [
+                        EventBody::Coalesced { count: 3, .. },
+                        EventBody::Coalesced { count: 1, .. },
+                        EventBody::Status(FlightStatus::Landed),
+                    ]
+                ),
+                "{bodies:?}"
+            );
+            assert!(Arc::ptr_eq(&mirrored[2], &forwarded[4]), "a passed-through event is shared");
+        }
     }
 
     #[test]

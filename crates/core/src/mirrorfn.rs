@@ -6,12 +6,18 @@
 //! functions, and the built-in alternatives ("simple", "selective",
 //! coalescing) are what the evaluation compares (Figures 4, 7, 8, 9).
 //!
-//! A [`MirrorFn`] is a send-path batch transform: it receives the run of
-//! events drained from the ready queue and returns the events actually
-//! placed on the wire. Receive-path selectivity (overwriting, complex
+//! A [`MirrorFn`] is a send-path batch transform: it rewrites, in place,
+//! the run of events drained from the ready queue into the events actually
+//! placed on the wire. Events are shared (`Arc`): a function that passes an
+//! event through keeps the allocation the receiving task stamped, which the
+//! forward path shares too. Receive-path selectivity (overwriting, complex
 //! rules) lives in [`crate::rules::RuleSet`]; the named
 //! [`MirrorFnKind`] presets bundle both so whole configurations can be
 //! named, compared, and shipped to mirrors during adaptation.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::event::{Event, EventBody, EventType, PositionFix};
 use crate::params::MirrorParams;
@@ -29,16 +35,17 @@ pub enum MirrorDecision {
 /// A send-path mirroring function: transforms the batch of ready events
 /// into the batch of wire events. Implementations may hold partial state
 /// across calls (e.g. per-flight coalescing runs); [`flush`](MirrorFn::flush)
-/// releases it.
+/// releases it. An event in the run may be shared with the forward path,
+/// so a function that changes one emits a new event (as coalescing does)
+/// or copies on write (`Arc::make_mut`).
 pub trait MirrorFn: Send {
-    /// Transform a drained ready-queue run into the events to mirror.
-    fn prepare(&mut self, batch: Vec<Event>, params: &MirrorParams) -> Vec<Event>;
+    /// Rewrite a drained ready-queue run, in place, into the events to
+    /// mirror.
+    fn prepare(&mut self, batch: &mut Vec<Arc<Event>>, params: &MirrorParams);
 
-    /// Emit any partially accumulated wire events (sending-task wakeup /
-    /// end of stream). Default: nothing buffered.
-    fn flush(&mut self, _params: &MirrorParams) -> Vec<Event> {
-        Vec::new()
-    }
+    /// Append any partially accumulated wire events to `out` (sending-task
+    /// wakeup / end of stream). Default: nothing buffered.
+    fn flush(&mut self, _out: &mut Vec<Arc<Event>>, _params: &MirrorParams) {}
 
     /// Human-readable name (for logs and experiment output).
     fn name(&self) -> &'static str;
@@ -49,9 +56,7 @@ pub trait MirrorFn: Send {
 pub struct IndependentMirror;
 
 impl MirrorFn for IndependentMirror {
-    fn prepare(&mut self, batch: Vec<Event>, _params: &MirrorParams) -> Vec<Event> {
-        batch
-    }
+    fn prepare(&mut self, _batch: &mut Vec<Arc<Event>>, _params: &MirrorParams) {}
     fn name(&self) -> &'static str {
         "independent"
     }
@@ -69,7 +74,9 @@ impl MirrorFn for IndependentMirror {
 /// preserved), or (c) a [`flush`](MirrorFn::flush).
 #[derive(Debug, Default)]
 pub struct CoalescingMirror {
-    open: std::collections::HashMap<u32, Event>,
+    open: HashMap<u32, Event>,
+    /// The run `prepare` is rewriting, kept so its allocation is reused.
+    input: Vec<Arc<Event>>,
 }
 
 impl CoalescingMirror {
@@ -83,59 +90,75 @@ impl CoalescingMirror {
         self.open.len()
     }
 
-    fn fold(&mut self, ev: Event, fix: PositionFix, cap: u32, out: &mut Vec<Event>) {
-        let slot = self.open.entry(ev.flight).or_insert_with(|| {
-            let mut c = ev.clone();
-            c.body = EventBody::Coalesced { last: fix, count: 0 };
-            c
-        });
-        if let EventBody::Coalesced { last, count } = &mut slot.body {
-            *last = fix;
-            *count += 1;
-            slot.stamp.merge(&ev.stamp);
-            slot.seq = ev.seq;
-            // Oldest folded-in ingress governs the update-delay metric.
-            slot.ingress_us = slot.ingress_us.min(ev.ingress_us);
-            slot.padding = slot.padding.max(ev.padding);
-            if *count >= cap {
-                let done = self.open.remove(&ev.flight).expect("slot exists");
-                out.push(done);
+    fn fold(&mut self, ev: Arc<Event>, fix: PositionFix, cap: u32, out: &mut Vec<Arc<Event>>) {
+        let flight = ev.flight;
+        let run = match self.open.entry(flight) {
+            // The run's first event becomes its representative: moved out
+            // of its `Arc` when the ready queue held the only reference,
+            // copied when the forward path shares it.
+            Entry::Vacant(slot) => {
+                let mut first = Arc::unwrap_or_clone(ev);
+                first.body = EventBody::Coalesced { last: fix, count: 1 };
+                slot.insert(first)
             }
+            Entry::Occupied(slot) => {
+                let run = slot.into_mut();
+                if let EventBody::Coalesced { last, count } = &mut run.body {
+                    *last = fix;
+                    *count += 1;
+                }
+                run.stamp.merge(&ev.stamp);
+                run.seq = ev.seq;
+                // Oldest folded-in ingress governs the update-delay metric.
+                run.ingress_us = run.ingress_us.min(ev.ingress_us);
+                run.padding = run.padding.max(ev.padding);
+                run
+            }
+        };
+        if matches!(run.body, EventBody::Coalesced { count, .. } if count >= cap) {
+            let done = self.open.remove(&flight).expect("slot exists");
+            out.push(Arc::new(done));
         }
     }
 }
 
 impl MirrorFn for CoalescingMirror {
-    fn prepare(&mut self, batch: Vec<Event>, params: &MirrorParams) -> Vec<Event> {
+    fn prepare(&mut self, batch: &mut Vec<Arc<Event>>, params: &MirrorParams) {
         if !params.coalesce || params.coalesce_max <= 1 {
-            // Disabled: release anything buffered, then pass through.
-            let mut out = self.flush(params);
-            out.extend(batch);
-            return out;
+            // Disabled: release anything buffered ahead of the batch, which
+            // passes through.
+            if !self.open.is_empty() {
+                let mut out = Vec::with_capacity(self.open.len() + batch.len());
+                self.flush(&mut out, params);
+                out.append(batch);
+                *batch = out;
+            }
+            return;
         }
         let cap = params.coalesce_max;
-        let mut out = Vec::with_capacity(batch.len());
-        for ev in batch {
+        let mut input = std::mem::take(&mut self.input);
+        std::mem::swap(&mut input, batch);
+        for ev in input.drain(..) {
             match ev.body {
-                EventBody::Position(p) => self.fold(ev, p, cap, &mut out),
+                EventBody::Position(p) => self.fold(ev, p, cap, batch),
                 _ => {
                     // Close this flight's run first so status/position
                     // ordering survives coalescing.
                     if let Some(open) = self.open.remove(&ev.flight) {
-                        out.push(open);
+                        batch.push(Arc::new(open));
                     }
-                    out.push(ev);
+                    batch.push(ev);
                 }
             }
         }
-        out
+        self.input = input;
     }
 
-    fn flush(&mut self, _params: &MirrorParams) -> Vec<Event> {
-        let mut out: Vec<Event> = self.open.drain().map(|(_, e)| e).collect();
+    fn flush(&mut self, out: &mut Vec<Arc<Event>>, _params: &MirrorParams) {
+        let mut runs: Vec<Event> = self.open.drain().map(|(_, e)| e).collect();
         // Deterministic emission order regardless of hash-map iteration.
-        out.sort_by_key(|e| (e.flight, e.seq));
-        out
+        runs.sort_by_key(|e| (e.flight, e.seq));
+        out.extend(runs.into_iter().map(Arc::new));
     }
 
     fn name(&self) -> &'static str {
@@ -165,8 +188,8 @@ impl<F> MirrorFn for FnMirror<F>
 where
     F: FnMut(&Event, &MirrorParams) -> MirrorDecision + Send,
 {
-    fn prepare(&mut self, batch: Vec<Event>, params: &MirrorParams) -> Vec<Event> {
-        batch.into_iter().filter(|e| (self.f)(e, params) == MirrorDecision::Send).collect()
+    fn prepare(&mut self, batch: &mut Vec<Arc<Event>>, params: &MirrorParams) {
+        batch.retain(|e| (self.f)(e, params) == MirrorDecision::Send);
     }
     fn name(&self) -> &'static str {
         self.label
@@ -291,25 +314,38 @@ mod tests {
         PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1000.0, speed_kts: 1.0, heading_deg: 0.0 }
     }
 
-    fn batch(n: u64, flight: u32) -> Vec<Event> {
-        (1..=n).map(|s| Event::faa_position(s, flight, fix())).collect()
+    fn batch(n: u64, flight: u32) -> Vec<Arc<Event>> {
+        (1..=n).map(|s| Arc::new(Event::faa_position(s, flight, fix()))).collect()
+    }
+
+    fn prepared(
+        m: &mut impl MirrorFn,
+        mut batch: Vec<Arc<Event>>,
+        p: &MirrorParams,
+    ) -> Vec<Arc<Event>> {
+        m.prepare(&mut batch, p);
+        batch
+    }
+
+    fn coalescing(cap: u32) -> MirrorParams {
+        let mut p = MirrorParams::default();
+        p.coalesce = true;
+        p.coalesce_max = cap;
+        p
     }
 
     #[test]
     fn independent_mirror_is_identity() {
-        let mut m = IndependentMirror;
         let b = batch(5, 1);
-        let out = m.prepare(b.clone(), &MirrorParams::default());
-        assert_eq!(out, b);
+        let out = prepared(&mut IndependentMirror, b.clone(), &MirrorParams::default());
+        assert_eq!(out.len(), b.len());
+        assert!(out.iter().zip(&b).all(|(o, e)| Arc::ptr_eq(o, e)), "same allocations");
     }
 
     #[test]
     fn coalescing_mirror_folds_when_enabled() {
         let mut m = CoalescingMirror::new();
-        let mut p = MirrorParams::default();
-        p.coalesce = true;
-        p.coalesce_max = 10;
-        let out = m.prepare(batch(10, 1), &p);
+        let out = prepared(&mut m, batch(10, 1), &coalescing(10));
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].body, EventBody::Coalesced { count: 10, .. }));
         assert_eq!(m.open_runs(), 0);
@@ -318,29 +354,18 @@ mod tests {
     #[test]
     fn coalescing_accumulates_across_drains() {
         let mut m = CoalescingMirror::new();
-        let mut p = MirrorParams::default();
-        p.coalesce = true;
-        p.coalesce_max = 4;
+        let p = coalescing(4);
         // Events arrive one drain at a time (the realistic pattern).
         let mut out = Vec::new();
         for seq in 1..=7 {
-            out.extend(
-                m.prepare(
-                    batch(1, 1)
-                        .into_iter()
-                        .map(|mut e| {
-                            e.seq = seq;
-                            e
-                        })
-                        .collect(),
-                    &p,
-                ),
-            );
+            let e = Arc::new(Event::faa_position(seq, 1, fix()));
+            out.extend(prepared(&mut m, vec![e], &p));
         }
         assert_eq!(out.len(), 1, "first run of 4 closed");
         assert!(matches!(out[0].body, EventBody::Coalesced { count: 4, .. }));
         assert_eq!(m.open_runs(), 1, "3 events still open");
-        let tail = m.flush(&p);
+        let mut tail = Vec::new();
+        m.flush(&mut tail, &p);
         assert_eq!(tail.len(), 1);
         assert!(matches!(tail[0].body, EventBody::Coalesced { count: 3, .. }));
         assert_eq!(m.open_runs(), 0);
@@ -349,16 +374,10 @@ mod tests {
     #[test]
     fn coalescing_runs_are_per_flight() {
         let mut m = CoalescingMirror::new();
-        let mut p = MirrorParams::default();
-        p.coalesce = true;
-        p.coalesce_max = 3;
-        let mut evs = Vec::new();
-        for seq in 1..=6 {
-            let mut e = batch(1, (seq % 2) as u32 + 1).remove(0);
-            e.seq = seq;
-            evs.push(e);
-        }
-        let out = m.prepare(evs, &p);
+        let evs = (1..=6)
+            .map(|seq| Arc::new(Event::faa_position(seq, (seq % 2) as u32 + 1, fix())))
+            .collect();
+        let out = prepared(&mut m, evs, &coalescing(3));
         assert_eq!(out.len(), 2, "each flight closed one run of 3");
         for e in &out {
             assert!(matches!(e.body, EventBody::Coalesced { count: 3, .. }));
@@ -368,12 +387,9 @@ mod tests {
     #[test]
     fn status_event_closes_open_run_in_order() {
         let mut m = CoalescingMirror::new();
-        let mut p = MirrorParams::default();
-        p.coalesce = true;
-        p.coalesce_max = 10;
         let mut evs = batch(2, 1);
-        evs.push(Event::delta_status(1, 1, crate::event::FlightStatus::Landed));
-        let out = m.prepare(evs, &p);
+        evs.push(Arc::new(Event::delta_status(1, 1, crate::event::FlightStatus::Landed)));
+        let out = prepared(&mut m, evs, &coalescing(10));
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].body, EventBody::Coalesced { count: 2, .. }));
         assert!(matches!(out[1].body, EventBody::Status(_)));
@@ -383,7 +399,7 @@ mod tests {
     fn coalescing_mirror_passthrough_when_disabled() {
         let mut m = CoalescingMirror::new();
         let p = MirrorParams::default(); // coalesce = false
-        let out = m.prepare(batch(4, 1), &p);
+        let out = prepared(&mut m, batch(4, 1), &p);
         assert_eq!(out.len(), 4);
     }
 
@@ -396,7 +412,7 @@ mod tests {
                 MirrorDecision::Drop
             }
         });
-        let out = m.prepare(batch(6, 1), &MirrorParams::default());
+        let out = prepared(&mut m, batch(6, 1), &MirrorParams::default());
         assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 3, 5]);
         assert_eq!(m.name(), "odd-only");
     }

@@ -24,10 +24,11 @@ pub struct QueueStats {
     pub high_watermark: usize,
 }
 
-/// FIFO of stamped events awaiting the sending task.
+/// FIFO of stamped events awaiting the sending task. Events are shared
+/// with the forward path: queueing one is a reference-count bump.
 #[derive(Debug, Default)]
 pub struct ReadyQueue {
-    q: VecDeque<Event>,
+    q: VecDeque<Arc<Event>>,
     stats: QueueStats,
 }
 
@@ -38,14 +39,14 @@ impl ReadyQueue {
     }
 
     /// Append an event.
-    pub fn push(&mut self, e: Event) {
+    pub fn push(&mut self, e: Arc<Event>) {
         self.q.push_back(e);
         self.stats.enqueued += 1;
         self.stats.high_watermark = self.stats.high_watermark.max(self.q.len());
     }
 
     /// Remove the oldest event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub fn pop(&mut self) -> Option<Arc<Event>> {
         let e = self.q.pop_front();
         if e.is_some() {
             self.stats.dequeued += 1;
@@ -55,7 +56,7 @@ impl ReadyQueue {
 
     /// Peek at the oldest event without removing it.
     pub fn front(&self) -> Option<&Event> {
-        self.q.front()
+        self.q.front().map(Arc::as_ref)
     }
 
     /// Current length — a monitored variable for adaptation.
@@ -70,15 +71,15 @@ impl ReadyQueue {
 
     /// Iterate pending events oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.q.iter()
+        self.q.iter().map(Arc::as_ref)
     }
 
-    /// Drain up to `n` oldest events (used by coalescing mirror functions,
-    /// which combine a run of pending events into one mirror event).
-    pub fn drain_up_to(&mut self, n: usize) -> Vec<Event> {
-        let take = n.min(self.q.len());
-        self.stats.dequeued += take as u64;
-        self.q.drain(..take).collect()
+    /// Move every pending event, oldest first, onto the end of `out` (the
+    /// sending task's run; coalescing mirror functions combine it into
+    /// fewer mirror events).
+    pub fn drain_into(&mut self, out: &mut Vec<Arc<Event>>) {
+        self.stats.dequeued += self.q.len() as u64;
+        out.extend(self.q.drain(..));
     }
 
     /// Occupancy statistics.
@@ -249,8 +250,8 @@ mod tests {
     #[test]
     fn ready_queue_is_fifo() {
         let mut q = ReadyQueue::new();
-        q.push(ev(0, 1));
-        q.push(ev(0, 2));
+        q.push(ev(0, 1).into());
+        q.push(ev(0, 2).into());
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().seq, 2);
         assert!(q.pop().is_none());
@@ -260,10 +261,10 @@ mod tests {
     fn ready_queue_stats_track_watermark() {
         let mut q = ReadyQueue::new();
         for s in 1..=5 {
-            q.push(ev(0, s));
+            q.push(ev(0, s).into());
         }
         q.pop();
-        q.push(ev(0, 6));
+        q.push(ev(0, 6).into());
         let st = q.stats();
         assert_eq!(st.enqueued, 6);
         assert_eq!(st.dequeued, 1);
@@ -271,14 +272,16 @@ mod tests {
     }
 
     #[test]
-    fn drain_up_to_takes_oldest_first_and_caps() {
+    fn drain_into_appends_oldest_first() {
         let mut q = ReadyQueue::new();
         for s in 1..=3 {
-            q.push(ev(0, s));
+            q.push(ev(0, s).into());
         }
-        let drained = q.drain_up_to(10);
-        assert_eq!(drained.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
+        let mut drained = vec![Arc::new(ev(1, 9))];
+        q.drain_into(&mut drained);
+        assert_eq!(drained.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![9, 1, 2, 3]);
         assert!(q.is_empty());
+        assert_eq!(q.stats().dequeued, 3);
     }
 
     #[test]

@@ -103,24 +103,17 @@ pub enum Rule {
     },
 }
 
-/// Result of evaluating the rule set against one incoming event.
+/// What the rule set decided for one incoming event. The event itself
+/// always reaches the local main unit; the decision only says whether it
+/// is also mirrored, so evaluation never copies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleOutcome {
-    /// Copy to forward to the local main unit (regular-client path);
-    /// `None` only if a rule drops the event entirely.
-    pub forward: Option<Event>,
-    /// Copy to place on the ready queue for mirroring; `None` when
+    /// Place the event on the ready queue for mirroring; `false` when
     /// selective rules suppress it.
-    pub mirror: Option<Event>,
+    pub mirror: bool,
     /// Additional derived events produced by tuple rules; these go to both
     /// paths (they are new application-level facts).
     pub derived: Vec<Event>,
-}
-
-impl RuleOutcome {
-    fn passthrough(event: Event) -> Self {
-        RuleOutcome { forward: Some(event.clone()), mirror: Some(event), derived: Vec::new() }
-    }
 }
 
 /// An ordered collection of semantic rules plus evaluation statistics.
@@ -172,53 +165,41 @@ impl RuleSet {
     /// `table.observe(event)` must have been called by the receive path
     /// *before* evaluation (the receiving task records history first, then
     /// filters — the paper's status-table discipline).
-    pub fn evaluate(&mut self, event: Event, table: &mut StatusTable) -> RuleOutcome {
-        let mut out = RuleOutcome::passthrough(event);
+    pub fn evaluate(&mut self, ev: &Event, table: &mut StatusTable) -> RuleOutcome {
+        let mut out = RuleOutcome { mirror: true, derived: Vec::new() };
         for rule in &self.rules {
             // Once the mirror copy is suppressed, later rules cannot
             // resurrect it, but tuple rules may still emit derived events.
             match rule {
                 Rule::Filter { ty, pred } => {
-                    if let Some(ev) = &out.mirror {
-                        if ev.event_type() == *ty && pred.matches(ev) {
-                            out.mirror = None;
-                            self.suppressed += 1;
-                        }
+                    if out.mirror && ev.event_type() == *ty && pred.matches(ev) {
+                        out.mirror = false;
+                        self.suppressed += 1;
                     }
                 }
                 Rule::Overwrite { ty, max_len } => {
-                    if let Some(ev) = &out.mirror {
-                        if ev.event_type() == *ty
-                            && !table.overwrite_admits(ev.flight, *ty, *max_len)
-                        {
-                            out.mirror = None;
-                            self.suppressed += 1;
-                        }
+                    if out.mirror
+                        && ev.event_type() == *ty
+                        && !table.overwrite_admits(ev.flight, *ty, *max_len)
+                    {
+                        out.mirror = false;
+                        self.suppressed += 1;
                     }
                 }
                 Rule::ComplexSeq { trigger_ty, trigger_value, discard_ty } => {
-                    let (flight, ty, status) = match &out.forward {
-                        Some(ev) => (ev.flight, ev.event_type(), ev.status_value()),
-                        None => continue,
-                    };
-                    if ty == *trigger_ty && status == Some(*trigger_value) {
-                        table.set_seq_trigger(flight, *discard_ty, true);
+                    if ev.event_type() == *trigger_ty && ev.status_value() == Some(*trigger_value) {
+                        table.set_seq_trigger(ev.flight, *discard_ty, true);
                     }
-                    if let Some(ev) = &out.mirror {
-                        if ev.event_type() == *discard_ty
-                            && table.seq_trigger_armed(ev.flight, *discard_ty)
-                        {
-                            table.record_discard(ev.flight);
-                            out.mirror = None;
-                            self.suppressed += 1;
-                        }
+                    if out.mirror
+                        && ev.event_type() == *discard_ty
+                        && table.seq_trigger_armed(ev.flight, *discard_ty)
+                    {
+                        table.record_discard(ev.flight);
+                        out.mirror = false;
+                        self.suppressed += 1;
                     }
                 }
                 Rule::ComplexTuple { parts, emit } => {
-                    let ev = match &out.forward {
-                        Some(ev) => ev,
-                        None => continue,
-                    };
                     // Only status-bearing events can complete a tuple, and
                     // only when this event contributes the last missing part.
                     let this_status = match ev.status_value() {
@@ -244,9 +225,7 @@ impl RuleSet {
                         self.emitted += 1;
                         // The combined event replaces the constituent on the
                         // mirror path.
-                        if out.mirror.as_ref().map(|m| m.seq) == Some(ev.seq) {
-                            out.mirror = None;
-                        }
+                        out.mirror = false;
                     }
                 }
             }
@@ -346,7 +325,7 @@ mod tests {
 
     fn eval(rs: &mut RuleSet, t: &mut StatusTable, e: Event) -> RuleOutcome {
         t.observe(&e);
-        rs.evaluate(e, t)
+        rs.evaluate(&e, t)
     }
 
     #[test]
@@ -354,8 +333,7 @@ mod tests {
         let mut rs = RuleSet::new();
         let mut t = StatusTable::new();
         let out = eval(&mut rs, &mut t, pos(1, 10));
-        assert!(out.forward.is_some());
-        assert!(out.mirror.is_some());
+        assert!(out.mirror);
         assert!(out.derived.is_empty());
     }
 
@@ -365,8 +343,7 @@ mod tests {
             .with(Rule::Filter { ty: EventType::FaaPosition, pred: ContentPredicate::Always });
         let mut t = StatusTable::new();
         let out = eval(&mut rs, &mut t, pos(1, 10));
-        assert!(out.forward.is_some());
-        assert!(out.mirror.is_none());
+        assert!(!out.mirror);
         assert_eq!(rs.suppressed, 1);
     }
 
@@ -379,10 +356,10 @@ mod tests {
         let mut t = StatusTable::new();
         // High flight: filtered from mirroring.
         let out = eval(&mut rs, &mut t, Event::faa_position(1, 10, fix(30000.0)));
-        assert!(out.mirror.is_none());
+        assert!(!out.mirror);
         // Low flight (approach): mirrored.
         let out = eval(&mut rs, &mut t, Event::faa_position(2, 10, fix(2000.0)));
-        assert!(out.mirror.is_some());
+        assert!(out.mirror);
     }
 
     #[test]
@@ -393,8 +370,7 @@ mod tests {
         let mut mirrored = 0;
         for seq in 1..=100 {
             let out = eval(&mut rs, &mut t, pos(seq, 7));
-            assert!(out.forward.is_some(), "forward path must stay lossless");
-            if out.mirror.is_some() {
+            if out.mirror {
                 mirrored += 1;
             }
         }
@@ -410,14 +386,14 @@ mod tests {
         });
         let mut t = StatusTable::new();
         // Before landing: positions mirrored.
-        assert!(eval(&mut rs, &mut t, pos(1, 5)).mirror.is_some());
+        assert!(eval(&mut rs, &mut t, pos(1, 5)).mirror);
         // The landing event itself is mirrored (it's the trigger, not the target).
         let landed = Event::delta_status(1, 5, FlightStatus::Landed);
-        assert!(eval(&mut rs, &mut t, landed).mirror.is_some());
+        assert!(eval(&mut rs, &mut t, landed).mirror);
         // After landing: positions for flight 5 discarded…
-        assert!(eval(&mut rs, &mut t, pos(2, 5)).mirror.is_none());
+        assert!(!eval(&mut rs, &mut t, pos(2, 5)).mirror);
         // …but other flights unaffected.
-        assert!(eval(&mut rs, &mut t, pos(3, 6)).mirror.is_some());
+        assert!(eval(&mut rs, &mut t, pos(3, 6)).mirror);
     }
 
     #[test]
@@ -435,7 +411,7 @@ mod tests {
         assert_eq!(out.derived.len(), 1);
         assert_eq!(out.derived[0].status_value(), Some(FlightStatus::Arrived));
         // The completing constituent is replaced on the mirror path.
-        assert!(out.mirror.is_none());
+        assert!(!out.mirror);
         // A repeated constituent does not re-emit.
         let out = eval(&mut rs, &mut t, Event::delta_status(4, 9, FlightStatus::AtGate));
         assert!(out.derived.is_empty());
@@ -461,11 +437,9 @@ mod tests {
         let out = eval(&mut rs, &mut t, Event::delta_status(2, 3, FlightStatus::AtGate));
         assert_eq!(out.derived.len(), 1);
         // Feed the derived event back through (as the aux unit does).
-        let derived = out.derived[0].clone();
-        let out2 = rs.evaluate(derived, &mut t);
-        assert!(out2.forward.is_some());
+        assert!(rs.evaluate(&out.derived[0], &mut t).mirror);
         // Positions for flight 3 are now discarded.
-        assert!(eval(&mut rs, &mut t, pos(9, 3)).mirror.is_none());
+        assert!(!eval(&mut rs, &mut t, pos(9, 3)).mirror);
     }
 
     #[test]

@@ -4,31 +4,45 @@
 //! publish and any number of sinks subscribe. Delivery is reliable and
 //! per-subscriber FIFO (the checkpoint protocol of `mirror-core` depends on
 //! exactly this contract). Channels are cheap: a publisher clones the
-//! message once per subscriber; subscribers own independent unbounded
-//! queues so a slow sink never blocks the publisher (back-pressure is the
-//! application's job — it is precisely the monitored queue growth that
-//! drives adaptive mirroring).
+//! message once per subscriber.
 //!
-//! Unsubscribing is first-class: a closed subscription ([`Closer`]) gets
-//! nothing published afterwards, and its [`Subscriber::recv`] returns the
-//! backlog, then `None`, as when every publisher is gone. A forwarding
-//! thread is `while let Some(m) = sub.recv()`, stopped by closing its input.
+//! Every subscription is a **sink**: a closure the publisher calls on its
+//! own thread, under the channel's subscriber lock, once per message, in
+//! publish order ([`EventChannel::subscribe_with`]). A sink must never
+//! block — every publisher of the channel waits on it — and must not touch
+//! its own channel. [`EventChannel::subscribe`] is the sink that pushes
+//! into an independent unbounded queue read through a [`Subscriber`], so
+//! a slow reader never blocks the publisher (back-pressure is the
+//! application's job — it is precisely the monitored queue growth that
+//! drives adaptive mirroring). A site's inbox is fed the same way, by a
+//! sink that sends into it, with no thread in between.
+//!
+//! Unsubscribing is first-class: once [`Closer::close`] returns, the sink
+//! is never called again (publishes hold the same lock), and a
+//! [`Subscriber::recv`] returns the backlog, then `None`, as when every
+//! publisher is gone. A forwarding thread is
+//! `while let Some(m) = sub.recv()`, stopped by closing its input.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 use parking_lot::Mutex;
 
 use mirror_core::event::Event;
 use mirror_core::ControlMsg;
 
+/// A subscription's delivery closure; `false` means it did not take the
+/// message (its receiver is gone, or it refuses).
+type Sink<T> = Box<dyn FnMut(T) -> bool + Send>;
+
 /// Shared state of one channel.
 struct Shared<T> {
     name: String,
-    /// Open subscriptions by id; removing one drops its sender, which ends
-    /// its `recv` after the backlog.
-    subs: Mutex<Vec<(u64, Sender<T>)>>,
+    /// Open subscriptions by id; removing one drops its sink (and with a
+    /// queue-backed one its sender, which ends its `recv` after the
+    /// backlog).
+    subs: Mutex<Vec<(u64, Sink<T>)>>,
     next_id: AtomicU64,
     /// Lock-free counter: read by monitoring threads while publishers are
     /// hot, so it must not contend on the subscriber lock.
@@ -94,16 +108,27 @@ impl<T: Clone + Send + 'static> EventChannel<T> {
     /// closed.
     pub fn subscribe(&self) -> Subscriber<T> {
         let (tx, rx) = channel::unbounded();
+        let closer = self.subscribe_with(move |m| tx.send(m).is_ok());
+        Subscriber { rx, closer }
+    }
+
+    /// Subscribe a sink: `sink` is called with every message published
+    /// after this call, on the publisher's thread, under the subscriber
+    /// lock, in publish order, until the returned handle closes it. It
+    /// returns whether it took the message. It must never block, and must
+    /// not publish to, subscribe to or close a subscription of this
+    /// channel.
+    pub fn subscribe_with(&self, sink: impl FnMut(T) -> bool + Send + 'static) -> Closer {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let mut subs = self.shared.subs.lock();
-        subs.push((id, tx));
+        subs.push((id, Box::new(sink)));
         self.shared.sub_count.store(subs.len(), Ordering::Release);
         drop(subs);
         let channel: Weak<dyn Unsubscribe> = Arc::downgrade(&self.shared) as _;
-        Subscriber { rx, closer: Closer { channel, id } }
+        Closer { channel, id }
     }
 
-    /// Number of open subscriptions.
+    /// Number of open subscriptions, sinks included.
     pub fn subscriber_count(&self) -> usize {
         self.shared.sub_count.load(Ordering::Acquire)
     }
@@ -127,14 +152,14 @@ impl<T> Clone for Publisher<T> {
 
 impl<T: Clone + Send + 'static> Publisher<T> {
     /// Publish one message to every open subscription. Returns the number
-    /// of subscriptions reached.
+    /// of subscriptions that took it.
     pub fn publish(&self, msg: T) -> usize {
-        let subs = self.shared.subs.lock();
+        let mut subs = self.shared.subs.lock();
         // One clone per subscriber; the last one could move, but the
         // uniform path keeps the code simple and the clone is cheap
-        // relative to the wire work this models. A send cannot fail: a
-        // subscription leaves the list before its receiver drops.
-        let delivered = subs.iter().filter(|(_, s)| s.send(msg.clone()).is_ok()).count();
+        // relative to the wire work this models.
+        let delivered: usize =
+            subs.iter_mut().map(|(_, sink)| usize::from(sink(msg.clone()))).sum();
         drop(subs);
         self.shared.published.fetch_add(1, Ordering::Relaxed);
         delivered
@@ -143,23 +168,27 @@ impl<T: Clone + Send + 'static> Publisher<T> {
     /// Publish a run of messages under one subscriber-lock acquisition.
     /// Every subscription sees them in order, exactly as `msgs.len()`
     /// [`publish`](Self::publish) calls would deliver them; an empty run
-    /// takes no lock. Returns the number of subscriptions reached.
+    /// takes no lock. Returns the number of subscriptions that took the
+    /// whole run.
     pub fn publish_all(&self, msgs: &[T]) -> usize {
         if msgs.is_empty() {
             return 0;
         }
-        let subs = self.shared.subs.lock();
-        let delivered =
-            subs.iter().filter(|(_, s)| msgs.iter().all(|m| s.send(m.clone()).is_ok())).count();
+        let mut subs = self.shared.subs.lock();
+        let delivered: usize = subs
+            .iter_mut()
+            .map(|(_, sink)| usize::from(msgs.iter().all(|m| sink(m.clone()))))
+            .sum();
         drop(subs);
         self.shared.published.fetch_add(msgs.len() as u64, Ordering::Relaxed);
         delivered
     }
 
-    /// `true` while at least one subscription is open — without taking
-    /// the subscriber lock. This is the hot-path guard that lets a site
-    /// skip the per-update clone + publish entirely when nothing listens
-    /// (the common case for a mirror with no edge tier attached).
+    /// `true` while at least one subscription (sinks included) is open —
+    /// without taking the subscriber lock. This is the hot-path guard that
+    /// lets a site skip the per-update clone + publish entirely when
+    /// nothing listens (the common case for a mirror with no edge tier
+    /// attached).
     pub fn has_subscribers(&self) -> bool {
         self.shared.sub_count.load(Ordering::Acquire) > 0
     }
@@ -170,9 +199,10 @@ impl<T: Clone + Send + 'static> Publisher<T> {
     }
 }
 
-/// Closes one subscription ([`Subscriber::closer`]). Carries no message
-/// type and does not keep the channel alive: a channel whose last
-/// publisher drops still disconnects its subscribers.
+/// Closes one subscription ([`Subscriber::closer`],
+/// [`EventChannel::subscribe_with`]). Carries no message type and does not
+/// keep the channel alive: a channel whose last publisher drops still
+/// disconnects its subscribers.
 #[derive(Clone)]
 pub struct Closer {
     channel: Weak<dyn Unsubscribe>,
@@ -180,9 +210,10 @@ pub struct Closer {
 }
 
 impl Closer {
-    /// Close the subscription: nothing published afterwards reaches it,
-    /// and its [`recv`](Subscriber::recv) returns what is already queued,
-    /// then `None`. Idempotent, and a no-op once the channel is gone.
+    /// Close the subscription: once this returns, its sink is never
+    /// called again — a publish racing the close finishes first — and a
+    /// [`recv`](Subscriber::recv) returns what is already queued, then
+    /// `None`. Idempotent, and a no-op once the channel is gone.
     pub fn close(&self) {
         if let Some(channel) = self.channel.upgrade() {
             channel.unsubscribe(self.id);
@@ -499,6 +530,86 @@ mod tests {
         assert_eq!(ch.publisher().publish_all(&[]), 0);
         assert_eq!(ch.published(), 0);
         assert_eq!(s.try_recv(), None);
+    }
+
+    #[test]
+    fn sink_sees_publish_and_publish_all_in_order() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&got);
+        let _closer = ch.subscribe_with(move |m| {
+            seen.lock().push(m);
+            true
+        });
+        let p = ch.publisher();
+        assert_eq!(p.publish(0), 1);
+        assert_eq!(p.publish_all(&[1, 2, 3]), 1);
+        p.publish(4);
+        p.publish_all(&[5, 6]);
+        assert_eq!(*got.lock(), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_closed_sink_is_never_called_again_despite_a_racing_publisher() {
+        use std::sync::atomic::AtomicBool;
+        let ch: EventChannel<u64> = EventChannel::new("t");
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        let closer = ch.subscribe_with(move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            true
+        });
+        let done = Arc::new(AtomicBool::new(false));
+        let publisher = {
+            let (p, done) = (ch.publisher(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut i = 0;
+                while !done.load(Ordering::SeqCst) {
+                    p.publish(i);
+                    i += 1;
+                }
+            })
+        };
+        // The sink is being called from the publisher's thread.
+        while calls.load(Ordering::SeqCst) < 1_000 {
+            std::thread::yield_now();
+        }
+        closer.close();
+        let at_close = calls.load(Ordering::SeqCst);
+        // Let the publisher run well past the close before looking again.
+        let published = ch.published();
+        while ch.published() < published + 10_000 {
+            std::thread::yield_now();
+        }
+        done.store(true, Ordering::SeqCst);
+        publisher.join().unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), at_close, "a sink ran after its close returned");
+        assert_eq!(ch.subscriber_count(), 0);
+    }
+
+    #[test]
+    fn a_refusing_sink_is_not_counted_as_delivered() {
+        let ch: EventChannel<u32> = EventChannel::new("t");
+        let _taker = ch.subscribe_with(|_| true);
+        let _refuser = ch.subscribe_with(|_| false);
+        let p = ch.publisher();
+        assert_eq!(p.publish(1), 1);
+        assert_eq!(p.publish_all(&[2, 3]), 1);
+        assert_eq!(ch.published(), 3, "a refused message still counts as published");
+    }
+
+    #[test]
+    fn sinks_count_as_subscribers() {
+        let ch: EventChannel<u8> = EventChannel::new("t");
+        let p = ch.publisher();
+        let sink = ch.subscribe_with(|_| true);
+        assert!(p.has_subscribers(), "a sink alone is a subscriber");
+        let queue = ch.subscribe();
+        assert_eq!(ch.subscriber_count(), 2);
+        sink.close();
+        assert_eq!(ch.subscriber_count(), 1);
+        drop(queue);
+        assert!(!p.has_subscribers());
     }
 
     #[test]

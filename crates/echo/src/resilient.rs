@@ -30,7 +30,7 @@
 //! `recv`. Idle links should be ticked via
 //! [`recv_timeout`](Transport::recv_timeout) so protocol frames keep
 //! flowing when no application traffic does — the runtime bridge does this
-//! from its forwarder threads.
+//! on its writer thread's idle tick.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;

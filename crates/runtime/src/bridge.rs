@@ -34,10 +34,13 @@
 //! the shared encoding), one ack covers the batch, and retransmission
 //! replays the stored bytes — the batch is the exactly-once unit.
 //!
-//! Shutdown cascades naturally: once a side's subscriptions are closed
-//! ([`BridgeHandle::stop`]) or its publishers drop, its forwarders hand
-//! over what they hold and end, the transport reaches EOF, and the remote
-//! side unwinds.
+//! An endpoint's subscriptions are sinks that push straight into its
+//! writer's unbounded queue on the publisher's thread (see
+//! `mirror_echo::channel`); no thread sits in between. Shutdown cascades
+//! naturally: once a side's subscriptions are closed
+//! ([`BridgeHandle::stop`]) or its publishers drop, the writer's queue
+//! disconnects behind what they delivered, the writer sends it and closes
+//! its transport, the transport reaches EOF, and the remote side unwinds.
 
 use std::time::{Duration, Instant};
 
@@ -45,7 +48,7 @@ use bytes::Bytes;
 use crossbeam::channel::{self, RecvTimeoutError, Sender, TryRecvError};
 
 use mirror_core::ControlMsg;
-use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
+use mirror_echo::channel::{Closer, EventChannel, Publisher};
 use mirror_echo::wire::{encode_batch_from_encoded, encode_frame, Frame, SharedEvent};
 use mirror_echo::Transport;
 
@@ -105,15 +108,15 @@ impl BatchPolicy {
 /// endpoints (in any order) before calling [`BridgeHandle::join`] on
 /// either** — stop is non-blocking, join then completes on both sides.
 pub struct BridgeHandle {
-    /// Close handles of the subscriptions this endpoint forwards.
+    /// Close handles of the sinks feeding this endpoint's writer.
     closers: Vec<Closer>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl BridgeHandle {
-    /// Close the endpoint's subscriptions: its forwarders hand the writer
-    /// everything already published to them and exit, and the writer
-    /// sends it and closes its transport. Non-blocking and idempotent.
+    /// Close the endpoint's subscriptions: the writer sends everything
+    /// already published to them and closes its transport. Non-blocking
+    /// and idempotent.
     pub fn stop(&self) {
         for closer in &self.closers {
             closer.close();
@@ -148,23 +151,15 @@ impl OutMsg {
     }
 }
 
-/// Forward `sub` into a writer's queue on its own thread, until the
-/// subscription is closed (its backlog is forwarded first) or its
-/// publishers are gone.
-fn forward<T: Send + 'static>(
-    sub: Subscriber<T>,
+/// Subscribe a sink to `channel` that wraps each message and pushes it
+/// into a writer's queue, until the returned handle closes it or the
+/// channel's publishers are gone.
+fn forward<T: Clone + Send + 'static>(
+    channel: &EventChannel<T>,
     tx: Sender<OutMsg>,
     wrap: fn(T) -> OutMsg,
-) -> (Closer, std::thread::JoinHandle<()>) {
-    let closer = sub.closer();
-    let forwarder = std::thread::spawn(move || {
-        while let Some(m) = sub.recv() {
-            if tx.send(wrap(m)).is_err() {
-                break;
-            }
-        }
-    });
-    (closer, forwarder)
+) -> Closer {
+    channel.subscribe_with(move |m| tx.send(wrap(m)).is_ok())
 }
 
 /// The batching writer: drain the writer channel greedily under the flush
@@ -284,9 +279,9 @@ pub fn central_endpoint_with(
     policy: BatchPolicy,
 ) -> BridgeHandle {
     let (tx, rx) = channel::unbounded::<OutMsg>();
-    let (data_closer, data_fwd) = forward(data.subscribe(), tx.clone(), OutMsg::Data);
-    let (ctrl_closer, ctrl_fwd) = forward(ctrl_down.subscribe(), tx, OutMsg::Ctrl);
-    let mut threads = vec![data_fwd, ctrl_fwd, writer(down, rx, policy)];
+    let closers =
+        vec![forward(data, tx.clone(), OutMsg::Data), forward(ctrl_down, tx, OutMsg::Ctrl)];
+    let mut threads = vec![writer(down, rx, policy)];
     threads.push(std::thread::spawn(move || {
         while let Ok(Some(frame)) = up.recv() {
             for_each_app_frame(frame, &mut |f| {
@@ -296,7 +291,7 @@ pub fn central_endpoint_with(
             });
         }
     }));
-    BridgeHandle { closers: vec![data_closer, ctrl_closer], threads }
+    BridgeHandle { closers, threads }
 }
 
 /// Mirror-side endpoint: materialize local data/control-down channels from
@@ -353,8 +348,7 @@ pub fn mirror_endpoint_with<R>(
         }
     })];
     let (tx, rx) = channel::unbounded::<OutMsg>();
-    let (up_closer, up_fwd) = forward(ctrl_up.subscribe(), tx, OutMsg::Ctrl);
-    threads.push(up_fwd);
+    let up_closer = forward(&ctrl_up, tx, OutMsg::Ctrl);
     threads.push(writer(up, rx, policy));
 
     (out, BridgeHandle { closers: vec![up_closer], threads })

@@ -1048,8 +1048,8 @@ impl Cluster {
 
         // Retire the promoted mirror FIRST, after quiescing: wait for its
         // processed counter to stop advancing (a central still publishing
-        // keeps it moving), then stop() — which applies every event its
-        // subscriptions already hold before the threads exit — then
+        // keeps it moving), then stop() — which applies every event
+        // published to its subscriptions before the threads exit — then
         // snapshot. The seed thus includes every event the old central
         // broadcast, so the new coordinator is not behind the survivors.
         let mut last = self.mirror(site).processed();

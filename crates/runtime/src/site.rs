@@ -20,12 +20,17 @@
 //! one [`Publisher::publish_all`]. A `Stop` ends the run it lands in, and
 //! a crash flag seen after the run is fed routes none of its actions.
 //!
-//! Channel-subscription forwarder threads pump `mirror-echo` subscriptions
-//! into a site's inbox, so no thread ever blocks on more than one source.
-//! `stop()` closes the subscriptions, joins the forwarders once they have
-//! drained them into the inbox, then queues the inbox's `Stop` behind all
-//! of it: every event published to a site before `stop()` is applied.
-//! `crash()` sets the crash flag first, so that backlog is abandoned.
+//! A site's channel subscriptions are sinks
+//! ([`EventChannel::subscribe_with`]) that map each message into a
+//! `SiteMsg` and send it into the unbounded inbox, on the publisher's
+//! thread: no thread sits between a channel and the inbox, and the aux
+//! thread blocks on the inbox alone. A sink must never block, since every
+//! publisher of its channel waits on it; the unbounded inbox send never
+//! does. `stop()` closes the sinks — once a close returns no publish can
+//! reach the inbox, because publishes hold the same lock — then queues the
+//! inbox's `Stop` behind everything they delivered: every event published
+//! to a site before `stop()` is applied. `crash()` sets the crash flag
+//! first; the sinks then refuse, and the aux thread abandons the inbox.
 //!
 //! The main thread is a **dispatcher** over a sharded apply path (see
 //! DESIGN.md §16): the aux thread feeds it over a bounded lock-free MPSC
@@ -261,9 +266,9 @@ struct SiteCore {
     /// Crash simulation: when set, threads abandon queued work instead of
     /// draining it on the way out (see [`CentralSite::crash`]).
     crashed: Arc<std::sync::atomic::AtomicBool>,
-    /// Subscription forwarders ([`forward`](Self::forward)), each with
-    /// the close handle of the subscription it reads.
-    forwarders: Vec<(Closer, std::thread::JoinHandle<()>)>,
+    /// Close handles of the channel sinks feeding the inbox
+    /// ([`forward`](Self::forward)).
+    sinks: Vec<Closer>,
     /// The aux and main threads.
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -352,7 +357,7 @@ impl SiteCore {
                             // and keep the checkpoint frontier moving while
                             // idle.
                             aux_handle.with(|a| {
-                                actions.extend(a.handle(AuxInput::Flush));
+                                a.handle_into(AuxInput::Flush, &mut actions);
                                 actions.extend(a.idle_checkpoint());
                             });
                             route_actions(&actions, &aux_shared, &aux_main_tx, &on_action);
@@ -376,16 +381,17 @@ impl SiteCore {
                     let data = run.iter().any(|m| matches!(m, SiteMsg::Data(_)));
                     aux_handle.with(|a| {
                         for msg in run.drain(..) {
-                            actions.extend(a.handle(match msg {
+                            let input = match msg {
                                 SiteMsg::Data(e) => AuxInput::Data(e),
                                 SiteMsg::Ctrl(m) => AuxInput::Control(m),
                                 SiteMsg::Stop => unreachable!("a Stop ends the run"),
-                            }));
+                            };
+                            a.handle_into(input, &mut actions);
                         }
                         if stop && !aux_crashed.load(Ordering::SeqCst) {
                             // Clean shutdown flushes the coalescing
                             // buffers; a crash loses them.
-                            actions.extend(a.handle(AuxInput::Flush));
+                            a.handle_into(AuxInput::Flush, &mut actions);
                         }
                     });
                     if aux_crashed.load(Ordering::SeqCst) {
@@ -488,47 +494,31 @@ impl SiteCore {
             seed_tx: main_tx,
             inbox_capacity,
             crashed,
-            forwarders: Vec::new(),
+            sinks: Vec::new(),
             threads: vec![aux, main],
         }
     }
 
-    /// Forward `sub` into the aux inbox on a thread named `name`, until
-    /// [`stop`](Self::stop) closes the subscription (its backlog is
-    /// forwarded first) or every publisher is gone. Once the site has
-    /// crashed the forwarder refuses, abandoning the backlog.
-    fn forward<T: Send + 'static>(
+    /// Subscribe a sink to `channel` that maps each message through
+    /// `into` and sends it into the aux inbox, until [`stop`](Self::stop)
+    /// closes it. Once the site has crashed the sink refuses, abandoning
+    /// what is published to it.
+    fn forward<T: Clone + Send + 'static>(
         &mut self,
-        name: String,
-        sub: Subscriber<T>,
+        channel: &EventChannel<T>,
         into: impl Fn(T) -> SiteMsg + Send + 'static,
     ) {
-        let closer = sub.closer();
         let inbox = self.inbox_tx.clone();
         let crashed = Arc::clone(&self.crashed);
-        let forwarder = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                while let Some(m) = sub.recv() {
-                    if crashed.load(Ordering::SeqCst) || inbox.send(into(m)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn subscription forwarder");
-        self.forwarders.push((closer, forwarder));
+        let sink = move |m| !crashed.load(Ordering::SeqCst) && inbox.send(into(m)).is_ok();
+        self.sinks.push(channel.subscribe_with(sink));
     }
 
-    /// Close the subscriptions, join the forwarders once they have
-    /// drained them into the inbox, then stop the aux and main threads
-    /// behind everything forwarded. Idempotent.
+    /// Close the sinks, then stop the aux and main threads behind
+    /// everything they delivered. Idempotent.
     fn stop(&mut self) {
-        let forwarders = std::mem::take(&mut self.forwarders);
-        for (closer, _) in &forwarders {
-            closer.close();
-        }
-        for (_, t) in forwarders {
-            let _ = t.join();
+        for sink in self.sinks.drain(..) {
+            sink.close();
         }
         let _ = self.inbox_tx.send(SiteMsg::Stop);
         for t in self.threads.drain(..) {
@@ -694,7 +684,9 @@ macro_rules! site_common_impl {
         }
 
         /// Events currently queued in the ingest pipeline: the aux inbox
-        /// plus the aux→dispatcher ring.
+        /// plus the aux→dispatcher ring. The inbox also holds what the
+        /// site's channel subscriptions have delivered and the aux thread
+        /// has not yet taken; no subscription queues anything of its own.
         pub fn inbox_depth(&self) -> usize {
             self.core.inbox_tx.len() + self.core.seed_tx.len()
         }
@@ -771,8 +763,9 @@ macro_rules! site_common_impl {
             snap
         }
 
-        /// Stop the site's threads, after applying every event its
-        /// subscriptions already hold (idempotent; joins on completion).
+        /// Stop the site's threads, after applying every event published
+        /// to its subscriptions before the call (idempotent; joins on
+        /// completion).
         pub fn stop(&mut self) {
             self.core.stop();
         }
@@ -919,7 +912,7 @@ impl CentralSite {
             journal,
             scale,
         };
-        site.core.forward("central-ctrl-up".into(), ctrl_up.subscribe(), SiteMsg::Ctrl);
+        site.core.forward(ctrl_up, SiteMsg::Ctrl);
         site
     }
 
@@ -1076,7 +1069,7 @@ impl CentralSite {
     ///   tail lost and possibly a torn final record on disk;
     /// * the aux thread abandons its inbox and coalescing buffers instead
     ///   of flushing them;
-    /// * forwarder threads abandon channel backlogs instead of draining.
+    /// * its channel subscriptions refuse whatever is published to them.
     ///
     /// Threads are still *joined* (a test process cannot leak them), but
     /// everything they would have flushed on a clean stop is gone —
@@ -1176,10 +1169,8 @@ impl MirrorSite {
             SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed, inbox_capacity);
 
         let mut s = MirrorSite { core, updates };
-        s.core.forward(format!("mirror-{site}-data"), data.subscribe(), |e: SharedEvent| {
-            SiteMsg::Data(e.into_event())
-        });
-        s.core.forward(format!("mirror-{site}-ctrl"), ctrl_down.subscribe(), SiteMsg::Ctrl);
+        s.core.forward(data, |e: SharedEvent| SiteMsg::Data(e.into_event()));
+        s.core.forward(ctrl_down, SiteMsg::Ctrl);
         s
     }
 

@@ -1,15 +1,16 @@
 //! A graceful `stop()` applies everything already published to a site.
 //!
-//! A mirror's data subscription can hold a deep backlog when `stop()` is
-//! called: the publisher (the central, or a bridge reader) runs ahead of
-//! the forwarder and aux threads. Stopping closes the subscriptions, lets
-//! the forwarders drain them into the site's inbox, and only then queues
-//! the site's own stop, so no published event is left behind. The same
-//! holds at a central, whose aux thread drains its inbox in runs: a `Stop`
-//! that lands inside a run ends it after the messages before it. (A crash
-//! is the opposite contract and abandons the backlog; `failover_chaos` and
-//! `recovery` cover it, and the last test here pins that a crashed central
-//! routes nothing more.)
+//! A mirror's inbox can hold a deep backlog when `stop()` is called: the
+//! publisher (the central, or a bridge reader) delivers into it through
+//! the site's subscription sinks and runs ahead of the aux thread.
+//! Stopping closes the sinks and only then queues the site's own stop
+//! behind what they delivered, so no published event is left behind. The
+//! same holds at a central, whose aux thread drains its inbox in runs: a
+//! `Stop` that lands inside a run ends it after the messages before it. (A
+//! crash is the opposite contract and abandons the backlog;
+//! `failover_chaos` and `recovery` cover it, and the crash test here pins
+//! that a crashed central routes nothing more.) No sink outlives its site:
+//! a stopped or crashed site leaves the cluster's channels.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -17,6 +18,7 @@ use std::time::Duration;
 
 use mirror_core::api::{MirrorConfig, MirrorHandle};
 use mirror_core::event::{Event, PositionFix};
+use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::EventChannel;
 use mirror_echo::wire::SharedEvent;
@@ -116,4 +118,26 @@ fn a_crashed_central_routes_nothing_more() {
     drop(journal);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn no_sink_outlives_its_site() {
+    let cluster = Cluster::start(ClusterConfig { mirrors: 2, ..Default::default() });
+    let (data, down, up) = {
+        let (data, down, up) = cluster.channels();
+        (data.clone(), down.clone(), up.clone())
+    };
+    let counts = || (data.subscriber_count(), down.subscriber_count(), up.subscriber_count());
+    assert_eq!(counts(), (2, 2, 1), "each mirror reads data and control down");
+
+    cluster.fail_mirror(1).expect("mirror 1 is live");
+    assert_eq!(counts(), (1, 1, 1), "a stopped mirror leaves both downlinks");
+
+    cluster.crash_central();
+    assert_eq!(counts(), (1, 1, 0), "a crashed central leaves the uplink");
+    let chkpt = ControlMsg::Chkpt { round: 1, stamp: VectorTimestamp::empty(), epoch: 0, term: 0 };
+    assert_eq!(up.publisher().publish(chkpt), 0, "the uplink reaches nobody");
+
+    cluster.shutdown();
+    assert_eq!(counts(), (0, 0, 0));
 }

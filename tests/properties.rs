@@ -191,7 +191,7 @@ fn overwrite_keeps_one_in_max_len() {
                 PositionFix { lat: 0.0, lon: 0.0, alt_ft: 0.0, speed_kts: 0.0, heading_deg: 0.0 },
             );
             table.observe(&e);
-            if rs.evaluate(e, &mut table).mirror.is_some() {
+            if rs.evaluate(&e, &mut table).mirror {
                 mirrored += 1;
             }
         }
@@ -379,9 +379,11 @@ fn coalescing_conserves_events_and_last_fix() {
             last_fix_per_flight.insert(flight, fix);
             let mut e = Event::faa_position(i as u64 + 1, flight, fix);
             e.stamp.advance(0, i as u64 + 1);
-            out.extend(m.prepare(vec![e], &params));
+            let mut run = vec![std::sync::Arc::new(e)];
+            m.prepare(&mut run, &params);
+            out.append(&mut run);
         }
-        out.extend(m.flush(&params));
+        m.flush(&mut out, &params);
 
         // Conservation: the counts of coalesced events sum to the input.
         let total: u64 = out
