@@ -3,19 +3,23 @@
 //! ECho's core abstraction: a named channel to which any number of sources
 //! publish and any number of sinks subscribe. Delivery is reliable and
 //! per-subscriber FIFO (the checkpoint protocol of `mirror-core` depends on
-//! exactly this contract). Channels are cheap: a publisher clones the
-//! message once per subscriber.
+//! exactly this contract). Channels are cheap: a publisher lends each
+//! subscriber the message, which clones only what it keeps.
 //!
 //! Every subscription is a **sink**: a closure the publisher calls on its
-//! own thread, under the channel's subscriber lock, once per message, in
-//! publish order ([`EventChannel::subscribe_with`]). A sink must never
-//! block — every publisher of the channel waits on it — and must not touch
-//! its own channel. [`EventChannel::subscribe`] is the sink that pushes
-//! into an independent unbounded queue read through a [`Subscriber`], so
-//! a slow reader never blocks the publisher (back-pressure is the
-//! application's job — it is precisely the monitored queue growth that
-//! drives adaptive mirroring). A site's inbox is fed the same way, by a
-//! sink that sends into it, with no thread in between.
+//! own thread, under the channel's subscriber lock, once per published
+//! run, in publish order ([`EventChannel::subscribe_with`]). A
+//! [`Publisher::publish`] is a run of one; a [`Publisher::publish_all`]
+//! hands every sink the whole run as one slice, so a consumer that can
+//! take a run whole pays one delivery for it. A sink must never block —
+//! every publisher of the channel waits on it — and must not touch its own
+//! channel. [`EventChannel::subscribe`] is the sink that clones each
+//! message of a run into an independent unbounded queue read through a
+//! [`Subscriber`], so a slow reader never blocks the publisher
+//! (back-pressure is the application's job — it is precisely the
+//! monitored queue growth that drives adaptive mirroring). A site's inbox
+//! is fed the same way, by a sink that sends into it, with no thread in
+//! between.
 //!
 //! Unsubscribing is first-class: once [`Closer::close`] returns, the sink
 //! is never called again (publishes hold the same lock), and a
@@ -32,9 +36,10 @@ use parking_lot::Mutex;
 use mirror_core::event::Event;
 use mirror_core::ControlMsg;
 
-/// A subscription's delivery closure; `false` means it did not take the
-/// message (its receiver is gone, or it refuses).
-type Sink<T> = Box<dyn FnMut(T) -> bool + Send>;
+/// A subscription's delivery closure, called with each published run;
+/// `false` means it did not take the whole run (its receiver is gone, or
+/// it refuses).
+type Sink<T> = Box<dyn FnMut(&[T]) -> bool + Send>;
 
 /// Shared state of one channel.
 struct Shared<T> {
@@ -108,17 +113,19 @@ impl<T: Clone + Send + 'static> EventChannel<T> {
     /// closed.
     pub fn subscribe(&self) -> Subscriber<T> {
         let (tx, rx) = channel::unbounded();
-        let closer = self.subscribe_with(move |m| tx.send(m).is_ok());
+        let closer =
+            self.subscribe_with(move |run: &[T]| run.iter().all(|m| tx.send(m.clone()).is_ok()));
         Subscriber { rx, closer }
     }
 
-    /// Subscribe a sink: `sink` is called with every message published
-    /// after this call, on the publisher's thread, under the subscriber
-    /// lock, in publish order, until the returned handle closes it. It
-    /// returns whether it took the message. It must never block, and must
-    /// not publish to, subscribe to or close a subscription of this
-    /// channel.
-    pub fn subscribe_with(&self, sink: impl FnMut(T) -> bool + Send + 'static) -> Closer {
+    /// Subscribe a sink: `sink` is called with every run published after
+    /// this call — one slice per [`publish`](Publisher::publish) or
+    /// [`publish_all`](Publisher::publish_all) — on the publisher's
+    /// thread, under the subscriber lock, in publish order, until the
+    /// returned handle closes it. It returns whether it took the whole
+    /// run. It must never block, and must not publish to, subscribe to or
+    /// close a subscription of this channel.
+    pub fn subscribe_with(&self, sink: impl FnMut(&[T]) -> bool + Send + 'static) -> Closer {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let mut subs = self.shared.subs.lock();
         subs.push((id, Box::new(sink)));
@@ -151,34 +158,23 @@ impl<T> Clone for Publisher<T> {
 }
 
 impl<T: Clone + Send + 'static> Publisher<T> {
-    /// Publish one message to every open subscription. Returns the number
-    /// of subscriptions that took it.
+    /// Publish one message to every open subscription: a run of one.
+    /// Returns the number of subscriptions that took it.
     pub fn publish(&self, msg: T) -> usize {
-        let mut subs = self.shared.subs.lock();
-        // One clone per subscriber; the last one could move, but the
-        // uniform path keeps the code simple and the clone is cheap
-        // relative to the wire work this models.
-        let delivered: usize =
-            subs.iter_mut().map(|(_, sink)| usize::from(sink(msg.clone()))).sum();
-        drop(subs);
-        self.shared.published.fetch_add(1, Ordering::Relaxed);
-        delivered
+        self.publish_all(std::slice::from_ref(&msg))
     }
 
-    /// Publish a run of messages under one subscriber-lock acquisition.
-    /// Every subscription sees them in order, exactly as `msgs.len()`
-    /// [`publish`](Self::publish) calls would deliver them; an empty run
-    /// takes no lock. Returns the number of subscriptions that took the
-    /// whole run.
+    /// Publish a run of messages under one subscriber-lock acquisition,
+    /// calling each sink once with the whole run. Every subscription sees
+    /// the messages in order, after everything published before; an empty
+    /// run takes no lock. Returns the number of subscriptions that took
+    /// the whole run.
     pub fn publish_all(&self, msgs: &[T]) -> usize {
         if msgs.is_empty() {
             return 0;
         }
         let mut subs = self.shared.subs.lock();
-        let delivered: usize = subs
-            .iter_mut()
-            .map(|(_, sink)| usize::from(msgs.iter().all(|m| sink(m.clone()))))
-            .sum();
+        let delivered: usize = subs.iter_mut().map(|(_, sink)| usize::from(sink(msgs))).sum();
         drop(subs);
         self.shared.published.fetch_add(msgs.len() as u64, Ordering::Relaxed);
         delivered
@@ -535,18 +531,23 @@ mod tests {
     #[test]
     fn sink_sees_publish_and_publish_all_in_order() {
         let ch: EventChannel<u32> = EventChannel::new("t");
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&got);
-        let _closer = ch.subscribe_with(move |m| {
-            seen.lock().push(m);
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&runs);
+        let _closer = ch.subscribe_with(move |run: &[u32]| {
+            seen.lock().push(run.to_vec());
             true
         });
+        let s = ch.subscribe();
         let p = ch.publisher();
-        assert_eq!(p.publish(0), 1);
-        assert_eq!(p.publish_all(&[1, 2, 3]), 1);
+        assert_eq!(p.publish(0), 2);
+        assert_eq!(p.publish_all(&[1, 2, 3]), 2);
         p.publish(4);
         p.publish_all(&[5, 6]);
-        assert_eq!(*got.lock(), (0..7).collect::<Vec<_>>());
+        // One call per publish: a `publish` is a run of one, a
+        // `publish_all` one call with the whole run.
+        assert_eq!(*runs.lock(), vec![vec![0], vec![1, 2, 3], vec![4], vec![5, 6]]);
+        let got: Vec<u32> = std::iter::from_fn(|| s.try_recv()).collect();
+        assert_eq!(got, (0..7).collect::<Vec<_>>(), "a Subscriber sees one message at a time");
     }
 
     #[test]
@@ -565,8 +566,10 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i = 0;
                 while !done.load(Ordering::SeqCst) {
+                    // Single publishes and runs alternate.
                     p.publish(i);
-                    i += 1;
+                    p.publish_all(&[i, i + 1, i + 2]);
+                    i += 3;
                 }
             })
         };

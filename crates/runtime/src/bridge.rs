@@ -36,7 +36,11 @@
 //!
 //! An endpoint's subscriptions are sinks that push straight into its
 //! writer's unbounded queue on the publisher's thread (see
-//! `mirror_echo::channel`); no thread sits in between. Shutdown cascades
+//! `mirror_echo::channel`), one message at a time; no thread sits in
+//! between. The mirror-side reader publishes a received frame's data
+//! members as one run (one `publish_all`, flushed before any control
+//! member, so data/control order is the frame's), which a mirror site's
+//! sink takes into its inbox as one message. Shutdown cascades
 //! naturally: once a side's subscriptions are closed
 //! ([`BridgeHandle::stop`]) or its publishers drop, the writer's queue
 //! disconnects behind what they delivered, the writer sends it and closes
@@ -151,15 +155,15 @@ impl OutMsg {
     }
 }
 
-/// Subscribe a sink to `channel` that wraps each message and pushes it
-/// into a writer's queue, until the returned handle closes it or the
-/// channel's publishers are gone.
+/// Subscribe a sink to `channel` that wraps each message of a published
+/// run and pushes it into a writer's queue, one message at a time, until
+/// the returned handle closes it or the channel's publishers are gone.
 fn forward<T: Clone + Send + 'static>(
     channel: &EventChannel<T>,
     tx: Sender<OutMsg>,
     wrap: fn(T) -> OutMsg,
 ) -> Closer {
-    channel.subscribe_with(move |m| tx.send(wrap(m)).is_ok())
+    channel.subscribe_with(move |run: &[T]| run.iter().all(|m| tx.send(wrap(m.clone())).is_ok()))
 }
 
 /// The batching writer: drain the writer channel greedily under the flush
@@ -335,16 +339,21 @@ pub fn mirror_endpoint_with<R>(
     let data_pub = data.publisher();
     let ctrl_down_pub = ctrl_down.publisher();
     let mut threads = vec![std::thread::spawn(move || {
+        // A frame's data members are published as one run, flushed before
+        // any control member, so data/control order is the frame's order.
+        let mut run: Vec<SharedEvent> = Vec::new();
         while let Ok(Some(frame)) = down.recv() {
             for_each_app_frame(frame, &mut |f| match f {
-                Frame::Data(e) => {
-                    data_pub.publish(SharedEvent::new(e));
-                }
+                Frame::Data(e) => run.push(SharedEvent::new(e)),
                 Frame::Control(m) => {
+                    data_pub.publish_all(&run);
+                    run.clear();
                     ctrl_down_pub.publish(m);
                 }
                 _ => {}
             });
+            data_pub.publish_all(&run);
+            run.clear();
         }
     })];
     let (tx, rx) = channel::unbounded::<OutMsg>();
@@ -362,6 +371,8 @@ mod tests {
     use mirror_core::api::{MirrorConfig, MirrorHandle};
     use mirror_core::event::{Event, PositionFix};
     use mirror_echo::transport::InProcTransport;
+    use parking_lot::Mutex;
+    use std::sync::{mpsc, Arc};
 
     fn fix() -> PositionFix {
         PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 }
@@ -490,6 +501,55 @@ mod tests {
         assert!(seqs.iter().copied().eq(1..=20), "order preserved: {seqs:?}");
         assert!(batches >= 2, "a 20-event burst with max_events=8 needs ≥3 sends");
         w.join().unwrap();
+    }
+
+    /// A sink logging `(tag, run length)` per call into `log`, and
+    /// signalling each call on `seen`.
+    fn logger<T: 'static>(
+        tag: char,
+        log: &Arc<Mutex<Vec<(char, usize)>>>,
+        seen: &mpsc::Sender<()>,
+    ) -> impl FnMut(&[T]) -> bool + Send + 'static {
+        let (log, seen) = (Arc::clone(log), seen.clone());
+        move |run| {
+            log.lock().push((tag, run.len()));
+            let _ = seen.send(());
+            true
+        }
+    }
+
+    /// The mirror-side reader publishes a frame's data members as runs,
+    /// flushed before each control member: `[D, D, C, D]` arrives in that
+    /// order, as a data run of two, the control message, a data run of one.
+    #[test]
+    fn reader_publishes_data_runs_in_frame_order() {
+        let (mut down_tx, down_rx) = InProcTransport::pair("down");
+        let (up_tx, _up_rx) = InProcTransport::pair("up");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let (_sinks, bridge) =
+            mirror_endpoint(Box::new(down_rx), Box::new(up_tx), |data, ctrl_down, _| {
+                [
+                    data.subscribe_with(logger('D', &log, &seen_tx)),
+                    ctrl_down.subscribe_with(logger('C', &log, &seen_tx)),
+                ]
+            });
+        let data = |seq| Frame::Data(Arc::new(Event::faa_position(seq, 1, fix())));
+        let chkpt = ControlMsg::Chkpt {
+            round: 1,
+            stamp: mirror_core::timestamp::VectorTimestamp::new(1),
+            epoch: 0,
+            term: 0,
+        };
+        let batch = Frame::Batch(vec![data(1), data(2), Frame::Control(chkpt), data(3)]);
+        down_tx.send(&batch).unwrap();
+        for _ in 0..3 {
+            seen_rx.recv_timeout(Duration::from_secs(5)).expect("every member is published");
+        }
+        assert_eq!(*log.lock(), vec![('D', 2), ('C', 1), ('D', 1)]);
+        // The reader ends at EOF.
+        drop(down_tx);
+        bridge.join();
     }
 
     /// max_bytes flushes a batch before max_events is reached.

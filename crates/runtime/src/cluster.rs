@@ -679,14 +679,11 @@ impl Cluster {
                 }
             }
         };
-        let events = entries.len();
-        let data_pub = data.publisher();
-        for (_, e) in entries {
-            // Replays share the retained allocation (Arc), like the
-            // original sends did.
-            data_pub.publish(SharedEvent::new(e));
-        }
-        ResyncOutcome::Replayed { events, source }
+        // One run; replays share the retained allocation (Arc), like the
+        // original sends did.
+        let run: Vec<SharedEvent> = entries.into_iter().map(|(_, e)| SharedEvent::new(e)).collect();
+        data.publisher().publish_all(&run);
+        ResyncOutcome::Replayed { events: run.len(), source }
     }
 
     /// Start the runtime of a mirror that joins, or replaces one, under
@@ -1106,16 +1103,16 @@ impl Cluster {
         let mut state = snapshot.into_state();
         let mut replayed = 0usize;
         if let Some(j) = &journal {
-            let entries = j.replay_from(0)?;
-            let data_pub = self.data.publisher();
-            for (_, e) in entries {
+            let mut run = Vec::new();
+            for (_, e) in j.replay_from(0)? {
                 if !e.stamp.dominated_by(&frontier) {
                     replayed += 1;
                 }
                 state.apply(&e);
                 frontier.merge(&e.stamp);
-                data_pub.publish(SharedEvent::new(e));
+                run.push(SharedEvent::new(e));
             }
+            self.data.publisher().publish_all(&run);
         }
 
         // New coordinator: its aux unit is derived from the predecessor's

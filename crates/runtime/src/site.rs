@@ -13,7 +13,7 @@
 //! The aux thread drains its inbox in **runs**. It blocks for the first
 //! message (waking every `FLUSH_PERIOD` when idle to flush and keep
 //! checkpoints moving), then takes whatever else is already queued, up to
-//! `AUX_BATCH` messages. There is no linger: a lone event is a run of one
+//! `AUX_BATCH` events. There is no linger: a lone event is a run of one
 //! and is never held back waiting for company. A run goes through the
 //! unit under one lock, in inbox order, into one action buffer; the
 //! central publishes each contiguous stretch of mirror actions in it with
@@ -21,16 +21,21 @@
 //! a crash flag seen after the run is fed routes none of its actions.
 //!
 //! A site's channel subscriptions are sinks
-//! ([`EventChannel::subscribe_with`]) that map each message into a
-//! `SiteMsg` and send it into the unbounded inbox, on the publisher's
-//! thread: no thread sits between a channel and the inbox, and the aux
-//! thread blocks on the inbox alone. A sink must never block, since every
-//! publisher of its channel waits on it; the unbounded inbox send never
-//! does. `stop()` closes the sinks — once a close returns no publish can
-//! reach the inbox, because publishes hold the same lock — then queues the
-//! inbox's `Stop` behind everything they delivered: every event published
-//! to a site before `stop()` is applied. `crash()` sets the crash flag
-//! first; the sinks then refuse, and the aux thread abandons the inbox.
+//! ([`EventChannel::subscribe_with`]) that send what a publish delivers
+//! into the unbounded inbox, on the publisher's thread: no thread sits
+//! between a channel and the inbox, and the aux thread blocks on the inbox
+//! alone. A mirror's data sink turns a published run into one
+//! `SiteMsg::Run` (a run of one stays a `SiteMsg::Data`), so a central run
+//! crosses into each mirror's inbox as one message and is never split
+//! there: one message may carry more than `AUX_BATCH` events. Control
+//! stays one `SiteMsg::Ctrl` per message. A sink must never block, since
+//! every publisher of its channel waits on it; the unbounded inbox send
+//! never does. `stop()` closes the sinks — once a close returns no publish
+//! can reach the inbox, because publishes hold the same lock — then queues
+//! the inbox's `Stop` behind everything they delivered: every event
+//! published to a site before `stop()` is applied. `crash()` sets the
+//! crash flag first; the sinks then refuse, and the aux thread abandons
+//! the inbox.
 //!
 //! The main thread is a **dispatcher** over a sharded apply path (see
 //! DESIGN.md §16): the aux thread feeds it over a bounded lock-free MPSC
@@ -44,7 +49,7 @@
 //! crash sends too; a caller of an exclusive section blocks in the `recv`
 //! of a one-slot reply ring.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,8 +77,10 @@ use crate::statesync::{ServedSnapshot, SnapshotCachePolicy, StateSync};
 /// How often an idle aux thread flushes coalescing buffers.
 const FLUSH_PERIOD: Duration = Duration::from_millis(20);
 
-/// Most inbox messages the aux thread feeds through its unit as one run
-/// (one unit lock, one routed action buffer).
+/// Most events the aux thread feeds through its unit as one run (one unit
+/// lock, one routed action buffer); a control message counts as one. The
+/// drain stops taking messages once it holds this many, and never splits
+/// a `SiteMsg::Run`, so one run may exceed it.
 const AUX_BATCH: usize = 256;
 
 /// Shards in a site's operational store. More shards than the worker-pool
@@ -98,10 +105,60 @@ pub(crate) enum SiteMsg {
     /// allocation to the aux unit, the backup queue, and every outgoing
     /// channel.
     Data(Arc<Event>),
+    /// A run of data events published together (more than one), fed
+    /// through the unit in order as one inbox message.
+    Run(Vec<Arc<Event>>),
     /// A control-channel message.
     Ctrl(ControlMsg),
     /// Stop the site.
     Stop,
+}
+
+/// The sending side of a site's aux inbox, with the count that keeps its
+/// depth in events.
+#[derive(Clone)]
+struct Inbox {
+    tx: Sender<SiteMsg>,
+    /// Events in queued [`SiteMsg::Run`]s beyond one per message: a sink
+    /// adds `len − 1` before it sends a run, the aux thread subtracts it
+    /// when it takes the run. A statistic (`Relaxed`): the inbox send and
+    /// receive order each add before its subtraction.
+    run_extra: Arc<AtomicUsize>,
+}
+
+impl Inbox {
+    fn send(&self, msg: SiteMsg) -> bool {
+        self.tx.send(msg).is_ok()
+    }
+
+    /// Send a published run of data events as one message: a run of one
+    /// as [`SiteMsg::Data`], a longer one as [`SiteMsg::Run`].
+    fn send_run(&self, run: &[SharedEvent]) -> bool {
+        match run {
+            [] => true,
+            [e] => self.send(SiteMsg::Data(Arc::clone(e.event()))),
+            run => {
+                let extra = run.len() - 1;
+                self.run_extra.fetch_add(extra, Ordering::Relaxed);
+                let events = run.iter().map(|e| Arc::clone(e.event())).collect();
+                let sent = self.send(SiteMsg::Run(events));
+                if !sent {
+                    self.run_extra.fetch_sub(extra, Ordering::Relaxed);
+                }
+                sent
+            }
+        }
+    }
+
+    /// Send published control messages, one [`SiteMsg::Ctrl`] each.
+    fn send_ctrl(&self, run: &[ControlMsg]) -> bool {
+        run.iter().all(|m| self.send(SiteMsg::Ctrl(m.clone())))
+    }
+
+    /// Events queued in the inbox.
+    fn depth(&self) -> usize {
+        self.tx.len() + self.run_extra.load(Ordering::Relaxed)
+    }
 }
 
 /// A message for a site's main (EDE) thread.
@@ -256,7 +313,7 @@ struct SiteCore {
     /// seed/resync/reseed path captures through it.
     sync: Arc<StateSync>,
     handle: MirrorHandle,
-    inbox_tx: Sender<SiteMsg>,
+    inbox: Inbox,
     /// Direct line to the main thread ([`exclusive`](Self::exclusive)
     /// sections).
     seed_tx: MpscSender<MainMsg>,
@@ -282,12 +339,13 @@ impl SiteCore {
         site: SiteId,
         handle: MirrorHandle,
         clock: RuntimeClock,
-        on_action: impl Fn(&[AuxAction]) + Send + 'static,
+        mut on_action: impl FnMut(&[AuxAction]) + Send + 'static,
         updates_pub: Publisher<Event>,
         await_seed: bool,
         inbox_capacity: usize,
     ) -> Self {
         let (inbox_tx, inbox_rx) = channel::unbounded::<SiteMsg>();
+        let inbox = Inbox { tx: inbox_tx, run_extra: Arc::new(AtomicUsize::new(0)) };
         // Aux → dispatcher: a bounded lock-free MPSC ring (producers: the
         // aux thread, exclusive sections, shutdown).
         let (main_tx, mut main_rx) = ring::mpsc::<MainMsg>(inbox_capacity);
@@ -336,6 +394,7 @@ impl SiteCore {
         let aux_shared = Arc::clone(&shared);
         let aux_main_tx = main_tx.clone();
         let aux_crashed = Arc::clone(&crashed);
+        let aux_run_extra = Arc::clone(&inbox.run_extra);
         let aux = std::thread::Builder::new()
             .name(format!("aux-{site}"))
             .spawn(move || {
@@ -360,33 +419,52 @@ impl SiteCore {
                                 a.handle_into(AuxInput::Flush, &mut actions);
                                 actions.extend(a.idle_checkpoint());
                             });
-                            route_actions(&actions, &aux_shared, &aux_main_tx, &on_action);
+                            route_actions(&actions, &aux_shared, &aux_main_tx, &mut on_action);
                             actions.clear();
                             continue;
                         }
                         Err(channel::RecvTimeoutError::Disconnected) => break,
                     };
                     // The run: `first` plus whatever is already queued, up
-                    // to a `Stop`, which ends it.
+                    // to `AUX_BATCH` events or a `Stop`, which ends it.
                     let mut stop = false;
+                    let mut data = false;
+                    let mut events = 0;
                     let mut next = Some(first);
                     while let Some(msg) = next {
-                        if matches!(msg, SiteMsg::Stop) {
-                            stop = true;
-                            break;
+                        match &msg {
+                            SiteMsg::Stop => {
+                                stop = true;
+                                break;
+                            }
+                            SiteMsg::Run(evs) => {
+                                aux_run_extra.fetch_sub(evs.len() - 1, Ordering::Relaxed);
+                                events += evs.len();
+                                data = true;
+                            }
+                            SiteMsg::Data(_) => {
+                                events += 1;
+                                data = true;
+                            }
+                            SiteMsg::Ctrl(_) => events += 1,
                         }
                         run.push(msg);
-                        next = if run.len() < AUX_BATCH { inbox_rx.try_recv().ok() } else { None };
+                        next = if events < AUX_BATCH { inbox_rx.try_recv().ok() } else { None };
                     }
-                    let data = run.iter().any(|m| matches!(m, SiteMsg::Data(_)));
                     aux_handle.with(|a| {
                         for msg in run.drain(..) {
-                            let input = match msg {
-                                SiteMsg::Data(e) => AuxInput::Data(e),
-                                SiteMsg::Ctrl(m) => AuxInput::Control(m),
+                            match msg {
+                                SiteMsg::Data(e) => a.handle_into(AuxInput::Data(e), &mut actions),
+                                SiteMsg::Run(evs) => {
+                                    for e in evs {
+                                        a.handle_into(AuxInput::Data(e), &mut actions);
+                                    }
+                                }
+                                SiteMsg::Ctrl(m) => {
+                                    a.handle_into(AuxInput::Control(m), &mut actions)
+                                }
                                 SiteMsg::Stop => unreachable!("a Stop ends the run"),
-                            };
-                            a.handle_into(input, &mut actions);
+                            }
                         }
                         if stop && !aux_crashed.load(Ordering::SeqCst) {
                             // Clean shutdown flushes the coalescing
@@ -401,7 +479,7 @@ impl SiteCore {
                     if data {
                         aux_shared.counters.aux_batches.fetch_add(1, Ordering::Relaxed);
                     }
-                    route_actions(&actions, &aux_shared, &aux_main_tx, &on_action);
+                    route_actions(&actions, &aux_shared, &aux_main_tx, &mut on_action);
                     actions.clear();
                     if stop {
                         let _ = aux_main_tx.send(MainMsg::Stop);
@@ -416,7 +494,7 @@ impl SiteCore {
         // control traffic and seed installs are handled inline so they
         // serialize with dispatch order.
         let main_shared = Arc::clone(&shared);
-        let main_inbox = inbox_tx.clone();
+        let main_inbox = inbox.clone();
         let main_crashed = Arc::clone(&crashed);
         let main = std::thread::Builder::new()
             .name(format!("main-{site}"))
@@ -471,7 +549,7 @@ impl SiteCore {
                                 // the commit conservative, never wrong.
                                 let rep = main_shared.responder.lock().on_chkpt(&m, report);
                                 if let Some(rep) = rep {
-                                    let _ = main_inbox.send(SiteMsg::Ctrl(rep));
+                                    main_inbox.send(SiteMsg::Ctrl(rep));
                                 }
                             }
                             ControlMsg::Commit { .. } => main_shared.responder.lock().on_commit(&m),
@@ -490,7 +568,7 @@ impl SiteCore {
             shared,
             sync,
             handle,
-            inbox_tx,
+            inbox,
             seed_tx: main_tx,
             inbox_capacity,
             crashed,
@@ -499,18 +577,18 @@ impl SiteCore {
         }
     }
 
-    /// Subscribe a sink to `channel` that maps each message through
-    /// `into` and sends it into the aux inbox, until [`stop`](Self::stop)
-    /// closes it. Once the site has crashed the sink refuses, abandoning
-    /// what is published to it.
+    /// Subscribe a sink to `channel` that hands each published run to
+    /// `send` for the aux inbox, until [`stop`](Self::stop) closes it.
+    /// Once the site has crashed the sink refuses, abandoning what is
+    /// published to it.
     fn forward<T: Clone + Send + 'static>(
         &mut self,
         channel: &EventChannel<T>,
-        into: impl Fn(T) -> SiteMsg + Send + 'static,
+        send: impl Fn(&Inbox, &[T]) -> bool + Send + 'static,
     ) {
-        let inbox = self.inbox_tx.clone();
+        let inbox = self.inbox.clone();
         let crashed = Arc::clone(&self.crashed);
-        let sink = move |m| !crashed.load(Ordering::SeqCst) && inbox.send(into(m)).is_ok();
+        let sink = move |run: &[T]| !crashed.load(Ordering::SeqCst) && send(&inbox, run);
         self.sinks.push(channel.subscribe_with(sink));
     }
 
@@ -520,7 +598,7 @@ impl SiteCore {
         for sink in self.sinks.drain(..) {
             sink.close();
         }
-        let _ = self.inbox_tx.send(SiteMsg::Stop);
+        self.inbox.send(SiteMsg::Stop);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -554,8 +632,9 @@ fn route_actions(
     actions: &[AuxAction],
     shared: &Arc<SiteShared>,
     main_tx: &MpscSender<MainMsg>,
-    on_action: &impl Fn(&[AuxAction]),
+    on_action: &mut impl FnMut(&[AuxAction]),
 ) {
+    let mut mirrored = 0;
     for action in actions {
         match action {
             AuxAction::ForwardToMain(ev) => {
@@ -565,14 +644,15 @@ fn route_actions(
             AuxAction::ControlToMain(m) => {
                 let _ = main_tx.send(MainMsg::Ctrl(m.clone()));
             }
-            AuxAction::Mirror { .. } => {
-                shared.counters.mirrored.fetch_add(1, Ordering::Relaxed);
-            }
+            AuxAction::Mirror { .. } => mirrored += 1,
             AuxAction::Reconfigured(_) => {
                 shared.counters.adaptations.fetch_add(1, Ordering::Relaxed);
             }
             _ => {}
         }
+    }
+    if mirrored > 0 {
+        shared.counters.mirrored.fetch_add(mirrored, Ordering::Relaxed);
     }
     on_action(actions);
 }
@@ -687,8 +767,9 @@ macro_rules! site_common_impl {
         /// plus the aux→dispatcher ring. The inbox also holds what the
         /// site's channel subscriptions have delivered and the aux thread
         /// has not yet taken; no subscription queues anything of its own.
+        /// A delivered run counts as its events, not as one message.
         pub fn inbox_depth(&self) -> usize {
-            self.core.inbox_tx.len() + self.core.seed_tx.len()
+            self.core.inbox.depth() + self.core.seed_tx.len()
         }
 
         /// The configured aux→dispatcher ring capacity (the
@@ -840,13 +921,13 @@ impl CentralSite {
         // routed, so querying the backup queue's truncation floor from
         // inside the route closure is deadlock-free.
         let floor_handle = handle.clone();
+        // Contiguous mirror actions are journaled and published as one run;
+        // the run is flushed before any control publish or journal commit,
+        // so program order between data and control is what the aux unit
+        // emitted. The scratch buffers live across calls.
+        let mut idxs: Vec<u64> = Vec::new();
+        let mut run: Vec<SharedEvent> = Vec::new();
         let route = move |actions: &[AuxAction]| {
-            // Contiguous mirror actions are journaled and published as one
-            // run; the run is flushed before any control publish or
-            // journal commit, so program order between data and control
-            // is what the aux unit emitted.
-            let mut idxs: Vec<u64> = Vec::new();
-            let mut run: Vec<SharedEvent> = Vec::new();
             let flush = |idxs: &mut Vec<u64>, run: &mut Vec<SharedEvent>| {
                 if run.is_empty() {
                     return;
@@ -857,8 +938,9 @@ impl CentralSite {
                     // covering it.
                     j.append_all(idxs.drain(..).zip(run.iter().cloned()));
                 }
-                // One subscriber-lock acquisition per run; each mirror gets
-                // an Arc clone, and the wire encoding is computed at most
+                // One subscriber-lock acquisition per run, and each sink
+                // takes it whole: a mirror's inbox gets one message of Arc
+                // clones per run. The wire encoding is computed at most
                 // once across all consumers (SharedEvent's cache) — the
                 // journal writer forces it off-thread and bridges reuse it.
                 data_pub.publish_all(run);
@@ -912,7 +994,7 @@ impl CentralSite {
             journal,
             scale,
         };
-        site.core.forward(ctrl_up, SiteMsg::Ctrl);
+        site.core.forward(ctrl_up, Inbox::send_ctrl);
         site
     }
 
@@ -922,7 +1004,7 @@ impl CentralSite {
         if event.ingress_us == 0 {
             event.ingress_us = self.core.shared.clock.now_us();
         }
-        let _ = self.core.inbox_tx.send(SiteMsg::Data(Arc::new(event)));
+        self.core.inbox.send(SiteMsg::Data(Arc::new(event)));
     }
 
     /// Submit a source event unless the ingest pipeline is saturated.
@@ -942,7 +1024,7 @@ impl CentralSite {
         if event.ingress_us == 0 {
             event.ingress_us = self.core.shared.clock.now_us();
         }
-        let _ = self.core.inbox_tx.send(SiteMsg::Data(Arc::new(event)));
+        self.core.inbox.send(SiteMsg::Data(Arc::new(event)));
         Ok(())
     }
 
@@ -1169,8 +1251,8 @@ impl MirrorSite {
             SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed, inbox_capacity);
 
         let mut s = MirrorSite { core, updates };
-        s.core.forward(data, |e: SharedEvent| SiteMsg::Data(e.into_event()));
-        s.core.forward(ctrl_down, SiteMsg::Ctrl);
+        s.core.forward(data, Inbox::send_run);
+        s.core.forward(ctrl_down, Inbox::send_ctrl);
         s
     }
 
