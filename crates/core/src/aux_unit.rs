@@ -14,7 +14,9 @@
 //! 3. the **control task** runs checkpointing and adaptation.
 //!
 //! [`AuxUnit`] composes the three tasks into one deterministic step
-//! machine: every [`AuxInput`] yields a list of [`AuxAction`]s. An event
+//! machine: every [`AuxInput`] yields a list of [`AuxAction`]s. Inputs
+//! may be fed in runs ([`AuxUnit::handle_run`]), and a run begins at most
+//! one checkpoint round. An event
 //! keeps one allocation through the unit: the receiving task stamps the
 //! submitted `Arc<Event>` in place, and the forward copy, the ready and
 //! backup queues and the mirror copy all share it. The *same*
@@ -128,10 +130,13 @@ pub struct AuxUnit {
     /// event's (stream, seq) so each stamped event carries the frontier of
     /// everything received before it.
     clock: VectorTimestamp,
-    /// Data events processed since the last checkpoint was initiated (the
+    /// Data events processed since the last checkpoint fell due (the
     /// paper invokes checkpointing "at a constant frequency of once per 50
     /// processed events").
     processed_since_chkpt: u32,
+    /// A checkpoint round fell due in the run being fed; the run's close
+    /// begins it ([`handle_run`](Self::handle_run)).
+    chkpt_due: bool,
     /// Pending client requests at this site (set by the embedding server;
     /// reported to the adaptation controller).
     pending_requests: u64,
@@ -185,6 +190,7 @@ impl AuxUnit {
             params,
             clock: VectorTimestamp::empty(),
             processed_since_chkpt: 0,
+            chkpt_due: false,
             pending_requests: 0,
             membership_epoch: 0,
             leader_term: 0,
@@ -252,6 +258,7 @@ impl AuxUnit {
             status: _,
             clock: _,
             processed_since_chkpt: _,
+            chkpt_due: _,
             pending_requests: _,
             membership_epoch: _,
             leader_term: _,
@@ -308,6 +315,7 @@ impl AuxUnit {
             status: _,
             clock: _,
             processed_since_chkpt: _,
+            chkpt_due: _,
             pending_requests: _,
             membership_epoch: _,
             leader_term: _,
@@ -600,16 +608,36 @@ impl AuxUnit {
         }
     }
 
-    /// Feed one input through the unit, producing the actions to perform.
+    /// Feed one input through the unit as a run of its own, producing the
+    /// actions to perform.
     pub fn handle(&mut self, input: AuxInput) -> Vec<AuxAction> {
         let mut actions = Vec::new();
-        self.handle_into(input, &mut actions);
+        self.handle_run([input], &mut actions);
         actions
     }
 
-    /// [`handle`](Self::handle), appending the actions to `actions` — an
-    /// embedding feeding a run of inputs collects them in one buffer.
-    pub fn handle_into(&mut self, input: AuxInput, actions: &mut Vec<AuxAction>) {
+    /// Feed a run of inputs through the unit in order, appending their
+    /// actions to `actions`, then close the run: if a checkpoint fell due
+    /// during it, begin one round, proposing the run's newest stamp. A
+    /// later round subsumes an earlier one, so a run spanning several
+    /// `checkpoint_every` stretches still sends one CHKPT. Round numbers
+    /// stay consecutive — they count the rounds begun — so a peer one
+    /// round behind lags by one, as `suspect_after` assumes.
+    pub fn handle_run(
+        &mut self,
+        inputs: impl IntoIterator<Item = AuxInput>,
+        actions: &mut Vec<AuxAction>,
+    ) {
+        for input in inputs {
+            self.handle_into(input, actions);
+        }
+        if std::mem::take(&mut self.chkpt_due) {
+            actions.extend(self.begin_checkpoint());
+        }
+    }
+
+    /// Feed one input of a run, appending its actions to `actions`.
+    fn handle_into(&mut self, input: AuxInput, actions: &mut Vec<AuxAction>) {
         match input {
             AuxInput::Data(event) => match self.is_central() {
                 true => self.central_on_data(event, actions),
@@ -665,12 +693,12 @@ impl AuxUnit {
         // still produces coalesced wire events.
         self.drain_ready(false, actions);
 
-        // Control task: checkpoint once per `checkpoint_every` processed
-        // events.
+        // Control task: a checkpoint falls due once per `checkpoint_every`
+        // processed events; the run's close begins it.
         self.processed_since_chkpt += 1;
         if self.processed_since_chkpt >= self.params.checkpoint_every {
             self.processed_since_chkpt = 0;
-            actions.extend(self.begin_checkpoint());
+            self.chkpt_due = true;
         }
     }
 
@@ -1170,6 +1198,83 @@ mod tests {
         // Central pruned everything it had mirrored (all processed).
         assert_eq!(central.backup_len(), 0);
         assert_eq!(central.committed().unwrap().get(0), 10);
+    }
+
+    /// The CHKPTs in `actions`: (round, proposal's stream-0 entry).
+    fn chkpts(actions: &[AuxAction]) -> Vec<(u64, u64)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                AuxAction::ControlToMirrors(ControlMsg::Chkpt { round, stamp, .. }) => {
+                    Some((*round, stamp.get(0)))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A run of data events `seqs` on one flight.
+    fn data_run(seqs: std::ops::RangeInclusive<u64>) -> impl Iterator<Item = AuxInput> {
+        seqs.map(|seq| AuxInput::Data(pos(seq, 1).into()))
+    }
+
+    #[test]
+    fn one_chkpt_per_run_numbered_after_the_last() {
+        let mut params = MirrorParams::default();
+        params.checkpoint_every = 10;
+        let mut aux = AuxUnit::central(vec![1], params);
+        let mut actions = Vec::new();
+        aux.handle_run(data_run(1..=55), &mut actions);
+        assert_eq!(chkpts(&actions), vec![(1, 55)], "five rounds fell due: one CHKPT");
+
+        // The five events left over count toward the next round, which
+        // takes the next number.
+        actions.clear();
+        aux.handle_run(data_run(56..=60), &mut actions);
+        assert_eq!(chkpts(&actions), vec![(2, 60)]);
+        actions.clear();
+        aux.handle_run([], &mut actions);
+        assert!(actions.is_empty(), "nothing fell due");
+        assert_eq!(aux.counters().checkpoints, 2, "rounds begun");
+    }
+
+    #[test]
+    fn one_chkpt_per_run_keeps_a_peer_one_round_behind_unsuspected() {
+        let mut params = MirrorParams::default();
+        params.checkpoint_every = 10;
+        let mut aux = AuxUnit::central(vec![1, 2], params);
+        aux.set_suspect_after(3);
+        let reply = |aux: &mut AuxUnit, round, site| {
+            let stamp = aux.clock().clone();
+            let monitor = MonitorReport::default();
+            aux.handle(AuxInput::Control(ControlMsg::ChkptRep {
+                round,
+                site,
+                stamp,
+                monitor,
+                term: 0,
+            }))
+        };
+        // Feed a run and return the round of the one CHKPT it sends.
+        let run = |aux: &mut AuxUnit, seqs| {
+            let mut actions = Vec::new();
+            aux.handle_run(data_run(seqs), &mut actions);
+            let sent = chkpts(&actions);
+            assert_eq!(sent.len(), 1, "{actions:?}");
+            sent[0].0
+        };
+        let first = run(&mut aux, 1..=50);
+        for site in [CENTRAL_SITE, 1, 2] {
+            reply(&mut aux, first, site);
+        }
+
+        // Mirror 1 answers the next run's round before mirror 2 does: a
+        // skew of one round, which must not read as failure.
+        let second = run(&mut aux, 51..=100);
+        assert_eq!(second, first + 1, "round numbers count the rounds begun");
+        let acts = reply(&mut aux, second, 1);
+        assert!(!acts.iter().any(|a| matches!(a, AuxAction::MirrorFailed(_))), "{acts:?}");
+        assert_eq!(aux.live_mirrors(), Some(vec![1, 2]));
     }
 
     #[test]

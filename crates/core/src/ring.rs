@@ -11,13 +11,13 @@
 //! * [`spsc`] — a Lamport single-producer/single-consumer ring: one atomic
 //!   load + one atomic store per side per operation, plus the waiter's
 //!   fence and load (see [Waiting](#waiting)). Used to feed each
-//!   apply worker from the dispatcher (shard affinity makes every
-//!   dispatcher→worker edge single-producer/single-consumer by
+//!   apply worker from its site's aux thread (shard affinity makes every
+//!   aux→worker edge single-producer/single-consumer by
 //!   construction).
 //! * [`mpsc`] — a Vyukov-style bounded multi-producer/single-consumer
 //!   ring (per-slot sequence numbers, one CAS per push). Used where
-//!   several threads feed one drain loop (e.g. the aux thread, seed
-//!   installers and shutdown all feeding a site's apply dispatcher).
+//!   several threads feed one drain loop (e.g. an edge server's delivery
+//!   workers).
 //!
 //! Both rings keep **exact** occupancy statistics ([`RingStats`]) for
 //! free: the ring positions themselves are the operation counts (`tail` =
@@ -71,6 +71,30 @@ pub struct RingStats {
     pub dequeued: u64,
     /// Largest occupancy observed by the producer side at a push.
     pub high_watermark: usize,
+}
+
+/// Reads a ring's [`RingStats`] from any thread without being an end of
+/// the ring — say, the owner of a site whose thread holds the producer.
+/// Keeps the ring's buffer alive.
+#[derive(Clone)]
+pub struct RingProbe(Arc<dyn StatsSource>);
+
+impl RingProbe {
+    /// Exact statistics so far.
+    pub fn stats(&self) -> RingStats {
+        self.0.stats()
+    }
+}
+
+/// A ring's statistics, with its item type erased.
+trait StatsSource: Send + Sync {
+    fn stats(&self) -> RingStats;
+}
+
+impl<T: Send> StatsSource for Shared<T> {
+    fn stats(&self) -> RingStats {
+        Shared::stats(self)
+    }
 }
 
 /// Why a push did not take the item.
@@ -401,6 +425,14 @@ impl<T: Send> SpscSender<T> {
     pub fn capacity(&self) -> usize {
         self.shared.mask + 1
     }
+
+    /// A [`RingProbe`] on this ring's statistics.
+    pub fn probe(&self) -> RingProbe
+    where
+        T: 'static,
+    {
+        RingProbe(Arc::clone(&self.shared) as Arc<dyn StatsSource>)
+    }
 }
 
 impl<T> Drop for SpscSender<T> {
@@ -723,6 +755,19 @@ mod tests {
         assert_eq!(rx.try_recv(), RingRecv::Empty);
         let st = rx.stats();
         assert_eq!((st.enqueued, st.dequeued, st.high_watermark), (5, 5, 5));
+    }
+
+    #[test]
+    fn a_probe_reads_the_stats_and_outlives_both_ends() {
+        let (mut tx, mut rx) = spsc::<u64>(8);
+        let probe = tx.probe();
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        assert_eq!(rx.try_recv(), RingRecv::Item(1));
+        let st = probe.stats();
+        assert_eq!((st.enqueued, st.dequeued, st.high_watermark), (2, 1, 2));
+        drop((tx, rx));
+        assert_eq!(probe.stats(), RingStats { enqueued: 2, dequeued: 2, high_watermark: 2 });
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! acquisitions (EDE + checkpoint responder), an `EdeOutput` allocation
 //! and an `Event` clone. [`ApplyPool`] replaces that inner loop:
 //!
-//! * the owning thread (the site's dispatcher) routes each event by its
+//! * the owning thread (the site's aux thread, which routes each run's
+//!   actions itself) sends each event by its
 //!   flight's shard to a worker over a bounded lock-free SPSC ring
 //!   ([`mirror_core::ring`]) — shard affinity makes every ring
 //!   single-producer/single-consumer by construction and keeps
@@ -20,7 +21,7 @@
 //!   take the responder lock once per batch, flushing eagerly whenever the
 //!   ring runs dry so the frontier never lags an idle site;
 //! * an idle worker blocks in the ring's `recv` (spin, yield, then park
-//!   until the dispatcher's next push), after that flush — it polls
+//!   until the owner's next push), after that flush — it polls
 //!   nothing and burns no CPU while its shard has no traffic.
 //!
 //! Ordering contract: the checkpoint frontier only ever *trails* the
@@ -41,7 +42,7 @@ use parking_lot::Mutex;
 
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::{spsc, RingRecv, SpscSender};
+use mirror_core::ring::{spsc, RingProbe, RingRecv, SpscSender};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_echo::channel::Publisher;
 use mirror_ede::{ShardMap, ShardedEde};
@@ -57,7 +58,7 @@ pub struct ApplyPoolConfig {
     /// `min(4, available cores)`.
     pub workers: usize,
     /// Per-worker ring capacity (rounded up to a power of two). A full
-    /// ring backpressures the dispatcher — bounded memory under overload.
+    /// ring backpressures the owner — bounded memory under overload.
     pub ring_capacity: usize,
     /// Max events a worker applies between bookkeeping flushes (responder
     /// stamp merge + counter adds). Flushes also happen whenever the ring
@@ -70,7 +71,7 @@ impl Default for ApplyPoolConfig {
         let cores =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
         // 4096 slots × 16-byte messages keeps a worker's backlog ~64 KiB
-        // while letting dispatcher and worker exchange the CPU in large
+        // while letting owner and worker exchange the CPU in large
         // quanta when cores are scarce.
         ApplyPoolConfig { workers: cores.min(4), ring_capacity: 4096, batch: 64 }
     }
@@ -94,13 +95,13 @@ pub struct ApplySink {
 
 enum WorkerMsg {
     Event(Arc<Event>),
-    /// Park at the barrier twice (arrive + resume) so the dispatcher can
+    /// Park at the barrier twice (arrive + resume) so the owner can
     /// mutate the store with every ring provably empty.
     Quiesce(Arc<Barrier>),
 }
 
 /// A pool of shard-affine apply workers fed over lock-free SPSC rings.
-/// Owned by a single dispatcher thread (methods take `&mut self` — the
+/// Owned by a single thread (methods take `&mut self` — the
 /// single-producer side of every ring).
 pub struct ApplyPool {
     map: ShardMap,
@@ -146,6 +147,12 @@ impl ApplyPool {
         // Err means the worker is gone — only possible after a crash,
         // where dropping the event is exactly the intended semantics.
         let _ = self.feeds[worker].send(WorkerMsg::Event(event));
+    }
+
+    /// A [`RingProbe`] on each worker's ring, in worker order, for
+    /// reading the dispatch statistics from other threads.
+    pub fn ring_probes(&self) -> Vec<RingProbe> {
+        self.feeds.iter().map(SpscSender::probe).collect()
     }
 
     /// Drain every worker and run `f` while all of them are parked at a

@@ -74,14 +74,13 @@ pub struct ClusterConfig {
     /// [`Cluster::poll_failover`] declares death on sustained silence and
     /// self-promotes the lowest live mirror at a bumped leadership term.
     pub failover: Option<FailoverPolicy>,
-    /// Capacity of each site's aux→dispatcher ring — the depth of the
-    /// ingest pipeline between the receiving task and the sharded apply
-    /// path. Also the refusal threshold for
-    /// [`Cluster::try_submit`]: submissions are refused with a typed
-    /// [`SiteOverload`](crate::site::SiteOverload) once this many events
-    /// are queued, so saturation surfaces as backpressure the producer
-    /// can act on instead of unbounded queueing or silent spinning.
-    /// Rounded up to a power of two internally.
+    /// The ingest refusal threshold, in events queued in a site's aux
+    /// inbox: [`Cluster::try_submit`] refuses with a typed
+    /// [`SiteOverload`](crate::site::SiteOverload) once the central's
+    /// inbox holds this many, so saturation surfaces as backpressure the
+    /// producer can act on instead of unbounded queueing or silent
+    /// spinning. The inbox itself stays unbounded (a site's aux thread
+    /// re-enters it with checkpoint replies).
     pub inbox_capacity: usize,
 }
 
@@ -257,8 +256,8 @@ pub struct Cluster {
     /// Control-downlink watcher thread (failover armed only) and the
     /// close handle of the subscription it reads.
     watcher: parking_lot::Mutex<Option<(Closer, std::thread::JoinHandle<()>)>>,
-    /// Configured aux→dispatcher ring capacity, applied to every site this
-    /// cluster constructs (start, scale-out, rejoin, recovery, promotion).
+    /// Configured ingest refusal threshold, applied to every central this
+    /// cluster starts (at start-up and on promotion).
     inbox_capacity: usize,
     /// Edge delivery tiers attached via [`serve_edge`](Self::serve_edge),
     /// keyed by the site each one fronts. Promotions re-point entries
@@ -289,7 +288,6 @@ impl Cluster {
                     &ctrl_down,
                     ctrl_up.publisher(),
                     false,
-                    cfg.inbox_capacity,
                 ),
             );
         }
@@ -700,7 +698,6 @@ impl Cluster {
             &self.ctrl_down,
             self.ctrl_up.publisher(),
             true,
-            self.inbox_capacity,
         )
     }
 
@@ -878,7 +875,7 @@ impl Cluster {
         let replacement = self.spawn_replacement(&central, site);
         // Subscriptions are live; rebuild state from disk and seed it.
         // Anything published between here and the seed install is buffered
-        // by the awaiting-seed main thread and replayed on top.
+        // by the awaiting-seed site and replayed on top.
         //
         // With a live journal the recovery read MUST go through it: its
         // lock-protected EventLog serves the replay, so concurrent

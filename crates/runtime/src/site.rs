@@ -1,24 +1,42 @@
 //! Threaded site runtimes.
 //!
-//! Each site runs two long-lived threads mirroring the paper's unit split:
+//! A site is one **aux thread** plus the apply workers of its
+//! [`ApplyPool`], mirroring the paper's unit split:
 //!
-//! * the **aux thread** executes the auxiliary unit (receiving, sending and
+//! * the aux thread executes the auxiliary unit (receiving, sending and
 //!   control tasks — the [`mirror_core::AuxUnit`] step machine behind the
 //!   Table-1 [`MirrorHandle`]), translating its actions into channel
-//!   publishes;
-//! * the **main thread** feeds the Event Derivation Engine and runs the
-//!   main unit's checkpoint responder, feeding replies back to the aux
-//!   thread.
+//!   publishes, and does the main unit's share of each run itself: it
+//!   sends forwarded events to the apply workers and answers checkpoint
+//!   traffic against the main unit's responder;
+//! * the apply workers feed the Event Derivation Engine, a
+//!   per-shard-locked [`ShardedEde`] (see DESIGN.md §16).
 //!
 //! The aux thread drains its inbox in **runs**. It blocks for the first
 //! message (waking every `FLUSH_PERIOD` when idle to flush and keep
 //! checkpoints moving), then takes whatever else is already queued, up to
 //! `AUX_BATCH` events. There is no linger: a lone event is a run of one
 //! and is never held back waiting for company. A run goes through the
-//! unit under one lock, in inbox order, into one action buffer; the
-//! central publishes each contiguous stretch of mirror actions in it with
-//! one [`Publisher::publish_all`]. A `Stop` ends the run it lands in, and
-//! a crash flag seen after the run is fed routes none of its actions.
+//! unit under one lock, in inbox order, into one action buffer
+//! ([`AuxUnit::handle_run`](mirror_core::AuxUnit::handle_run)), so a run
+//! begins at most one checkpoint round. The central publishes each
+//! contiguous stretch of mirror actions in the buffer with one
+//! [`Publisher::publish_all`]. A `Stop` ends the run it lands in, and a
+//! crash flag seen after the run is fed routes none of its actions.
+//!
+//! Routing a run goes to completion on the aux thread. A forwarded event
+//! goes straight into the ring of the worker owning its flight's shard
+//! (held back while a site started in awaiting-seed mode waits for its
+//! seed); a full ring blocks the aux thread until that worker catches
+//! up. A CHKPT is answered against the responder, and the reply re-enters
+//! the site's own inbox. The exclusive sections behind seed, merge, delta
+//! and purge travel through the inbox too: one ends the run it lands in,
+//! and after routing that run the aux thread runs it with every apply
+//! worker parked ([`ApplyPool::quiesce`]), while its caller blocks in the
+//! `recv` of a one-slot reply ring. A section thus waits out the inbox
+//! backlog queued ahead of it, and its caller must be neither the aux
+//! thread nor a holder of the unit lock ([`MirrorHandle::with`]), which
+//! the aux thread takes to feed that backlog.
 //!
 //! A site's channel subscriptions are sinks
 //! ([`EventChannel::subscribe_with`]) that send what a publish delivers
@@ -36,18 +54,6 @@
 //! published to a site before `stop()` is applied. `crash()` sets the
 //! crash flag first; the sinks then refuse, and the aux thread abandons
 //! the inbox.
-//!
-//! The main thread is a **dispatcher** over a sharded apply path (see
-//! DESIGN.md §16): the aux thread feeds it over a bounded lock-free MPSC
-//! ring, and it routes data events by flight-id shard to the
-//! [`ApplyPool`]'s workers, which apply into
-//! a per-shard-locked [`ShardedEde`]. Control traffic (checkpoint rounds,
-//! and the exclusive sections behind seed, merge, delta and purge) is
-//! handled inline by the dispatcher so it serializes with dispatch order.
-//! The dispatcher blocks in the ring's `recv` between messages (spin,
-//! yield, then park until a push) and stops on `MainMsg::Stop`, which a
-//! crash sends too; a caller of an exclusive section blocks in the `recv`
-//! of a one-slot reply ring.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,7 +67,7 @@ use mirror_core::api::MirrorHandle;
 use mirror_core::aux_unit::{AuxAction, AuxInput, SiteId};
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::{self, MpscSender};
+use mirror_core::ring::{self, RingProbe, RingStats};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
@@ -89,17 +95,22 @@ const AUX_BATCH: usize = 256;
 /// digest, so the count is a pure tuning knob.
 const APPLY_SHARDS: usize = 8;
 
-/// Default capacity of the aux→dispatcher MPSC ring (events in flight
-/// between the receiving task and the apply path before backpressure).
-/// Sized like the worker rings so the pipeline stages exchange the CPU in
-/// large quanta on oversubscribed hosts. Overridable per cluster via
-/// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig);
-/// [`MirrorSite::start`] uses this default.
+/// Default ingest refusal threshold: [`CentralSite::try_submit`] refuses
+/// once the central's inbox holds this many events. The inbox itself is
+/// unbounded. Overridable per cluster via
+/// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig).
 pub const DEFAULT_MAIN_RING_CAPACITY: usize = 8192;
 
+/// A section run with the store to itself: every apply worker drains its
+/// ring and parks, the section runs, and applies resume on top of
+/// whatever it did, so it lands between two well-defined batches of
+/// applies, in inbox order. An event racing it (published after a capture
+/// the section installs, queued before it) may be overwritten and then
+/// re-converges off the stream, absorbed idempotently by the EDE.
+type Section = Box<dyn FnOnce(&SiteShared) + Send>;
+
 /// A message in a site's aux inbox.
-#[derive(Debug)]
-pub(crate) enum SiteMsg {
+enum SiteMsg {
     /// A data event (source ingest at the central site, mirrored event at a
     /// mirror site). Shared: the zero-copy fan-out hands the same
     /// allocation to the aux unit, the backup queue, and every outgoing
@@ -110,6 +121,11 @@ pub(crate) enum SiteMsg {
     Run(Vec<Arc<Event>>),
     /// A control-channel message.
     Ctrl(ControlMsg),
+    /// Run a [`Section`]; ends the run it lands in. `seeds` marks the seed
+    /// install a site started in awaiting-seed mode is buffering for:
+    /// after it, the buffered events replay on top and buffering ends.
+    /// Sent only by [`SiteCore::exclusive`], which blocks on the result.
+    Exclusive { section: Section, seeds: bool },
     /// Stop the site.
     Stop,
 }
@@ -159,27 +175,6 @@ impl Inbox {
     fn depth(&self) -> usize {
         self.tx.len() + self.run_extra.load(Ordering::Relaxed)
     }
-}
-
-/// A message for a site's main (EDE) thread.
-enum MainMsg {
-    Event(Arc<Event>),
-    Ctrl(ControlMsg),
-    /// Run a section with the store to itself: every apply worker drains
-    /// its ring and parks, the section runs, applies resume on top of
-    /// whatever it did — so it lands between two well-defined batches of
-    /// applies, serialized with dispatch order. An event racing it
-    /// (published after a capture the section installs, dispatched before
-    /// this message) may be overwritten and then re-converges off the
-    /// stream, absorbed idempotently by the EDE. `seeds` marks the seed
-    /// install a site started in awaiting-seed mode is buffering for:
-    /// after it, the buffered events replay on top and buffering ends.
-    /// Sent only by [`SiteCore::exclusive`], which blocks on the result.
-    Exclusive {
-        section: Box<dyn FnOnce(&SiteShared) + Send>,
-        seeds: bool,
-    },
-    Stop,
 }
 
 /// Shared atomic counters for a running site.
@@ -286,10 +281,9 @@ struct SiteShared {
 /// never as silent spinning inside the site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteOverload {
-    /// Events queued in the ingest pipeline (aux inbox + dispatch ring)
-    /// at refusal time.
+    /// Events queued in the site's inbox at refusal time.
     pub queued: usize,
-    /// The configured pipeline capacity
+    /// The configured refusal threshold
     /// ([`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig)).
     pub capacity: usize,
 }
@@ -314,24 +308,20 @@ struct SiteCore {
     sync: Arc<StateSync>,
     handle: MirrorHandle,
     inbox: Inbox,
-    /// Direct line to the main thread ([`exclusive`](Self::exclusive)
-    /// sections).
-    seed_tx: MpscSender<MainMsg>,
-    /// Configured aux→dispatcher ring capacity; also the refusal threshold
-    /// for [`CentralSite::try_submit`].
-    inbox_capacity: usize,
+    /// Probes on the apply workers' rings, which the aux thread feeds.
+    dispatch_rings: Vec<RingProbe>,
     /// Crash simulation: when set, threads abandon queued work instead of
     /// draining it on the way out (see [`CentralSite::crash`]).
     crashed: Arc<std::sync::atomic::AtomicBool>,
     /// Close handles of the channel sinks feeding the inbox
     /// ([`forward`](Self::forward)).
     sinks: Vec<Closer>,
-    /// The aux and main threads.
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The aux thread, until [`stop`](Self::stop) joins it.
+    aux: Option<std::thread::JoinHandle<()>>,
 }
 
 impl SiteCore {
-    /// Spawn the aux + main threads for a site.
+    /// Spawn the aux thread and apply workers for a site.
     ///
     /// `on_action` routes non-local aux actions (publishes to mirrors /
     /// central); local main-unit traffic is wired here.
@@ -342,13 +332,9 @@ impl SiteCore {
         mut on_action: impl FnMut(&[AuxAction]) + Send + 'static,
         updates_pub: Publisher<Event>,
         await_seed: bool,
-        inbox_capacity: usize,
     ) -> Self {
         let (inbox_tx, inbox_rx) = channel::unbounded::<SiteMsg>();
         let inbox = Inbox { tx: inbox_tx, run_extra: Arc::new(AtomicUsize::new(0)) };
-        // Aux → dispatcher: a bounded lock-free MPSC ring (producers: the
-        // aux thread, exclusive sections, shutdown).
-        let (main_tx, mut main_rx) = ring::mpsc::<MainMsg>(inbox_capacity);
         let crashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let ede = Arc::new(ShardedEde::new(APPLY_SHARDS));
         let shared = Arc::new(SiteShared {
@@ -389,10 +375,29 @@ impl SiteCore {
             ))
         };
 
-        // --- aux thread -----------------------------------------------------
+        let pool = ApplyPool::spawn(
+            Arc::clone(&shared.ede),
+            ApplySink {
+                responder: Arc::clone(&shared.responder),
+                counters: Arc::clone(&shared.counters),
+                clock: shared.clock.clone(),
+                updates: Some(updates_pub),
+            },
+            Arc::clone(&crashed),
+            ApplyPoolConfig::default(),
+        );
+        let dispatch_rings = pool.ring_probes();
+        // Mirror rejoin: until the seed state arrives, data events are
+        // buffered; the seed install replays them on top (stale updates
+        // are absorbed idempotently by the EDE).
+        let mut main = MainUnit {
+            pool,
+            seed_buffer: await_seed.then(Vec::new),
+            shared: Arc::clone(&shared),
+            inbox: inbox.clone(),
+        };
+
         let aux_handle = handle.clone();
-        let aux_shared = Arc::clone(&shared);
-        let aux_main_tx = main_tx.clone();
         let aux_crashed = Arc::clone(&crashed);
         let aux_run_extra = Arc::clone(&inbox.run_extra);
         let aux = std::thread::Builder::new()
@@ -400,15 +405,10 @@ impl SiteCore {
             .spawn(move || {
                 let mut run: Vec<SiteMsg> = Vec::with_capacity(AUX_BATCH);
                 let mut actions: Vec<AuxAction> = Vec::new();
-                loop {
-                    if aux_crashed.load(Ordering::SeqCst) {
-                        // Simulated crash: queued inbox traffic and
-                        // coalescing buffers are abandoned, exactly as a
-                        // dead process would abandon them. The main thread
-                        // is released so the crashed site can be joined.
-                        let _ = aux_main_tx.send(MainMsg::Stop);
-                        break;
-                    }
+                // Simulated crash: queued inbox traffic and coalescing
+                // buffers are abandoned, exactly as a dead process would
+                // abandon them.
+                while !aux_crashed.load(Ordering::SeqCst) {
                     let first = match inbox_rx.recv_timeout(FLUSH_PERIOD) {
                         Ok(m) => m,
                         Err(channel::RecvTimeoutError::Timeout) => {
@@ -416,25 +416,26 @@ impl SiteCore {
                             // and keep the checkpoint frontier moving while
                             // idle.
                             aux_handle.with(|a| {
-                                a.handle_into(AuxInput::Flush, &mut actions);
+                                a.handle_run([AuxInput::Flush], &mut actions);
                                 actions.extend(a.idle_checkpoint());
                             });
-                            route_actions(&actions, &aux_shared, &aux_main_tx, &mut on_action);
+                            route_actions(&actions, &mut main, &mut on_action);
                             actions.clear();
                             continue;
                         }
                         Err(channel::RecvTimeoutError::Disconnected) => break,
                     };
                     // The run: `first` plus whatever is already queued, up
-                    // to `AUX_BATCH` events or a `Stop`, which ends it.
-                    let mut stop = false;
+                    // to `AUX_BATCH` events. A `Stop` or an exclusive
+                    // section ends it, and is handled after it.
+                    let mut end = None;
                     let mut data = false;
                     let mut events = 0;
                     let mut next = Some(first);
                     while let Some(msg) = next {
                         match &msg {
-                            SiteMsg::Stop => {
-                                stop = true;
+                            SiteMsg::Stop | SiteMsg::Exclusive { .. } => {
+                                end = Some(msg);
                                 break;
                             }
                             SiteMsg::Run(evs) => {
@@ -451,129 +452,56 @@ impl SiteCore {
                         run.push(msg);
                         next = if events < AUX_BATCH { inbox_rx.try_recv().ok() } else { None };
                     }
-                    aux_handle.with(|a| {
-                        for msg in run.drain(..) {
-                            match msg {
-                                SiteMsg::Data(e) => a.handle_into(AuxInput::Data(e), &mut actions),
-                                SiteMsg::Run(evs) => {
-                                    for e in evs {
-                                        a.handle_into(AuxInput::Data(e), &mut actions);
-                                    }
+                    // Clean shutdown flushes the coalescing buffers; a
+                    // crash loses them.
+                    let flush =
+                        matches!(end, Some(SiteMsg::Stop)) && !aux_crashed.load(Ordering::SeqCst);
+                    if !run.is_empty() || flush {
+                        let inputs = run.drain(..).flat_map(|msg| {
+                            let (one, evs) = match msg {
+                                SiteMsg::Data(e) => (Some(AuxInput::Data(e)), Vec::new()),
+                                SiteMsg::Run(evs) => (None, evs),
+                                SiteMsg::Ctrl(m) => (Some(AuxInput::Control(m)), Vec::new()),
+                                SiteMsg::Exclusive { .. } | SiteMsg::Stop => {
+                                    unreachable!("ends the run")
                                 }
-                                SiteMsg::Ctrl(m) => {
-                                    a.handle_into(AuxInput::Control(m), &mut actions)
-                                }
-                                SiteMsg::Stop => unreachable!("a Stop ends the run"),
-                            }
-                        }
-                        if stop && !aux_crashed.load(Ordering::SeqCst) {
-                            // Clean shutdown flushes the coalescing
-                            // buffers; a crash loses them.
-                            a.handle_into(AuxInput::Flush, &mut actions);
-                        }
-                    });
+                            };
+                            one.into_iter().chain(evs.into_iter().map(AuxInput::Data))
+                        });
+                        let inputs = inputs.chain(flush.then_some(AuxInput::Flush));
+                        aux_handle.with(|a| a.handle_run(inputs, &mut actions));
+                    }
                     if aux_crashed.load(Ordering::SeqCst) {
-                        let _ = aux_main_tx.send(MainMsg::Stop);
                         break;
                     }
                     if data {
-                        aux_shared.counters.aux_batches.fetch_add(1, Ordering::Relaxed);
+                        main.shared.counters.aux_batches.fetch_add(1, Ordering::Relaxed);
                     }
-                    route_actions(&actions, &aux_shared, &aux_main_tx, &mut on_action);
+                    route_actions(&actions, &mut main, &mut on_action);
                     actions.clear();
-                    if stop {
-                        let _ = aux_main_tx.send(MainMsg::Stop);
-                        break;
+                    match end {
+                        Some(SiteMsg::Exclusive { section, seeds }) => {
+                            main.exclusive(section, seeds)
+                        }
+                        Some(_) => break, // a `Stop`
+                        None => {}
                     }
                 }
+                // Graceful stop drains the worker rings; after a crash the
+                // workers observe the flag and abandon their backlogs.
+                main.pool.shutdown();
             })
             .expect("spawn aux thread");
-
-        // --- main (dispatcher) thread -----------------------------------------
-        // Routes data events by flight-id shard to the apply worker pool;
-        // control traffic and seed installs are handled inline so they
-        // serialize with dispatch order.
-        let main_shared = Arc::clone(&shared);
-        let main_inbox = inbox.clone();
-        let main_crashed = Arc::clone(&crashed);
-        let main = std::thread::Builder::new()
-            .name(format!("main-{site}"))
-            .spawn(move || {
-                let sink = ApplySink {
-                    responder: Arc::clone(&main_shared.responder),
-                    counters: Arc::clone(&main_shared.counters),
-                    clock: main_shared.clock.clone(),
-                    updates: Some(updates_pub),
-                };
-                let mut pool = ApplyPool::spawn(
-                    Arc::clone(&main_shared.ede),
-                    sink,
-                    Arc::clone(&main_crashed),
-                    ApplyPoolConfig::default(),
-                );
-                // Mirror rejoin: until the seed state arrives, data events
-                // are buffered; the seed install replays them on top
-                // (stale updates are absorbed idempotently by the EDE).
-                let mut awaiting_seed = await_seed;
-                let mut seed_buffer: Vec<Arc<Event>> = Vec::new();
-                while let Some(msg) = main_rx.recv() {
-                    match msg {
-                        MainMsg::Event(ev) => {
-                            if awaiting_seed {
-                                seed_buffer.push(ev);
-                                continue;
-                            }
-                            pool.dispatch(ev);
-                        }
-                        MainMsg::Exclusive { section, seeds } => {
-                            pool.quiesce(|| section(&main_shared));
-                            if seeds {
-                                awaiting_seed = false;
-                                for ev in seed_buffer.drain(..) {
-                                    pool.dispatch(ev);
-                                }
-                            }
-                        }
-                        MainMsg::Ctrl(m) => match &m {
-                            ControlMsg::Chkpt { .. } => {
-                                let report = MonitorReport {
-                                    ready_len: 0,
-                                    backup_len: 0,
-                                    pending_requests: main_shared
-                                        .pending_gauge
-                                        .load(Ordering::Relaxed),
-                                };
-                                // The responder's frontier may trail
-                                // in-flight worker applies; the reply is
-                                // the meet with it, so a lag only makes
-                                // the commit conservative, never wrong.
-                                let rep = main_shared.responder.lock().on_chkpt(&m, report);
-                                if let Some(rep) = rep {
-                                    main_inbox.send(SiteMsg::Ctrl(rep));
-                                }
-                            }
-                            ControlMsg::Commit { .. } => main_shared.responder.lock().on_commit(&m),
-                            ControlMsg::ChkptRep { .. } => {}
-                        },
-                        MainMsg::Stop => break,
-                    }
-                }
-                // Graceful stop drains worker rings; after a crash the
-                // workers observe the flag and abandon their backlogs.
-                pool.shutdown();
-            })
-            .expect("spawn main thread");
 
         SiteCore {
             shared,
             sync,
             handle,
             inbox,
-            seed_tx: main_tx,
-            inbox_capacity,
+            dispatch_rings,
             crashed,
             sinks: Vec::new(),
-            threads: vec![aux, main],
+            aux: Some(aux),
         }
     }
 
@@ -592,23 +520,28 @@ impl SiteCore {
         self.sinks.push(channel.subscribe_with(sink));
     }
 
-    /// Close the sinks, then stop the aux and main threads behind
-    /// everything they delivered. Idempotent.
+    /// Close the sinks, then stop the aux thread, and with it the apply
+    /// workers, behind everything they delivered. Idempotent.
     fn stop(&mut self) {
         for sink in self.sinks.drain(..) {
             sink.close();
         }
         self.inbox.send(SiteMsg::Stop);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(aux) = self.aux.take() {
+            let _ = aux.join();
         }
     }
 
-    /// Run `section` on the main thread as a [`MainMsg::Exclusive`] and
+    /// Run `section` on the aux thread as a [`SiteMsg::Exclusive`] and
     /// block until it has run, so the caller can snapshot or serve reads
-    /// right after and see its effect. `None` if the site stops first: a
-    /// dispatcher that exits drops the sections left in its ring, and with
-    /// each one its reply ring's producer, which ends the wait.
+    /// right after and see its effect. `None` if the site stops first: an
+    /// aux thread that exits drops its inbox, and with each section left
+    /// in it that section's reply producer, which ends the wait.
+    ///
+    /// The section runs after everything queued in the inbox before it.
+    /// Never call this from the aux thread, or while holding the unit lock
+    /// ([`MirrorHandle::with`]): the aux thread needs that lock to feed
+    /// the backlog, so either deadlocks.
     fn exclusive<R: Send + 'static>(
         &self,
         seeds: bool,
@@ -619,40 +552,104 @@ impl SiteCore {
             // The only push into an empty ring: never full.
             let _ = done_tx.try_send(section(shared));
         });
-        // Err: the apply loop is already gone (site stopping).
-        self.seed_tx.send(MainMsg::Exclusive { section, seeds }).ok()?;
+        // Refused: the aux thread is already gone (site stopped).
+        if !self.inbox.send(SiteMsg::Exclusive { section, seeds }) {
+            return None;
+        }
         done_rx.recv()
+    }
+
+    /// The apply rings' lifetime stats: `enqueued` and `dequeued` summed,
+    /// `high_watermark` of the fullest ring.
+    fn dispatch_stats(&self) -> RingStats {
+        self.dispatch_rings.iter().map(RingProbe::stats).fold(RingStats::default(), |all, r| {
+            RingStats {
+                enqueued: all.enqueued + r.enqueued,
+                dequeued: all.dequeued + r.dequeued,
+                high_watermark: all.high_watermark.max(r.high_watermark),
+            }
+        })
     }
 }
 
-/// Route a run's aux actions: local main-unit traffic by ring, in order,
+/// The main unit's share of a site, which its aux thread runs inline.
+struct MainUnit {
+    pool: ApplyPool,
+    /// Data events held back while a site started in awaiting-seed mode
+    /// waits for its seed install (`None` once it has one).
+    seed_buffer: Option<Vec<Arc<Event>>>,
+    shared: Arc<SiteShared>,
+    /// Where checkpoint replies go: the site's own inbox.
+    inbox: Inbox,
+}
+
+impl MainUnit {
+    /// Hand `event` to the worker owning its flight's shard, or hold it
+    /// back until the seed install.
+    fn apply(&mut self, event: Arc<Event>) {
+        match &mut self.seed_buffer {
+            Some(buffer) => buffer.push(event),
+            None => self.pool.dispatch(event),
+        }
+    }
+
+    /// Answer a CHKPT into the inbox, or record a COMMIT.
+    fn on_control(&self, m: &ControlMsg) {
+        match m {
+            ControlMsg::Chkpt { .. } => {
+                let report = MonitorReport {
+                    ready_len: 0,
+                    backup_len: 0,
+                    pending_requests: self.shared.pending_gauge.load(Ordering::Relaxed),
+                };
+                // The responder's frontier may trail in-flight worker
+                // applies; the reply is the meet with it, so a lag only
+                // makes the commit conservative, never wrong.
+                if let Some(rep) = self.shared.responder.lock().on_chkpt(m, report) {
+                    self.inbox.send(SiteMsg::Ctrl(rep));
+                }
+            }
+            ControlMsg::Commit { .. } => self.shared.responder.lock().on_commit(m),
+            ControlMsg::ChkptRep { .. } => {}
+        }
+    }
+
+    /// Run `section` with every apply worker parked. After a seed install,
+    /// the held-back events replay on top.
+    fn exclusive(&mut self, section: Section, seeds: bool) {
+        let shared = &self.shared;
+        self.pool.quiesce(|| section(shared));
+        if seeds {
+            for event in self.seed_buffer.take().into_iter().flatten() {
+                self.pool.dispatch(event);
+            }
+        }
+    }
+}
+
+/// Route a run's aux actions: local main-unit traffic inline, in order,
 /// then the whole run through the site-specific callback, which ignores
 /// the local kinds.
 fn route_actions(
     actions: &[AuxAction],
-    shared: &Arc<SiteShared>,
-    main_tx: &MpscSender<MainMsg>,
+    main: &mut MainUnit,
     on_action: &mut impl FnMut(&[AuxAction]),
 ) {
     let mut mirrored = 0;
     for action in actions {
         match action {
-            AuxAction::ForwardToMain(ev) => {
-                // Arc clone: the main thread shares the aux unit's copy.
-                let _ = main_tx.send(MainMsg::Event(Arc::clone(ev)));
-            }
-            AuxAction::ControlToMain(m) => {
-                let _ = main_tx.send(MainMsg::Ctrl(m.clone()));
-            }
+            // Arc clone: the apply worker shares the aux unit's copy.
+            AuxAction::ForwardToMain(ev) => main.apply(Arc::clone(ev)),
+            AuxAction::ControlToMain(m) => main.on_control(m),
             AuxAction::Mirror { .. } => mirrored += 1,
             AuxAction::Reconfigured(_) => {
-                shared.counters.adaptations.fetch_add(1, Ordering::Relaxed);
+                main.shared.counters.adaptations.fetch_add(1, Ordering::Relaxed);
             }
             _ => {}
         }
     }
     if mirrored > 0 {
-        shared.counters.mirrored.fetch_add(mirrored, Ordering::Relaxed);
+        main.shared.counters.mirrored.fetch_add(mirrored, Ordering::Relaxed);
     }
     on_action(actions);
 }
@@ -756,6 +753,10 @@ macro_rules! site_common_impl {
         /// exclusive section, like [`seed`](Self::seed) and
         /// [`merge_seed`](Self::merge_seed); blocks until visible so the
         /// caller can immediately snapshot or serve reads.
+        ///
+        /// Like every exclusive section it waits behind the site's inbox
+        /// backlog, so it must not be called while holding
+        /// [`handle().with`](MirrorHandle::with) (that deadlocks).
         pub fn apply_delta(&self, delta: mirror_ede::StateDelta) {
             self.core.exclusive(false, move |shared| {
                 shared.ede.apply_delta(&delta);
@@ -763,25 +764,21 @@ macro_rules! site_common_impl {
             });
         }
 
-        /// Events currently queued in the ingest pipeline: the aux inbox
-        /// plus the aux→dispatcher ring. The inbox also holds what the
-        /// site's channel subscriptions have delivered and the aux thread
-        /// has not yet taken; no subscription queues anything of its own.
-        /// A delivered run counts as its events, not as one message.
+        /// Events currently queued in the aux inbox: what was submitted
+        /// and what the site's channel subscriptions have delivered, that
+        /// the aux thread has not yet taken; no subscription queues
+        /// anything of its own. A delivered run counts as its events, not
+        /// as one message.
         pub fn inbox_depth(&self) -> usize {
-            self.core.inbox.depth() + self.core.seed_tx.len()
+            self.core.inbox.depth()
         }
 
-        /// The configured aux→dispatcher ring capacity (the
-        /// [`try_submit`](CentralSite::try_submit) refusal threshold).
-        pub fn inbox_capacity(&self) -> usize {
-            self.core.inbox_capacity
-        }
-
-        /// Lifetime stats of the aux→dispatcher ring (enqueued, dequeued,
-        /// high-watermark occupancy) — the overload observability hook.
+        /// Lifetime stats of the aux thread's dispatch into the apply
+        /// workers' rings — `enqueued` and `dequeued` summed over the
+        /// rings, `high_watermark` of the fullest — the overload
+        /// observability hook.
         pub fn dispatch_ring_stats(&self) -> mirror_core::ring::RingStats {
-            self.core.seed_tx.stats()
+            self.core.dispatch_stats()
         }
 
         /// Install recovered state into a site started in awaiting-seed
@@ -789,7 +786,9 @@ macro_rules! site_common_impl {
         /// are absorbed idempotently by the EDE). Blocks until the apply
         /// loop has installed the state and frontier: callers (promotion
         /// handoff, mirror rejoin) snapshot the site immediately after,
-        /// and must never observe the empty pre-seed store.
+        /// and must never observe the empty pre-seed store. Must not be
+        /// called while holding [`handle().with`](MirrorHandle::with), as
+        /// for [`apply_delta`](Self::apply_delta).
         pub fn seed(&self, state: OperationalState, frontier: VectorTimestamp) {
             self.core.exclusive(true, move |shared| {
                 shared.ede.install_state(state);
@@ -803,6 +802,9 @@ macro_rules! site_common_impl {
         /// migrator replays the slot's buffered events right after, and
         /// those must apply on top: on a target mirror's channel every
         /// event published after the source group's drain barrier does.
+        /// Must not be called while holding
+        /// [`handle().with`](MirrorHandle::with), as for
+        /// [`apply_delta`](Self::apply_delta).
         pub fn merge_seed(&self, state: OperationalState) {
             self.core.exclusive(false, move |shared| shared.ede.merge_state(state));
         }
@@ -810,7 +812,9 @@ macro_rules! site_common_impl {
         /// Drop every flight the predicate rejects (the migration
         /// source's purge once a slot's ownership moved away). Blocks
         /// until the purge is applied and returns the number of flights
-        /// removed (0 if the site is stopping).
+        /// removed (0 if the site is stopping). Must not be called while
+        /// holding [`handle().with`](MirrorHandle::with), as for
+        /// [`apply_delta`](Self::apply_delta).
         pub fn retain_flights(
             &self,
             keep: Arc<dyn Fn(mirror_core::FlightId) -> bool + Send + Sync>,
@@ -856,6 +860,9 @@ macro_rules! site_common_impl {
 /// The running central site.
 pub struct CentralSite {
     core: SiteCore,
+    /// Inbox depth, in events, at which [`try_submit`](Self::try_submit)
+    /// refuses.
+    inbox_capacity: usize,
     updates: EventChannel<Event>,
     /// Mirrors the checkpoint coordinator has declared failed.
     failed: Arc<Mutex<Vec<SiteId>>>,
@@ -982,12 +989,12 @@ impl CentralSite {
             route,
             updates_pub,
             await_seed,
-            inbox_capacity,
         );
 
         // Forward checkpoint replies from mirrors into the aux inbox.
         let mut site = CentralSite {
             core,
+            inbox_capacity,
             updates,
             failed,
             links: Arc::new(Mutex::new(Vec::new())),
@@ -1009,7 +1016,7 @@ impl CentralSite {
 
     /// Submit a source event unless the ingest pipeline is saturated.
     ///
-    /// When the aux inbox plus the aux→dispatcher ring hold at least
+    /// When the aux inbox holds at least
     /// [`inbox_capacity`](Self::inbox_capacity) events, the submission is
     /// refused with a typed [`SiteOverload`] instead of queueing further —
     /// producers see backpressure they can act on (back off, shed, alert)
@@ -1017,7 +1024,7 @@ impl CentralSite {
     /// never dropped.
     pub fn try_submit(&self, mut event: Event) -> Result<(), SiteOverload> {
         let queued = self.inbox_depth();
-        let capacity = self.core.inbox_capacity;
+        let capacity = self.inbox_capacity;
         if queued >= capacity {
             return Err(SiteOverload { queued, capacity });
         }
@@ -1026,6 +1033,12 @@ impl CentralSite {
         }
         self.core.inbox.send(SiteMsg::Data(Arc::new(event)));
         Ok(())
+    }
+
+    /// The configured inbox depth, in events, at which
+    /// [`try_submit`](Self::try_submit) refuses.
+    pub fn inbox_capacity(&self) -> usize {
+        self.inbox_capacity
     }
 
     /// Subscribe to the regular-client update stream.
@@ -1210,15 +1223,7 @@ impl MirrorSite {
         ctrl_down: &EventChannel<ControlMsg>,
         ctrl_up_pub: Publisher<ControlMsg>,
     ) -> Self {
-        Self::start_inner(
-            handle,
-            clock,
-            data,
-            ctrl_down,
-            ctrl_up_pub,
-            false,
-            DEFAULT_MAIN_RING_CAPACITY,
-        )
+        Self::start_inner(handle, clock, data, ctrl_down, ctrl_up_pub, false)
     }
 
     /// [`start`](Self::start) with the cluster's choices. With
@@ -1234,7 +1239,6 @@ impl MirrorSite {
         ctrl_down: &EventChannel<ControlMsg>,
         ctrl_up_pub: Publisher<ControlMsg>,
         await_seed: bool,
-        inbox_capacity: usize,
     ) -> Self {
         let site = handle.with(|a| a.site());
         assert_ne!(site, mirror_core::CENTRAL_SITE);
@@ -1247,8 +1251,7 @@ impl MirrorSite {
         };
         let updates = EventChannel::new(format!("mirror{site}.updates"));
         let updates_pub = updates.publisher();
-        let core =
-            SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed, inbox_capacity);
+        let core = SiteCore::spawn(site, handle, clock, route, updates_pub, await_seed);
 
         let mut s = MirrorSite { core, updates };
         s.core.forward(data, Inbox::send_run);

@@ -1,8 +1,9 @@
 //! The aux thread drains its inbox in runs: a burst is fed through the
 //! unit in runs of more than one event, and a lone event is never held
-//! back waiting for company. A run published whole reaches a mirror's
-//! inbox as one message and is fed through its unit as one drain, and the
-//! inbox depth still counts its events.
+//! back waiting for company. A run starts at most one checkpoint round. A
+//! run published whole reaches a mirror's inbox as one message and is fed
+//! through its unit as one drain, and the inbox depth still counts its
+//! events.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -61,6 +62,48 @@ fn a_lone_event_is_one_run_and_is_not_held_back() {
     // stays put while they go on.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(aux_batches(&cluster), 1, "one submit, one run");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_run_sends_at_most_one_chkpt() {
+    // A multiple of `checkpoint_every` (50): the last run always begins a
+    // round, proposing the burst's last stamp.
+    const EVENTS: u64 = 1_000;
+    let cluster = Cluster::start(ClusterConfig::default());
+    let ctrl_down = cluster.channels().1.subscribe();
+    let unit = cluster.central().handle().clone();
+    // The burst queues while the central's unit lock is held, so the aux
+    // thread takes it in full runs once the lock is released. Nothing in
+    // the closure may panic: the aux thread shares the lock.
+    unit.with(|_| {
+        for seq in 1..=EVENTS {
+            cluster.submit(Event::faa_position(seq, (seq % 64) as u32, fix()));
+        }
+    });
+    assert!(
+        cluster.wait_all_processed(EVENTS, Duration::from_secs(30)),
+        "the burst applies everywhere"
+    );
+    // Let the last run's CHKPT, and the idle ticks' tail-commit rounds,
+    // go out.
+    std::thread::sleep(Duration::from_millis(200));
+    let runs = aux_batches(&cluster);
+    // Each data run's round proposes a stamp of its own; a tail-commit
+    // round re-proposes the last one.
+    let mut proposals = Vec::new();
+    while let Some(m) = ctrl_down.try_recv() {
+        if let ControlMsg::Chkpt { stamp, .. } = m {
+            if proposals.last() != Some(&stamp) {
+                proposals.push(stamp);
+            }
+        }
+    }
+    assert!(
+        !proposals.is_empty() && proposals.len() as u64 <= runs,
+        "{} CHKPTs with a new proposal in {runs} runs",
+        proposals.len()
+    );
     cluster.shutdown();
 }
 

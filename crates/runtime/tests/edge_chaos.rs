@@ -185,6 +185,14 @@ fn reconnect_resume_under_stalls_and_disconnects_is_gap_free_or_conflation_only(
         );
     }
 
+    // Every subscriber attaches before the feed starts: one attaching
+    // after the stream is applied would never be disconnected mid-stream.
+    let attach_deadline = Instant::now() + Duration::from_secs(20);
+    while edge.counters().snapshot().connects_total < 6 {
+        assert!(Instant::now() < attach_deadline, "six subscribers attach");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // Feed: per-flight monotone positions with a forward status advance
     // sprinkled in — the absolute-and-monotone-per-kind discipline the
     // conflation-equivalence theorem rests on.

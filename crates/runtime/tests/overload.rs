@@ -1,8 +1,10 @@
 //! Ingest overload surfaces as **typed backpressure**, never as silent
 //! spinning or unbounded queueing: with a tiny configured
 //! [`ClusterConfig::inbox_capacity`], a producer that outruns the site's
-//! aux thread sees [`SiteOverload`] from `try_submit`, while every event
-//! that *was* accepted still applies.
+//! aux thread sees [`SiteOverload`] from `try_submit` once that many
+//! events are queued in the inbox, while every event that *was* accepted
+//! still applies. The threshold lives on the central, the one site that
+//! takes submissions.
 
 use std::time::Duration;
 
@@ -21,7 +23,7 @@ fn saturation_surfaces_as_typed_backpressure_not_silent_spinning() {
 
     // A tight submit loop trivially outruns the per-event aux work
     // (mirror-fn evaluation, backup-queue push, ring hand-off), so the
-    // pipeline must fill and the typed refusal must fire well inside the
+    // inbox must fill and the typed refusal must fire well inside the
     // attempt budget.
     let mut accepted = 0u64;
     let mut refusal = None;
@@ -52,15 +54,10 @@ fn saturation_surfaces_as_typed_backpressure_not_silent_spinning() {
         accepted
     );
 
-    // The dispatch ring honoured the configured bound throughout.
-    let ring = cluster.central().dispatch_ring_stats();
-    assert!(
-        ring.high_watermark <= capacity,
-        "ring occupancy must never exceed the configured capacity: {} > {}",
-        ring.high_watermark,
-        capacity
-    );
-    assert!(ring.dequeued >= accepted, "the dispatcher drained the accepted stream");
+    // The aux thread dispatched every accepted event into the apply
+    // rings, and the workers drained them.
+    let rings = cluster.central().dispatch_ring_stats();
+    assert!(rings.dequeued >= accepted, "the apply workers drained the accepted stream: {rings:?}");
     cluster.shutdown();
 }
 
@@ -70,7 +67,7 @@ fn default_capacity_absorbs_bursts_and_reports_ring_stats() {
     assert_eq!(
         cluster.central().inbox_capacity(),
         mirror_runtime::DEFAULT_MAIN_RING_CAPACITY,
-        "unspecified config keeps the historical 8192-slot ring"
+        "unspecified config keeps the historical 8192-event threshold"
     );
     for seq in 1..=500u64 {
         cluster
@@ -78,10 +75,8 @@ fn default_capacity_absorbs_bursts_and_reports_ring_stats() {
             .expect("a 500-event burst is far below the default capacity");
     }
     assert!(cluster.wait_all_processed(500, Duration::from_secs(10)));
-    let ring = cluster.central().dispatch_ring_stats();
-    assert!(ring.enqueued >= 500, "every event crossed the dispatch ring");
-    assert!(ring.high_watermark <= mirror_runtime::DEFAULT_MAIN_RING_CAPACITY);
-    // Mirrors inherit the same configured capacity.
-    assert_eq!(cluster.mirror(1).inbox_capacity(), mirror_runtime::DEFAULT_MAIN_RING_CAPACITY);
+    let rings = cluster.central().dispatch_ring_stats();
+    assert!(rings.enqueued >= 500, "every event crossed the apply rings: {rings:?}");
+    assert!(rings.high_watermark > 0, "the ring stats report occupancy: {rings:?}");
     cluster.shutdown();
 }

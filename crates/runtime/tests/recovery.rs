@@ -118,7 +118,13 @@ fn rejoin_after_commit_converges_all_sites() {
     assert!(cluster.wait_all_processed(100, Duration::from_secs(5)));
 
     cluster.fail_mirror(2).unwrap();
-    feed(&cluster, 101, 220);
+    // Detection counts the rounds begun, and an aux run begins at most one:
+    // feed the outage one round (10 events) at a time, so mirror 2 misses
+    // twelve rounds, not however many runs a burst happens to form.
+    for from in (101..=220).step_by(10) {
+        feed(&cluster, from, from + 9);
+        assert!(cluster.wait(Duration::from_secs(5), |c| c.central().processed() > from + 8));
+    }
     // Drive commits well past the outage point so the backup queue prunes
     // the events mirror 2 missed.
     assert!(
