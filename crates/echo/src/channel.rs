@@ -33,9 +33,6 @@ use std::sync::{Arc, Weak};
 use crossbeam::channel::{self, Receiver};
 use parking_lot::Mutex;
 
-use mirror_core::event::Event;
-use mirror_core::ControlMsg;
-
 /// A subscription's delivery closure, called with each published run;
 /// `false` means it did not take the whole run (its receiver is gone, or
 /// it refuses).
@@ -257,27 +254,6 @@ impl<T> Subscriber<T> {
 impl<T> Drop for Subscriber<T> {
     fn drop(&mut self) {
         self.closer.close();
-    }
-}
-
-/// The paper's per-link channel pair: a *data* channel carrying
-/// application events and a bi-directional *control* channel carrying
-/// checkpoint/adaptation messages.
-pub struct ChannelPair {
-    /// Application events.
-    pub data: EventChannel<Event>,
-    /// Control traffic (both directions publish here; subscribers filter by
-    /// message kind/addressing at the site layer).
-    pub control: EventChannel<ControlMsg>,
-}
-
-impl ChannelPair {
-    /// Create a named pair (`<name>.data` / `<name>.ctrl`).
-    pub fn new(name: &str) -> Self {
-        ChannelPair {
-            data: EventChannel::new(format!("{name}.data")),
-            control: EventChannel::new(format!("{name}.ctrl")),
-        }
     }
 }
 
@@ -613,12 +589,5 @@ mod tests {
         assert_eq!(ch.subscriber_count(), 1);
         drop(queue);
         assert!(!p.has_subscribers());
-    }
-
-    #[test]
-    fn channel_pair_names() {
-        let pair = ChannelPair::new("central->m1");
-        assert_eq!(pair.data.name(), "central->m1.data");
-        assert_eq!(pair.control.name(), "central->m1.ctrl");
     }
 }

@@ -15,8 +15,8 @@
 //!   which is also what the cluster simulator charges to links — real and
 //!   simulated byte accounting agree, and a test pins them together.
 //! * [`channel`] — in-process typed event channels with multiple
-//!   subscribers ([`crossbeam`] under the hood), paired into
-//!   [`channel::ChannelPair`]s (data + control) as the paper prescribes.
+//!   subscribers ([`crossbeam`] under the hood); a cluster runs a data
+//!   channel and a control channel, as the paper prescribes.
 //! * [`transport`] — a length-delimited framed TCP transport
 //!   (`std::net`) carrying the same wire format between processes, plus a
 //!   loopback in-process transport with identical semantics. Both provide
@@ -38,7 +38,7 @@ pub mod resilient;
 pub mod transport;
 pub mod wire;
 
-pub use channel::{ChannelPair, Closer, EventChannel, Publisher, Subscriber};
+pub use channel::{Closer, EventChannel, Publisher, Subscriber};
 pub use faults::{
     FaultPlan, FaultState, FaultSummary, FaultyTransport, LinkFate, LinkProfile, LinkShaper,
     ThrottleSchedule,

@@ -244,7 +244,7 @@ pub struct Cluster {
     /// everywhere.
     term: AtomicU64,
     /// Observed CHKPT/COMMIT cadence on the control downlink (fed by the
-    /// watcher thread when failover is armed).
+    /// watcher sink when failover is armed).
     cadence: Arc<CtrlCadence>,
     /// Admission gate shared with request gateways: closed for the span
     /// of a takeover so initial-state requests park instead of racing the
@@ -253,9 +253,9 @@ pub struct Cluster {
     /// Serializes promotions (manual and automatic): two racing takeovers
     /// must resolve to one coherent coordinator, never a wedge.
     promotion: parking_lot::Mutex<()>,
-    /// Control-downlink watcher thread (failover armed only) and the
-    /// close handle of the subscription it reads.
-    watcher: parking_lot::Mutex<Option<(Closer, std::thread::JoinHandle<()>)>>,
+    /// Close handle of the control-downlink watcher sink (failover armed
+    /// only).
+    watcher: Option<Closer>,
     /// Configured ingest refusal threshold, applied to every central this
     /// cluster starts (at start-up and on promotion).
     inbox_capacity: usize,
@@ -323,22 +323,16 @@ impl Cluster {
 
         let cadence = Arc::new(CtrlCadence::new(clock.now_us()));
         let watcher = cfg.failover.map(|_| {
-            // The watcher is a plain downlink subscriber: it sees exactly
-            // the CHKPT/COMMIT traffic the mirrors see, so its cadence
-            // estimate matches what a mirror-side detector would observe.
-            let sub = ctrl_down.subscribe();
-            let closer = sub.closer();
+            // The watcher is a plain downlink sink: it sees exactly the
+            // CHKPT/COMMIT traffic the mirrors see, so its cadence estimate
+            // matches what a mirror-side detector would observe. `on_ctrl`
+            // is lock-free, so the sink never blocks the publisher.
             let cadence = Arc::clone(&cadence);
             let clock = clock.clone();
-            let watcher = std::thread::Builder::new()
-                .name("failover-watch".into())
-                .spawn(move || {
-                    while sub.recv().is_some() {
-                        cadence.on_ctrl(clock.now_us());
-                    }
-                })
-                .expect("spawn failover watcher");
-            (closer, watcher)
+            ctrl_down.subscribe_with(move |_| {
+                cadence.on_ctrl(clock.now_us());
+                true
+            })
         });
 
         Cluster {
@@ -356,7 +350,7 @@ impl Cluster {
             cadence,
             request_gate: Arc::new(RequestGate::new()),
             promotion: parking_lot::Mutex::new(()),
-            watcher: parking_lot::Mutex::new(watcher),
+            watcher,
             inbox_capacity: cfg.inbox_capacity,
             edges: parking_lot::Mutex::new(Vec::new()),
         }
@@ -1182,15 +1176,14 @@ impl Cluster {
         for (_, m) in write(&self.sites).iter_mut() {
             m.stop();
         }
-        // Dropping `self` joins the failover watcher (see `Drop`).
+        // Dropping `self` closes the failover watcher (see `Drop`).
     }
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        if let Some((closer, watcher)) = self.watcher.lock().take() {
-            closer.close();
-            let _ = watcher.join();
+        if let Some(watcher) = &self.watcher {
+            watcher.close();
         }
     }
 }

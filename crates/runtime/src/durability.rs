@@ -4,7 +4,11 @@
 //! sending task journals each `(send_idx, event)` to a
 //! [`mirror_store::EventLog`] **as it enters the backup queue**: the
 //! journal write reuses the `SharedEvent` cached wire encoding, so
-//! durability costs one `write(2)`, not a second encode. Checkpoint commits
+//! durability costs one `write(2)`, not a second encode. One thread does
+//! the disk work, the journal's writer: it takes every op queued when it
+//! wakes and hands the log each stretch of consecutive appends as one run,
+//! so under [`FsyncPolicy::EveryN`] a drained batch pays at most one
+//! `fdatasync` per stretch (group commit). Checkpoint commits
 //! advance the log's truncation watermark to the backup queue's oldest
 //! retained index — the on-disk twin of `BackupQueue::prune` — and whole
 //! segments below the watermark are deleted, except the newest closed one,
@@ -25,11 +29,12 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use crossbeam::channel::{self, Sender};
 use parking_lot::Mutex;
 
 use mirror_core::event::Event;
@@ -58,53 +63,54 @@ impl DurabilityConfig {
     }
 }
 
-/// Work shipped to the journal's writer thread. FIFO queue order is the
-/// correctness backbone: a `Commit` covers exactly the appends enqueued
-/// before it, and a `Barrier` ack means every earlier op has reached the
+/// Work shipped to the journal's writer thread. FIFO order is the
+/// correctness backbone: a `Commit` covers exactly the appends sent before
+/// it, and a `Barrier` ack means every earlier op has reached the
 /// [`EventLog`].
 ///
-/// An append carries the [`SharedEvent`], not bytes: the writer thread
-/// forces the shared encode cache, so the encoding cost lands off the
-/// mirroring data path — and any bridge that later needs the same frame
-/// reuses the cached buffer instead of re-encoding.
+/// An append carries a run of [`SharedEvent`]s, not bytes: the writer
+/// thread forces the shared encode cache, so the encoding cost lands off
+/// the mirroring data path — and any bridge that later needs the same
+/// frame reuses the cached buffer instead of re-encoding.
 enum Op {
-    Append(u64, SharedEvent),
+    Append(Vec<(u64, SharedEvent)>),
     Commit(u64),
-    Barrier(mpsc::SyncSender<()>),
+    Barrier(Sender<()>),
+    Stop,
 }
 
-/// The writer thread's inbox. Appends push under the mutex and return
-/// **without notifying** — the writer drains on a short poll — because a
-/// per-append wake-up is a context-switch ping-pong that costs more than
-/// the write itself (~20 µs/event measured on a single-core host, against
-/// sub-microsecond for the push). Commits, barriers, and shutdown do
-/// notify: they are rare and latency-sensitive.
-struct OpQueue {
-    /// `(ops, closed)` under one std mutex so the condvar can guard both.
-    state: std::sync::Mutex<(Vec<Op>, bool)>,
-    cv: std::sync::Condvar,
+/// Merge each stretch of consecutive `Append`s into one, keeping FIFO
+/// order: the writer hands the log one run per stretch, and under
+/// [`FsyncPolicy::EveryN`] a run pays at most one `fdatasync`.
+fn merge_appends(ops: impl IntoIterator<Item = Op>) -> Vec<Op> {
+    let mut merged: Vec<Op> = Vec::new();
+    for op in ops {
+        match (merged.last_mut(), op) {
+            (Some(Op::Append(run)), Op::Append(more)) => run.extend(more),
+            (_, op) => merged.push(op),
+        }
+    }
+    merged
 }
-
-/// How long the writer sleeps between looks at an empty inbox. Bounds the
-/// extra durability lag async journaling adds on top of the fsync policy.
-const WRITER_POLL: Duration = Duration::from_millis(1);
 
 /// The central site's handle on its durable stores.
 ///
-/// Appends and commits are **asynchronous**: the caller pushes the op onto
-/// the writer inbox (an `Arc` bump and a mutex push, well under a
-/// microsecond, no thread wake-up) and a dedicated writer thread drives
-/// the [`EventLog`] in batches — the WAL-writer pattern, keeping disk
-/// latency and page-cache pressure off the mirroring data path entirely.
-/// Reads ([`replay_from`](Journal::replay_from) etc.) first drain the
-/// queue through a barrier, so they always observe every op enqueued
-/// before them.
+/// Appends and commits are **asynchronous**: the caller sends the op to a
+/// dedicated writer thread (one channel send per run) and returns. The
+/// writer blocks until an op arrives, takes everything already queued
+/// with it, merges consecutive appends, and drives the [`EventLog`] under
+/// one lock per batch — the WAL-writer pattern with group commit: under
+/// [`FsyncPolicy::EveryN`] a batch pays at most one `fdatasync` per
+/// stretch of appends, so the slower the disk, the larger the batch, and
+/// disk latency stays off the mirroring data path. Reads
+/// ([`replay_from`](Journal::replay_from) etc.) first drain the queue
+/// through a barrier, so they always observe every op sent before them.
 ///
 /// IO errors on the writer thread are recorded (first error wins) rather
 /// than propagated — the data path must not stall on a sick disk;
 /// operators poll [`last_error`](Journal::last_error).
 pub struct Journal {
-    queue: Arc<OpQueue>,
+    ops: Sender<Op>,
     writer: Mutex<Option<thread::JoinHandle<()>>>,
     log: Arc<Mutex<EventLog>>,
     snapshots: SnapshotStore,
@@ -113,9 +119,10 @@ pub struct Journal {
     /// [`save_snapshot`](Journal::save_snapshot), modeling a slow or
     /// contended disk. Tests use it to prove snapshot persistence never
     /// blocks event processing.
-    snapshot_save_pad_us: std::sync::atomic::AtomicU64,
-    /// Crash simulation: see [`crash`](Journal::crash).
-    crashed: std::sync::atomic::AtomicBool,
+    snapshot_save_pad_us: AtomicU64,
+    /// Crash simulation: see [`crash`](Journal::crash). The writer checks
+    /// it before each op.
+    crashed: Arc<AtomicBool>,
 }
 
 impl Journal {
@@ -128,42 +135,38 @@ impl Journal {
         )?));
         let snapshots = SnapshotStore::open(&cfg.dir)?;
         let error = Arc::new(Mutex::new(None));
-        let queue = Arc::new(OpQueue {
-            state: std::sync::Mutex::new((Vec::new(), false)),
-            cv: std::sync::Condvar::new(),
-        });
+        let crashed = Arc::new(AtomicBool::new(false));
+        let (ops, rx) = channel::unbounded::<Op>();
         let writer = {
             let log = Arc::clone(&log);
             let error = Arc::clone(&error);
-            let queue = Arc::clone(&queue);
+            let crashed = Arc::clone(&crashed);
             thread::Builder::new()
                 .name("mirror-journal".into())
-                .spawn(move || loop {
-                    let batch = {
-                        let mut state = queue.state.lock().unwrap();
-                        while state.0.is_empty() {
-                            if state.1 {
+                .spawn(move || {
+                    while let Ok(first) = rx.recv() {
+                        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+                        let batch = merge_appends(std::iter::once(first).chain(queued));
+                        // One log lock per batch, not per op.
+                        let mut log = log.lock();
+                        for op in batch {
+                            // A crash discards what is still queued.
+                            if crashed.load(Ordering::Acquire) {
                                 return;
                             }
-                            state = queue.cv.wait_timeout(state, WRITER_POLL).unwrap().0;
-                        }
-                        std::mem::take(&mut state.0)
-                    };
-                    // One log lock per batch, not per op.
-                    let mut log = log.lock();
-                    for op in batch {
-                        let r = match op {
-                            Op::Append(idx, event) => log.append(idx, &event.encoded()),
-                            Op::Commit(floor) => log.commit(floor),
-                            Op::Barrier(ack) => {
-                                let _ = ack.send(());
-                                Ok(())
-                            }
-                        };
-                        if let Err(e) = r {
-                            let mut slot = error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
+                            let r = match op {
+                                Op::Append(run) => log.append_all(
+                                    run.iter().map(|(idx, event)| (*idx, event.encoded())),
+                                ),
+                                Op::Commit(floor) => log.commit(floor),
+                                Op::Barrier(ack) => {
+                                    let _ = ack.send(());
+                                    Ok(())
+                                }
+                                Op::Stop => return,
+                            };
+                            if let Err(e) = r {
+                                error.lock().get_or_insert(e);
                             }
                         }
                     }
@@ -171,53 +174,51 @@ impl Journal {
                 .expect("spawn mirror-journal writer")
         };
         Ok(Self {
-            queue,
+            ops,
             writer: Mutex::new(Some(writer)),
             log,
             snapshots,
             error,
-            snapshot_save_pad_us: std::sync::atomic::AtomicU64::new(0),
-            crashed: std::sync::atomic::AtomicBool::new(false),
+            snapshot_save_pad_us: AtomicU64::new(0),
+            crashed,
         })
     }
 
-    /// Push `ops` in order under one inbox lock.
-    fn send(&self, ops: impl IntoIterator<Item = Op>, notify: bool) {
-        if self.crashed.load(std::sync::atomic::Ordering::Acquire) {
-            // Dropping the op also drops a Barrier's ack sender, so a
-            // concurrent `drain` unblocks instead of hanging forever.
-            return;
-        }
-        self.queue.state.lock().unwrap().0.extend(ops);
-        if notify {
-            self.queue.cv.notify_one();
-        }
+    /// Send `op` to the writer. Once the writer has exited (after a
+    /// crash) the op is dropped, which also drops a `Barrier`'s ack
+    /// sender, so a concurrent `drain` returns instead of hanging.
+    fn send(&self, op: Op) {
+        let _ = self.ops.send(op);
     }
 
-    /// Block until the writer has applied every op enqueued before now.
+    /// Block until the writer has applied every op sent before now (or
+    /// has discarded it in a crash).
     fn drain(&self) {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.send([Op::Barrier(ack_tx)], true);
+        let (ack_tx, ack_rx) = channel::bounded(1);
+        self.send(Op::Barrier(ack_tx));
         let _ = ack_rx.recv();
     }
 
     /// Journal a run of mirrored events, in order (called on the aux
     /// thread for each run of mirror actions, after the backup-queue
-    /// pushes and before the run's data-channel publish). Non-blocking and
-    /// wake-free — the cost on the data path is one inbox lock per run and
-    /// two reference-count bumps and a push per event; even the wire
-    /// encoding happens on the writer thread (into each event's shared
-    /// encode cache, so bridges reuse it). The writer picks the ops up
-    /// within the 1 ms poll interval.
+    /// pushes and before the run's data-channel publish). Non-blocking:
+    /// the cost on the data path is one channel send per run and two
+    /// reference-count bumps and a push per event; even the wire encoding
+    /// happens on the writer thread (into each event's shared encode
+    /// cache, so bridges reuse it). The writer merges the run with the
+    /// runs queued beside it and group-commits them (see [`Journal`]).
     pub fn append_all(&self, run: impl IntoIterator<Item = (u64, SharedEvent)>) {
-        self.send(run.into_iter().map(|(idx, event)| Op::Append(idx, event)), false);
+        let run: Vec<_> = run.into_iter().collect();
+        if !run.is_empty() {
+            self.send(Op::Append(run));
+        }
     }
 
     /// Checkpoint commit: sync the log and advance the truncation
     /// watermark to `floor` (the backup queue's oldest retained index).
     /// Non-blocking; FIFO order makes it cover all prior appends.
     pub fn commit(&self, floor: u64) {
-        self.send([Op::Commit(floor)], true);
+        self.send(Op::Commit(floor));
     }
 
     /// Drain pending ops and force the log to stable storage — the barrier
@@ -251,7 +252,7 @@ impl Journal {
         state: &OperationalState,
         as_of: &VectorTimestamp,
     ) -> io::Result<()> {
-        let pad = self.snapshot_save_pad_us.load(std::sync::atomic::Ordering::Relaxed);
+        let pad = self.snapshot_save_pad_us.load(Ordering::Relaxed);
         if pad > 0 {
             thread::sleep(Duration::from_micros(pad));
         }
@@ -264,8 +265,7 @@ impl Journal {
     /// that a slow durable save cannot stall the event hot path.
     #[doc(hidden)]
     pub fn set_snapshot_save_pad(&self, pad: Duration) {
-        self.snapshot_save_pad_us
-            .store(pad.as_micros() as u64, std::sync::atomic::Ordering::Relaxed);
+        self.snapshot_save_pad_us.store(pad.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// Load the persisted EDE snapshot, if one exists and is intact (a
@@ -308,18 +308,13 @@ impl Journal {
     /// central would leave it — a later [`Journal::open`] on the same
     /// [`DurabilityConfig`] runs the store's torn-write crash repair.
     pub fn crash(&self) {
-        use std::sync::atomic::Ordering;
         if self.crashed.swap(true, Ordering::AcqRel) {
             return;
         }
-        {
-            // Ops enqueued before the crash but not yet written are lost,
-            // like a process dying with its WAL inbox unflushed.
-            let mut state = self.queue.state.lock().unwrap();
-            state.0.clear();
-            state.1 = true;
-        }
-        self.queue.cv.notify_one();
+        // The writer sees the flag before its next op, so ops sent before
+        // the crash but not yet written are lost, like a process dying
+        // with its WAL inbox unflushed; `Stop` wakes an idle writer.
+        self.send(Op::Stop);
         if let Some(w) = self.writer.lock().take() {
             let _ = w.join();
         }
@@ -328,23 +323,17 @@ impl Journal {
 
     /// Whether [`crash`](Journal::crash) has been called.
     pub fn is_crashed(&self) -> bool {
-        self.crashed.load(std::sync::atomic::Ordering::Acquire)
+        self.crashed.load(Ordering::Acquire)
     }
 }
 
 impl Drop for Journal {
-    /// Close the queue and join the writer: every enqueued op reaches the
-    /// log (whose own drop then flushes its append buffer).
+    /// Stop the writer behind every op already sent: each reaches the log
+    /// (whose own drop then flushes its append buffer). After a crash the
+    /// writer is already joined and the log abandoned.
     fn drop(&mut self) {
-        if self.is_crashed() {
-            // The writer is already joined and the log abandoned; a clean
-            // drain here would undo the simulated crash.
-            return;
-        }
-        self.drain();
-        self.queue.state.lock().unwrap().1 = true;
-        self.queue.cv.notify_one();
         if let Some(w) = self.writer.lock().take() {
+            self.send(Op::Stop);
             let _ = w.join();
         }
     }
@@ -380,4 +369,84 @@ pub enum ResyncSource {
     Memory,
     /// The durable event log (outage longer than the in-memory suffix).
     DurableLog,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mirror_core::event::PositionFix;
+
+    fn shared(seq: u64) -> SharedEvent {
+        let fix = PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 };
+        SharedEvent::new(Arc::new(Event::faa_position(seq, 1, fix)))
+    }
+
+    fn append(idxs: &[u64]) -> Op {
+        Op::Append(idxs.iter().map(|&i| (i, shared(i))).collect())
+    }
+
+    /// `merge_appends`' output, one line per op.
+    fn describe(ops: &[Op]) -> Vec<String> {
+        ops.iter()
+            .map(|op| match op {
+                Op::Append(run) => {
+                    format!("append {:?}", run.iter().map(|(i, _)| *i).collect::<Vec<_>>())
+                }
+                Op::Commit(floor) => format!("commit {floor}"),
+                Op::Barrier(_) => "barrier".into(),
+                Op::Stop => "stop".into(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn consecutive_appends_merge_and_commits_and_barriers_split_them() {
+        let (ack, _ack_rx) = channel::bounded(1);
+        let ops = [
+            append(&[1, 2]),
+            append(&[3]),
+            Op::Commit(2),
+            append(&[4]),
+            Op::Barrier(ack),
+            append(&[5]),
+            append(&[6, 7]),
+            append(&[8]),
+            Op::Stop,
+        ];
+        assert_eq!(
+            describe(&merge_appends(ops)),
+            [
+                "append [1, 2, 3]",
+                "commit 2",
+                "append [4]",
+                "barrier",
+                "append [5, 6, 7, 8]",
+                "stop"
+            ]
+        );
+        assert!(merge_appends([]).is_empty());
+    }
+
+    #[test]
+    fn a_crashed_journal_returns_from_every_call() {
+        let dir =
+            std::env::temp_dir().join(format!("mirror-rt-journal-{}-crash", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&DurabilityConfig::new(&dir)).unwrap();
+        journal.append_all((1..=100).map(|i| (i, shared(i))));
+        assert_eq!(journal.last_idx(), Some(100));
+        journal.crash();
+        assert!(journal.is_crashed());
+        journal.append_all((101..=200).map(|i| (i, shared(i))));
+        journal.commit(150);
+        assert_eq!(journal.last_error(), None, "nothing reached the log after the crash");
+        drop(journal);
+        let reopened = Journal::open(&DurabilityConfig::new(&dir)).unwrap();
+        assert!(
+            reopened.last_idx().is_some_and(|last| last <= 100),
+            "the crash kept no op after it"
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

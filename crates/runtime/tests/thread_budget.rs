@@ -1,5 +1,6 @@
 //! A running cluster's thread budget: each site runs its aux thread and
-//! its apply workers, and nothing else. The aux thread dispatches into the
+//! its apply workers, and nothing else; durability adds the journal's
+//! writer, and failover adds no thread. The aux thread dispatches into the
 //! apply workers itself, and channel subscriptions deliver into a site's
 //! inbox on the publisher's thread, so no thread exists only to move one
 //! queue into another.
@@ -10,7 +11,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use mirror_core::event::{Event, PositionFix};
-use mirror_runtime::{ApplyPoolConfig, Cluster, ClusterConfig};
+use mirror_runtime::{ApplyPoolConfig, Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy};
 
 /// This process's threads: (tid, name).
 fn threads() -> BTreeSet<(u64, String)> {
@@ -25,16 +26,23 @@ fn threads() -> BTreeSet<(u64, String)> {
         .collect()
 }
 
-#[test]
-fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
+/// Start `cfg`'s 1 + 2 cluster, apply `events` events everywhere, and
+/// check it runs exactly its sites' threads plus `extra`, and that all of
+/// them are gone after shutdown.
+fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
     let before = threads();
-    let cluster = Cluster::start(ClusterConfig { mirrors: 2, ..Default::default() });
-    cluster.submit(Event::faa_position(
-        1,
-        1,
-        PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 },
-    ));
-    assert!(cluster.wait_all_processed(1, Duration::from_secs(10)), "every site applied");
+    let cluster = Cluster::start(cfg);
+    for seq in 1..=events {
+        cluster.submit(Event::faa_position(
+            seq,
+            (seq % 8) as u32,
+            PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 },
+        ));
+    }
+    assert!(cluster.wait_all_processed(events, Duration::from_secs(10)), "every site applied");
+    if let Some(journal) = cluster.central().journal() {
+        assert_eq!(journal.last_idx(), Some(events), "every event journaled");
+    }
 
     let mut started: Vec<String> =
         threads().difference(&before).map(|(_, name)| name.clone()).collect();
@@ -45,9 +53,14 @@ fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
             let apply = (0..workers).map(|w| format!("apply-{w}"));
             std::iter::once(format!("aux-{site}")).chain(apply)
         })
+        .chain(extra.iter().map(|name| name.to_string()))
         .collect();
     expected.sort();
-    assert_eq!(started.len(), 3 * (1 + workers), "threads of a 1 + 2 cluster: {started:?}");
+    assert_eq!(
+        started.len(),
+        3 * (1 + workers) + extra.len(),
+        "threads of a 1 + 2 cluster: {started:?}"
+    );
     assert_eq!(started, expected);
     assert!(!started.iter().any(|n| n.starts_with("main-")), "no dispatcher threads: {started:?}");
     assert!(
@@ -66,4 +79,24 @@ fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
     }
     let left: Vec<_> = threads().difference(&before).cloned().collect();
     assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
+}
+
+#[test]
+fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
+    check_budget(ClusterConfig { mirrors: 2, ..Default::default() }, 1, &[]);
+
+    // Durability and failover add the journal's writer and nothing else:
+    // the log group-commits on that writer (no flusher thread), and the
+    // failover watcher is a control-downlink sink. More than 64 events
+    // pass the default `EveryN(64)` sync point.
+    let dir = std::env::temp_dir().join(format!("mirror-rt-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ClusterConfig {
+        mirrors: 2,
+        durability: Some(DurabilityConfig::new(&dir)),
+        failover: Some(FailoverPolicy::default()),
+        ..Default::default()
+    };
+    check_budget(cfg, 256, &["mirror-journal"]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

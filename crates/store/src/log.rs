@@ -18,9 +18,16 @@
 //! caches for the fan-out path, so journaling an event costs one buffered
 //! write, never a second encode. Appends accumulate in a user-space buffer
 //! and reach the file in ~64 KiB `write`s (any sync barrier, segment roll,
-//! replay, or drop flushes first); under [`FsyncPolicy::EveryN`] the
-//! `fdatasync` itself runs on a background flusher thread, so the hot path
-//! pays neither the per-append syscall nor the disk latency.
+//! replay, or drop flushes first). The log starts no thread: a caller that
+//! appends in runs ([`EventLog::append_all`]) group-commits, because under
+//! [`FsyncPolicy::EveryN`] a run pays at most one `fdatasync`, at its end.
+//! Keeping that sync off a latency-sensitive path is the caller's business
+//! (the runtime's journal writer thread does it).
+//!
+//! A failed `fdatasync` poisons the log, whichever path issued it: the
+//! kernel may already have dropped the dirty pages, and a retry can report
+//! success over the lost bytes. Every later sync and commit errors, so the
+//! watermark never advances over data that may be gone.
 //!
 //! Alongside the segments lives a `watermark` file holding the durable
 //! truncation floor: the oldest send index a recovering mirror may still
@@ -57,9 +64,7 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use mirror_core::event::Event;
@@ -72,13 +77,10 @@ use crate::crc::crc32;
 pub enum FsyncPolicy {
     /// `fdatasync` after every append. Durable to the last event; slowest.
     PerWrite,
-    /// Schedule an `fdatasync` every N appends, serviced by a background
-    /// flusher thread so the append path never blocks on the disk (group
-    /// commit). Loss is bounded by N-1 events plus whatever the flusher has
-    /// not yet serviced; commits and segment rolls still sync
-    /// synchronously, and a failed background sync poisons the log (every
-    /// later [`EventLog::sync`]/[`EventLog::commit`] errors). The default
-    /// trade-off.
+    /// Group commit: a run of appends ([`EventLog::append_all`]) ends with
+    /// one `fdatasync` if at least N appends are unsynced, so a run of any
+    /// length pays at most one. Loss is bounded by N-1 events; commits and
+    /// segment rolls sync as under every policy. The default trade-off.
     EveryN(u32),
     /// `fdatasync` only when the checkpoint watermark advances. Cheapest;
     /// loss bounded by one commit interval — exactly the window the
@@ -103,87 +105,6 @@ impl Default for LogConfig {
     /// only reclaims whole segments either way.
     fn default() -> Self {
         Self { fsync: FsyncPolicy::EveryN(64), segment_bytes: 64 * 1024 * 1024 }
-    }
-}
-
-/// Asynchronous fsync scheduler for [`FsyncPolicy::EveryN`]. Appends hand
-/// the active segment's (duped) file handle to this thread and continue;
-/// `fdatasync` covers every byte written to the file so far, so only the
-/// latest request matters and a slow disk coalesces requests instead of
-/// stalling the append path — the group-commit trick, without holding
-/// appends hostage to disk latency.
-struct Flusher {
-    shared: Arc<FlushShared>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
-struct FlushShared {
-    slot: Mutex<FlushSlot>,
-    cv: Condvar,
-    /// Sticky: a failed background sync poisons the log, because there is
-    /// no caller on the async path to hand the error to and pretending the
-    /// prefix is durable would be worse.
-    failed: AtomicBool,
-}
-
-#[derive(Default)]
-struct FlushSlot {
-    pending: Option<File>,
-    shutdown: bool,
-}
-
-impl Flusher {
-    fn spawn() -> Self {
-        let shared = Arc::new(FlushShared {
-            slot: Mutex::new(FlushSlot::default()),
-            cv: Condvar::new(),
-            failed: AtomicBool::new(false),
-        });
-        let sh = Arc::clone(&shared);
-        let thread = thread::Builder::new()
-            .name("mirror-store-flush".into())
-            .spawn(move || loop {
-                let file = {
-                    let mut slot = sh.slot.lock().unwrap();
-                    loop {
-                        if let Some(f) = slot.pending.take() {
-                            break f;
-                        }
-                        if slot.shutdown {
-                            return;
-                        }
-                        slot = sh.cv.wait(slot).unwrap();
-                    }
-                };
-                if file.sync_data().is_err() {
-                    sh.failed.store(true, Ordering::Release);
-                }
-            })
-            .expect("spawn mirror-store flusher");
-        Self { shared, thread: Some(thread) }
-    }
-
-    /// Replace the pending request with `file` (latest wins).
-    fn request(&self, file: File) {
-        self.shared.slot.lock().unwrap().pending = Some(file);
-        self.shared.cv.notify_one();
-    }
-
-    fn check(&self) -> io::Result<()> {
-        if self.shared.failed.load(Ordering::Acquire) {
-            return Err(io::Error::other("background fdatasync failed; log is poisoned"));
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Flusher {
-    fn drop(&mut self) {
-        self.shared.slot.lock().unwrap().shutdown = true;
-        self.shared.cv.notify_one();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join(); // drains any pending request first
-        }
     }
 }
 
@@ -251,6 +172,27 @@ fn scan_segment(path: &Path) -> io::Result<(Vec<ScannedFrame>, u64)> {
     Ok((frames, valid_end))
 }
 
+fn check_poison(poisoned: bool) -> io::Result<()> {
+    if poisoned {
+        return Err(io::Error::other("an earlier fdatasync failed; log is poisoned"));
+    }
+    Ok(())
+}
+
+/// `fdatasync` a segment file of a log whose poison flag is `poisoned`: a
+/// poisoned log refuses, and a failure poisons it (see the module docs).
+fn fdatasync(file: &File, poisoned: &mut bool) -> io::Result<()> {
+    check_poison(*poisoned)?;
+    let r = file.sync_data();
+    #[cfg(test)]
+    let r = if tests::FAIL_NEXT_SYNC.take() {
+        Err(io::Error::other("injected fdatasync failure"))
+    } else {
+        r
+    };
+    r.inspect_err(|_| *poisoned = true)
+}
+
 fn write_atomic(dir: &Path, tmp_name: &str, final_name: &str, contents: &[u8]) -> io::Result<()> {
     let tmp = dir.join(tmp_name);
     let fin = dir.join(final_name);
@@ -279,9 +221,8 @@ pub struct EventLog {
     watermark: u64,
     /// Appends since the last fsync (for [`FsyncPolicy::EveryN`]).
     unsynced: u32,
-    /// Background fsync thread, spawned lazily on the first `EveryN`
-    /// schedule.
-    flusher: Option<Flusher>,
+    /// Sticky: an `fdatasync` has failed (see the module docs).
+    poisoned: bool,
     /// Crash simulation: the log has been [`abandon`](EventLog::abandon)ed —
     /// every further mutation is a no-op and `Drop` does not write out the
     /// append buffer.
@@ -415,7 +356,7 @@ impl EventLog {
             last_idx,
             watermark,
             unsynced: 0,
-            flusher: None,
+            poisoned: false,
             abandoned: false,
         })
     }
@@ -465,15 +406,36 @@ impl EventLog {
             .filter(|_| self.last_idx.is_some())
     }
 
-    /// Append one event frame. `wire` must be the wire encoding of a
-    /// [`Frame`] (as produced by `encode_frame`/`SharedEvent::encoded`);
-    /// `idx` must exceed every previously appended index, and should be the
-    /// next one: recovery keeps frames only up to the first gap between
-    /// segments (see the module docs).
+    /// Append one event frame: a run of one (see
+    /// [`append_all`](EventLog::append_all)).
     pub fn append(&mut self, idx: u64, wire: &[u8]) -> io::Result<()> {
+        self.append_all([(idx, wire)])
+    }
+
+    /// Append a run of event frames, in order. Each `wire` must be the wire
+    /// encoding of a [`Frame`] (as produced by
+    /// `encode_frame`/`SharedEvent::encoded`); each `idx` must exceed every
+    /// previously appended index, and should be the next one: recovery
+    /// keeps frames only up to the first gap between segments (see the
+    /// module docs). Under [`FsyncPolicy::EveryN`]`(n)` the run ends with
+    /// one [`sync`](EventLog::sync) if at least `n` appends are unsynced.
+    pub fn append_all<W: AsRef<[u8]>>(
+        &mut self,
+        run: impl IntoIterator<Item = (u64, W)>,
+    ) -> io::Result<()> {
         if self.abandoned {
             return Ok(());
         }
+        for (idx, wire) in run {
+            self.push(idx, wire.as_ref())?;
+        }
+        match self.cfg.fsync {
+            FsyncPolicy::EveryN(n) if self.unsynced >= n.max(1) => self.sync(),
+            _ => Ok(()),
+        }
+    }
+
+    fn push(&mut self, idx: u64, wire: &[u8]) -> io::Result<()> {
         if let Some(last) = self.last_idx {
             assert!(idx > last, "log indices must be monotone: {idx} after {last}");
         }
@@ -487,7 +449,7 @@ impl EventLog {
             // Bound loss to the active segment: a closed segment is always
             // fully durable, whatever the append-time policy.
             a.flush()?;
-            a.file.sync_data()?;
+            fdatasync(&a.file, &mut self.poisoned)?;
             self.closed.insert(a.first_idx, a.path);
         }
         if self.active.is_none() {
@@ -515,22 +477,12 @@ impl EventLog {
         a.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         a.len += frame_len;
         self.last_idx = Some(idx);
+        self.unsynced += 1;
 
-        match self.cfg.fsync {
-            FsyncPolicy::PerWrite => {
-                a.flush()?;
-                a.file.sync_data()?;
-            }
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    a.flush()?;
-                    let clone = a.file.try_clone()?;
-                    self.flusher.get_or_insert_with(Flusher::spawn).request(clone);
-                    self.unsynced = 0;
-                }
-            }
-            FsyncPolicy::OnCommit => {}
+        if self.cfg.fsync == FsyncPolicy::PerWrite {
+            a.flush()?;
+            fdatasync(&a.file, &mut self.poisoned)?;
+            self.unsynced = 0;
         }
         if a.buf.len() >= FLUSH_BYTES {
             a.flush()?;
@@ -539,18 +491,16 @@ impl EventLog {
     }
 
     /// Force everything appended so far to stable storage (a synchronous
-    /// barrier, whatever the append policy). Errors if a background sync
-    /// previously failed.
+    /// barrier, whatever the append policy). Errors if the log is
+    /// poisoned.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.abandoned {
             return Ok(());
         }
-        if let Some(f) = &self.flusher {
-            f.check()?;
-        }
+        check_poison(self.poisoned)?;
         if let Some(a) = &mut self.active {
             a.flush()?;
-            a.file.sync_data()?;
+            fdatasync(&a.file, &mut self.poisoned)?;
         }
         self.unsynced = 0;
         Ok(())
@@ -689,6 +639,12 @@ mod tests {
     use mirror_core::event::{Event, PositionFix};
     use mirror_core::timestamp::VectorTimestamp;
     use mirror_echo::wire::encode_frame;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Fail the next `fdatasync` on this thread (after it ran).
+        pub(super) static FAIL_NEXT_SYNC: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn test_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mirror-store-{}-{}", std::process::id(), tag));
@@ -893,5 +849,60 @@ mod tests {
         log.commit(3).unwrap();
         assert_eq!(log.watermark(), 5);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_run_pays_at_most_one_group_commit() {
+        let dir = test_dir("group");
+        let cfg = LogConfig { fsync: FsyncPolicy::EveryN(4), ..LogConfig::default() };
+        let mut log = EventLog::open(&dir, cfg).unwrap();
+        log.append_all((1..=10u64).map(|i| (i, wire_bytes(i).1))).unwrap();
+        assert_eq!(log.unsynced, 0, "a run past the threshold ends synced");
+        log.append_all((11..=13u64).map(|i| (i, wire_bytes(i).1))).unwrap();
+        assert_eq!(log.unsynced, 3, "a run below the threshold does not sync");
+        log.append(14, &wire_bytes(14).1).unwrap();
+        assert_eq!(log.unsynced, 0, "a run of one that reaches it does");
+        assert_eq!(log.replay_from(1).unwrap().len(), 14);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// After a failed `fdatasync` the kernel may have dropped the dirty
+    /// pages, and a retry can succeed over the loss: whichever path saw
+    /// the failure, no later sync or commit may claim durability.
+    #[test]
+    fn a_failed_fdatasync_on_any_path_poisons_the_log() {
+        type Trigger = fn(&mut EventLog) -> io::Result<()>;
+        let big = LogConfig { fsync: FsyncPolicy::OnCommit, ..LogConfig::default() };
+        let cases: [(&str, LogConfig, Trigger); 5] = [
+            ("sync", big, |log| log.append(3, &wire_bytes(3).1).and_then(|()| log.sync())),
+            ("commit", big, |log| log.append(3, &wire_bytes(3).1).and_then(|()| log.commit(3))),
+            ("per-write", LogConfig { fsync: FsyncPolicy::PerWrite, ..big }, |log| {
+                log.append(3, &wire_bytes(3).1)
+            }),
+            ("group commit", LogConfig { fsync: FsyncPolicy::EveryN(2), ..big }, |log| {
+                log.append_all([3, 4].map(|i| (i, wire_bytes(i).1)))
+            }),
+            // Two frames fit a segment, so the third rolls it.
+            ("segment roll", LogConfig { segment_bytes: 250, ..big }, |log| {
+                log.append(3, &wire_bytes(3).1)
+            }),
+        ];
+        for (path, cfg, trigger) in cases {
+            let dir = test_dir(&format!("poison-{}", path.replace(' ', "-")));
+            let mut log = EventLog::open(&dir, cfg).unwrap();
+            log.append_all([1, 2].map(|i| (i, wire_bytes(i).1))).unwrap();
+            log.commit(2).unwrap();
+
+            FAIL_NEXT_SYNC.set(true);
+            assert!(trigger(&mut log).is_err(), "{path}: the failing fdatasync errors");
+            assert!(!FAIL_NEXT_SYNC.get(), "{path}: the path synced");
+            assert!(log.sync().is_err(), "{path}: a later sync errors");
+            assert!(log.commit(5).is_err(), "{path}: a later commit errors");
+            assert!(log.commit(5).is_err(), "{path}: and keeps erroring");
+            assert_eq!(log.watermark(), 2, "{path}: the watermark does not advance");
+            drop(log);
+            assert_eq!(EventLog::open(&dir, cfg).unwrap().watermark(), 2, "{path}: on disk");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
