@@ -71,8 +71,7 @@ pub use params::MirrorParams;
 pub use partition::{GroupId, PartitionMap, PARTITION_SLOTS};
 pub use queue::{BackupQueue, ReadyQueue};
 pub use ring::{
-    mpsc, spsc, MpscReceiver, MpscSender, RingProbe, RingRecv, RingSend, RingStats, SpscReceiver,
-    SpscSender,
+    mpsc, spsc, MpscReceiver, MpscSender, RingRecv, RingSend, RingStats, SpscReceiver, SpscSender,
 };
 pub use rules::{RuleOutcome, RuleSet};
 pub use status::StatusTable;

@@ -295,7 +295,8 @@ impl ShardedEde {
     /// never a mix. Appliers racing this install can interleave their
     /// events before or after it wholesale — callers that need the seed
     /// semantics of "buffered events replay on top" must quiesce appliers
-    /// first (the apply pool's seed path does).
+    /// first (a site's seed path runs on its only applier, the aux
+    /// thread).
     pub fn install_state(&self, state: OperationalState) {
         let incoming_epoch = state.epoch();
         let mut parts: Vec<FlightMap> =

@@ -1229,8 +1229,8 @@ mod tests {
             }
         }
         assert_eq!(got, 50);
-        // An apply worker publishes each update as it applies it and adds
-        // to the counters once per batch, `processed` before the delays.
+        // The aux thread publishes each update as it applies it and adds
+        // to the counters once per run, `processed` before the delays.
         assert!(cluster.wait_all_processed(50, Duration::from_secs(5)));
         assert!(cluster.central().counters().mean_delay_us() > 0.0);
         cluster.shutdown();

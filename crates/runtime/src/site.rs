@@ -1,16 +1,17 @@
 //! Threaded site runtimes.
 //!
-//! A site is one **aux thread** plus the apply workers of its
-//! [`ApplyPool`], mirroring the paper's unit split:
+//! A site is one **aux thread**, mirroring the paper's unit split on a
+//! single thread of control:
 //!
-//! * the aux thread executes the auxiliary unit (receiving, sending and
-//!   control tasks — the [`mirror_core::AuxUnit`] step machine behind the
+//! * it executes the auxiliary unit (receiving, sending and control
+//!   tasks — the [`mirror_core::AuxUnit`] step machine behind the
 //!   Table-1 [`MirrorHandle`]), translating its actions into channel
-//!   publishes, and does the main unit's share of each run itself: it
-//!   sends forwarded events to the apply workers and answers checkpoint
-//!   traffic against the main unit's responder;
-//! * the apply workers feed the Event Derivation Engine, a
-//!   per-shard-locked [`ShardedEde`] (see DESIGN.md §16).
+//!   publishes;
+//! * and it runs the main unit's share of each run inline: forwarded
+//!   events are applied straight into the Event Derivation Engine, a
+//!   per-shard-locked [`ShardedEde`] (see DESIGN.md §16), through the
+//!   site's [`ApplyPool`], and checkpoint traffic is answered against the
+//!   main unit's responder.
 //!
 //! The aux thread drains its inbox in **runs**. It blocks for the first
 //! message (waking every `FLUSH_PERIOD` when idle to flush and keep
@@ -24,15 +25,17 @@
 //! [`Publisher::publish_all`]. A `Stop` ends the run it lands in, and a
 //! crash flag seen after the run is fed routes none of its actions.
 //!
-//! Routing a run goes to completion on the aux thread. A forwarded event
-//! goes straight into the ring of the worker owning its flight's shard
-//! (held back while a site started in awaiting-seed mode waits for its
-//! seed); a full ring blocks the aux thread until that worker catches
-//! up. A CHKPT is answered against the responder, and the reply re-enters
-//! the site's own inbox. The exclusive sections behind seed, merge, delta
-//! and purge travel through the inbox too: one ends the run it lands in,
-//! and after routing that run the aux thread runs it with every apply
-//! worker parked ([`ApplyPool::quiesce`]), while its caller blocks in the
+//! Routing a run goes to completion on the aux thread. Forwarded events
+//! are applied in run order (held back while a site started in
+//! awaiting-seed mode waits for its seed), so the site's applied-updates
+//! stream is published by one thread, in apply order. The apply
+//! bookkeeping — the responder's processed frontier and the counters — is
+//! flushed once per run, and before a CHKPT is answered, so a reply covers
+//! everything routed ahead of it; the reply re-enters the site's own
+//! inbox. The exclusive sections behind seed, merge, delta and purge
+//! travel through the inbox too: one ends the run it lands in, and the aux
+//! thread runs it after routing that run — it is the store's only writer,
+//! so nothing else applies meanwhile — while its caller blocks in the
 //! `recv` of a one-slot reply ring. A section thus waits out the inbox
 //! backlog queued ahead of it, and its caller must be neither the aux
 //! thread nor a holder of the unit lock ([`MirrorHandle::with`]), which
@@ -53,7 +56,7 @@
 //! the inbox's `Stop` behind everything they delivered: every event
 //! published to a site before `stop()` is applied. `crash()` sets the
 //! crash flag first; the sinks then refuse, and the aux thread abandons
-//! the inbox.
+//! the inbox and applies nothing more.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,7 +70,7 @@ use mirror_core::api::MirrorHandle;
 use mirror_core::aux_unit::{AuxAction, AuxInput, SiteId};
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::{self, RingProbe, RingStats};
+use mirror_core::ring::{self, RingStats};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
@@ -89,9 +92,9 @@ const FLUSH_PERIOD: Duration = Duration::from_millis(20);
 /// a `SiteMsg::Run`, so one run may exceed it.
 const AUX_BATCH: usize = 256;
 
-/// Shards in a site's operational store. More shards than the worker-pool
-/// maximum (4) so per-shard lock contention stays low even when captures
-/// interleave with applies; the shard map is invisible to the replicated
+/// Shards in a site's operational store. The aux thread applies into one
+/// shard at a time, so the count bounds how much of the store a capture's
+/// freeze holds against it; the shard map is invisible to the replicated
 /// digest, so the count is a pure tuning knob.
 const APPLY_SHARDS: usize = 8;
 
@@ -101,8 +104,8 @@ const APPLY_SHARDS: usize = 8;
 /// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig).
 pub const DEFAULT_MAIN_RING_CAPACITY: usize = 8192;
 
-/// A section run with the store to itself: every apply worker drains its
-/// ring and parks, the section runs, and applies resume on top of
+/// A section run with the store to itself: the aux thread, the store's
+/// only writer, runs it between two runs, and applies resume on top of
 /// whatever it did, so it lands between two well-defined batches of
 /// applies, in inbox order. An event racing it (published after a capture
 /// the section installs, queued before it) may be overwritten and then
@@ -200,8 +203,9 @@ pub struct SiteCounters {
     pub snapshot_cache_hits: AtomicU64,
     /// Gateway requests that captured fresh state (cache stale or absent).
     pub snapshot_cache_misses: AtomicU64,
-    /// Apply-worker bookkeeping batches flushed (processed ÷ batches =
-    /// achieved batching ratio on the sharded apply path).
+    /// Apply bookkeeping flushes: one per routed run that applied
+    /// anything, plus one per CHKPT answered after applies in its run
+    /// (processed ÷ flushes ≈ events applied per run).
     pub apply_batches: AtomicU64,
     /// Inbox runs carrying data that the aux thread fed through its unit
     /// under one lock and routed together (the unit's `received` ÷
@@ -211,7 +215,7 @@ pub struct SiteCounters {
     /// different partition group (`RequestError::WrongPartition`) — the
     /// misroute signal the ois balancer re-routes on.
     pub wrong_partition: AtomicU64,
-    /// Shared-clock timestamp (µs) of the most recent apply-worker
+    /// Shared-clock timestamp (µs) of the most recent apply
     /// bookkeeping flush — the raw signal behind the per-mirror staleness
     /// gauge (central's stamp minus a mirror's stamp bounds how long the
     /// mirror's applied frontier has trailed). 0 until the first flush.
@@ -257,8 +261,8 @@ struct SiteShared {
     /// The sharded operational store: per-shard locks for parallel
     /// applies, all-shard freeze for consistent captures.
     ede: Arc<ShardedEde>,
-    /// Shared with the apply workers, which batch-merge processed stamps
-    /// into it.
+    /// The aux thread merges each run's processed stamps into it; the
+    /// capture paths read its frontier.
     responder: Arc<Mutex<MainUnitResponder>>,
     /// Shared with gateway workers, which account served requests and
     /// cache hits into it.
@@ -308,8 +312,6 @@ struct SiteCore {
     sync: Arc<StateSync>,
     handle: MirrorHandle,
     inbox: Inbox,
-    /// Probes on the apply workers' rings, which the aux thread feeds.
-    dispatch_rings: Vec<RingProbe>,
     /// Crash simulation: when set, threads abandon queued work instead of
     /// draining it on the way out (see [`CentralSite::crash`]).
     crashed: Arc<std::sync::atomic::AtomicBool>,
@@ -321,7 +323,7 @@ struct SiteCore {
 }
 
 impl SiteCore {
-    /// Spawn the aux thread and apply workers for a site.
+    /// Spawn the aux thread for a site.
     ///
     /// `on_action` routes non-local aux actions (publishes to mirrors /
     /// central); local main-unit traffic is wired here.
@@ -384,9 +386,10 @@ impl SiteCore {
                 updates: Some(updates_pub),
             },
             Arc::clone(&crashed),
-            ApplyPoolConfig::default(),
+            // The aux thread flushes at the end of every run and before a
+            // CHKPT reply, never on a count.
+            ApplyPoolConfig { batch: usize::MAX },
         );
-        let dispatch_rings = pool.ring_probes();
         // Mirror rejoin: until the seed state arrives, data events are
         // buffered; the seed install replays them on top (stale updates
         // are absorbed idempotently by the EDE).
@@ -487,22 +490,13 @@ impl SiteCore {
                         None => {}
                     }
                 }
-                // Graceful stop drains the worker rings; after a crash the
-                // workers observe the flag and abandon their backlogs.
+                // A graceful stop records the last run's bookkeeping; after
+                // a crash the pool drops it.
                 main.pool.shutdown();
             })
             .expect("spawn aux thread");
 
-        SiteCore {
-            shared,
-            sync,
-            handle,
-            inbox,
-            dispatch_rings,
-            crashed,
-            sinks: Vec::new(),
-            aux: Some(aux),
-        }
+        SiteCore { shared, sync, handle, inbox, crashed, sinks: Vec::new(), aux: Some(aux) }
     }
 
     /// Subscribe a sink to `channel` that hands each published run to
@@ -520,8 +514,8 @@ impl SiteCore {
         self.sinks.push(channel.subscribe_with(sink));
     }
 
-    /// Close the sinks, then stop the aux thread, and with it the apply
-    /// workers, behind everything they delivered. Idempotent.
+    /// Close the sinks, then stop the aux thread behind everything they
+    /// delivered. Idempotent.
     fn stop(&mut self) {
         for sink in self.sinks.drain(..) {
             sink.close();
@@ -558,18 +552,6 @@ impl SiteCore {
         }
         done_rx.recv()
     }
-
-    /// The apply rings' lifetime stats: `enqueued` and `dequeued` summed,
-    /// `high_watermark` of the fullest ring.
-    fn dispatch_stats(&self) -> RingStats {
-        self.dispatch_rings.iter().map(RingProbe::stats).fold(RingStats::default(), |all, r| {
-            RingStats {
-                enqueued: all.enqueued + r.enqueued,
-                dequeued: all.dequeued + r.dequeued,
-                high_watermark: all.high_watermark.max(r.high_watermark),
-            }
-        })
-    }
 }
 
 /// The main unit's share of a site, which its aux thread runs inline.
@@ -584,17 +566,16 @@ struct MainUnit {
 }
 
 impl MainUnit {
-    /// Hand `event` to the worker owning its flight's shard, or hold it
-    /// back until the seed install.
-    fn apply(&mut self, event: Arc<Event>) {
+    /// Apply `event` now, or hold it back until the seed install.
+    fn apply(&mut self, event: &Arc<Event>) {
         match &mut self.seed_buffer {
-            Some(buffer) => buffer.push(event),
-            None => self.pool.dispatch(event),
+            Some(buffer) => buffer.push(Arc::clone(event)),
+            None => self.pool.dispatch(&**event),
         }
     }
 
     /// Answer a CHKPT into the inbox, or record a COMMIT.
-    fn on_control(&self, m: &ControlMsg) {
+    fn on_control(&mut self, m: &ControlMsg) {
         match m {
             ControlMsg::Chkpt { .. } => {
                 let report = MonitorReport {
@@ -602,9 +583,9 @@ impl MainUnit {
                     backup_len: 0,
                     pending_requests: self.shared.pending_gauge.load(Ordering::Relaxed),
                 };
-                // The responder's frontier may trail in-flight worker
-                // applies; the reply is the meet with it, so a lag only
-                // makes the commit conservative, never wrong.
+                // Flushed first, the frontier covers every event routed
+                // ahead of this CHKPT; the reply is the meet with it.
+                self.pool.flush();
                 if let Some(rep) = self.shared.responder.lock().on_chkpt(m, report) {
                     self.inbox.send(SiteMsg::Ctrl(rep));
                 }
@@ -614,22 +595,23 @@ impl MainUnit {
         }
     }
 
-    /// Run `section` with every apply worker parked. After a seed install,
-    /// the held-back events replay on top.
+    /// Run `section` on the store's only writer, after the run it ended
+    /// was routed and flushed. After a seed install, the held-back events
+    /// replay on top.
     fn exclusive(&mut self, section: Section, seeds: bool) {
-        let shared = &self.shared;
-        self.pool.quiesce(|| section(shared));
+        section(&self.shared);
         if seeds {
             for event in self.seed_buffer.take().into_iter().flatten() {
                 self.pool.dispatch(event);
             }
+            self.pool.flush();
         }
     }
 }
 
 /// Route a run's aux actions: local main-unit traffic inline, in order,
-/// then the whole run through the site-specific callback, which ignores
-/// the local kinds.
+/// with the apply bookkeeping flushed after it, then the whole run through
+/// the site-specific callback, which ignores the local kinds.
 fn route_actions(
     actions: &[AuxAction],
     main: &mut MainUnit,
@@ -638,8 +620,7 @@ fn route_actions(
     let mut mirrored = 0;
     for action in actions {
         match action {
-            // Arc clone: the apply worker shares the aux unit's copy.
-            AuxAction::ForwardToMain(ev) => main.apply(Arc::clone(ev)),
+            AuxAction::ForwardToMain(ev) => main.apply(ev),
             AuxAction::ControlToMain(m) => main.on_control(m),
             AuxAction::Mirror { .. } => mirrored += 1,
             AuxAction::Reconfigured(_) => {
@@ -648,6 +629,7 @@ fn route_actions(
             _ => {}
         }
     }
+    main.pool.flush();
     if mirrored > 0 {
         main.shared.counters.mirrored.fetch_add(mirrored, Ordering::Relaxed);
     }
@@ -773,12 +755,15 @@ macro_rules! site_common_impl {
             self.core.inbox.depth()
         }
 
-        /// Lifetime stats of the aux thread's dispatch into the apply
-        /// workers' rings — `enqueued` and `dequeued` summed over the
-        /// rings, `high_watermark` of the fullest — the overload
-        /// observability hook.
-        pub fn dispatch_ring_stats(&self) -> mirror_core::ring::RingStats {
-            self.core.dispatch_stats()
+        /// The aux thread's hand-off into the store, in the shape of a
+        /// ring's stats: `enqueued` = `dequeued` = events applied (as
+        /// [`processed`](Self::processed) counts them), and
+        /// `high_watermark` = 0, since the aux thread applies each event
+        /// itself and nothing queues between it and the store. The
+        /// backlog, if any, is [`inbox_depth`](Self::inbox_depth).
+        pub fn dispatch_ring_stats(&self) -> RingStats {
+            let applied = self.processed();
+            RingStats { enqueued: applied, dequeued: applied, high_watermark: 0 }
         }
 
         /// Install recovered state into a site started in awaiting-seed
@@ -1195,7 +1180,7 @@ impl CentralSite {
         // Freeze (clone) under the shard locks, write after releasing
         // them: the disk write (serialize + temp file + fsync + rename)
         // must not stall event processing — holding the store locked
-        // across it would freeze every apply worker for the whole save.
+        // across it would stall the aux thread for the whole save.
         let (snap, _epoch) = self.core.shared.ede.freeze(as_of.clone());
         let state = snap.into_state();
         journal.save_snapshot(&state, &as_of)?;
@@ -1265,8 +1250,8 @@ impl MirrorSite {
     }
 
     /// Subscribe to this mirror's applied-updates stream: the
-    /// state-changing events its EDE emits, in apply order. The apply
-    /// workers skip the publish entirely while nobody is subscribed, so an
+    /// state-changing events its EDE emits, in apply order. The aux thread
+    /// skips the publish entirely while nobody is subscribed, so an
     /// edge-less mirror pays one atomic load per update.
     pub fn subscribe_updates(&self) -> Subscriber<Event> {
         self.updates.subscribe()

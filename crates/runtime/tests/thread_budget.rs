@@ -1,9 +1,8 @@
 //! A running cluster's thread budget: each site runs its aux thread and
-//! its apply workers, and nothing else; durability adds the journal's
-//! writer, and failover adds no thread. The aux thread dispatches into the
-//! apply workers itself, and channel subscriptions deliver into a site's
-//! inbox on the publisher's thread, so no thread exists only to move one
-//! queue into another.
+//! nothing else; durability adds the journal's writer, and failover adds
+//! no thread. The aux thread applies into the store itself, and channel
+//! subscriptions deliver into a site's inbox on the publisher's thread, so
+//! no thread exists only to move one queue into another.
 //! (Counts this process's threads through `/proc/self/task`, so the file
 //! holds this one test.)
 
@@ -11,7 +10,7 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use mirror_core::event::{Event, PositionFix};
-use mirror_runtime::{ApplyPoolConfig, Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy};
+use mirror_runtime::{Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy};
 
 /// This process's threads: (tid, name).
 fn threads() -> BTreeSet<(u64, String)> {
@@ -47,21 +46,14 @@ fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
     let mut started: Vec<String> =
         threads().difference(&before).map(|(_, name)| name.clone()).collect();
     started.sort();
-    let workers = ApplyPoolConfig::default().workers;
     let mut expected: Vec<String> = (0..3u16)
-        .flat_map(|site| {
-            let apply = (0..workers).map(|w| format!("apply-{w}"));
-            std::iter::once(format!("aux-{site}")).chain(apply)
-        })
+        .map(|site| format!("aux-{site}"))
         .chain(extra.iter().map(|name| name.to_string()))
         .collect();
     expected.sort();
-    assert_eq!(
-        started.len(),
-        3 * (1 + workers) + extra.len(),
-        "threads of a 1 + 2 cluster: {started:?}"
-    );
+    assert_eq!(started.len(), 3 + extra.len(), "threads of a 1 + 2 cluster: {started:?}");
     assert_eq!(started, expected);
+    assert!(!started.iter().any(|n| n.starts_with("apply-")), "no apply workers: {started:?}");
     assert!(!started.iter().any(|n| n.starts_with("main-")), "no dispatcher threads: {started:?}");
     assert!(
         !started

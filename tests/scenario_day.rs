@@ -31,15 +31,13 @@ fn configured_monitor(s: &Scenario) -> OpsMonitor {
     ops
 }
 
-/// The dashboard reads the update stream as it arrives. The apply workers
-/// publish in parallel, so two flights on different shards may swap, and
-/// the monitor's cross-flight check (had the inbound arrived when the
-/// outbound left?) then raises a false `MissedConnection`: about 1 run in
-/// 12 fails with "on-time group flagged missed". A thread interleaving,
-/// not a generator seed; the contract is open in ROADMAP ("Cross-flight
-/// order of the update stream").
+/// The dashboard reads the update stream as it arrives. The monitor's
+/// cross-flight check (had the inbound arrived when the outbound left?)
+/// holds only if updates of different flights keep their submission
+/// order: each site's aux thread applies its runs in order and publishes
+/// their updates itself, so the stream's arrival order is apply order
+/// (`runtime/tests/update_order.rs` checks that contract directly).
 #[test]
-#[ignore = "cross-flight publish order: fails ~1 run in 12, see ROADMAP"]
 fn full_day_through_live_cluster_matches_ground_truth() {
     full_day(false);
 }
