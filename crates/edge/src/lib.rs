@@ -15,8 +15,10 @@
 //!   subscriber scale).
 //! * **Subscriptions as routing state** — each client subscribes to all
 //!   flights or a flight-id set ([`mirror_echo::SubscriptionFilter`],
-//!   carried on `Frame::Subscribe`); delivery workers keep a per-flight
-//!   index (the Gryphon information-flow view).
+//!   carried on `Frame::Subscribe`); the edge keeps one per-flight index
+//!   behind its one lock (the Gryphon information-flow view), and fans
+//!   each applied run out on the publishing site's own thread
+//!   ([`EdgeServer::follow`]), so per-subscriber order is structural.
 //! * **Sequence/ack resume** — the edge stamps every published event with
 //!   one global `pub_seq`, retains a bounded window, and replays it to a
 //!   reconnecting client from its last received sequence

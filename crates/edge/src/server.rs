@@ -1,5 +1,6 @@
-//! The edge delivery server: global publication sequencing, sharded
-//! delivery workers, per-subscriber conflating outboxes, and resume.
+//! The edge delivery server: global publication sequencing, one
+//! subscription index behind one lock, per-subscriber conflating
+//! outboxes, and resume.
 //!
 //! ## Design
 //!
@@ -12,14 +13,30 @@
 //! observes *gaps* in `pub_seq` — never a private renumbering that would
 //! need per-client retransmission state.
 //!
-//! Clients are sharded over a small pool of **delivery workers**
-//! (`client_id % workers`). Each worker owns its shard's subscription
-//! index (all-flights list + flight-id postings) and receives work —
-//! deliveries, attaches, detaches — over one MPSC ring, so everything
-//! that mutates a given client's outbox is serialized without a global
-//! lock: a resume's window replay cannot race the live deliveries of the
-//! same client. An idle worker parks inside the ring's `recv` until the
-//! next push; it polls nothing, so a quiet edge costs no CPU.
+//! **One lock.** The retained window and the subscription index (the
+//! current connection per client, the all-flights list and the flight-id
+//! postings) live behind the edge's one mutex. A publish stamps each event
+//! of its run, appends it to the window and pushes it into every matching
+//! client's outbox under that lock, so per-subscriber order is structural:
+//! a resume's window replay and the live deliveries of the same client can
+//! never interleave out of order. Each outbox has its own small lock,
+//! shared only with the consuming client's `poll`.
+//!
+//! **The edge is a sink.** [`EdgeServer::follow`] subscribes a sink to a
+//! site's applied-updates channel. It runs on the site's aux thread, once
+//! per applied run, after the run's shard locks are released, so delivery
+//! is synchronous with apply: once the site counts an event processed, it
+//! is already in every matching outbox. The edge starts no thread; a quiet
+//! edge costs nothing.
+//!
+//! **Attach on the caller's thread.** [`EdgeServer::subscribe`] and
+//! [`EdgeServer::resume`] take any reseed capture **outside** the lock,
+//! reading the floor before it: a capture freezes and encodes the site's
+//! store, and under the lock it would stall the site's aux thread, whose
+//! sink waits for the lock. Under the lock they recapture if the window slid past the
+//! floor meanwhile; otherwise they push the reseed, replay the window
+//! after the floor, replace a stale connection for the same client and
+//! index the new one.
 //!
 //! ## The slow-client state machine
 //!
@@ -46,17 +63,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
 use mirror_core::event::{Event, EventBody, FlightId};
-use mirror_core::ring::{self, MpscSender};
 use mirror_core::timestamp::VectorTimestamp;
+use mirror_core::BuildFlightHasher;
 use mirror_echo::wire::{encode_edge_event, encode_frame, Frame};
-use mirror_echo::{Closer, Subscriber, SubscriptionFilter};
+use mirror_echo::{Closer, EventChannel, SubscriptionFilter};
 
 /// Tuning knobs for an edge server.
 #[derive(Debug, Clone)]
@@ -71,10 +87,6 @@ pub struct EdgeConfig {
     /// pending state per client; exceeding it disconnects the client as
     /// hopelessly slow.
     pub max_pending: usize,
-    /// Delivery worker threads; clients are sharded `id % workers`.
-    pub workers: usize,
-    /// Capacity of each worker's inbound work ring.
-    pub ring_capacity: usize,
     /// Serve a cached reseed snapshot while at most this many events
     /// behind the live publication frontier (the §13 bounded-staleness
     /// rule in `pub_seq` terms).
@@ -85,13 +97,10 @@ pub struct EdgeConfig {
 
 impl Default for EdgeConfig {
     fn default() -> Self {
-        let workers = thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(1, 4);
         EdgeConfig {
             window: 4096,
             queue_cap: 64,
             max_pending: 1024,
-            workers,
-            ring_capacity: 1024,
             reseed_max_stale_events: 64,
             reseed_max_stale: std::time::Duration::from_millis(2),
         }
@@ -337,7 +346,8 @@ pub struct EdgeStats {
 }
 
 /// Per-connection outbox state; every mutation happens under the mutex,
-/// either from the owning delivery worker or from the consuming client.
+/// either from a publish or attach (under the edge lock) or from the
+/// consuming client.
 struct ClientState {
     /// Healthy in-order FIFO, capped at `queue_cap`.
     queue: VecDeque<Delivery>,
@@ -351,8 +361,9 @@ struct ClientState {
     /// before an older retained position fix would drop the fix, since
     /// the state machine ignores positions for arrived flights.
     pending_order: BTreeMap<u64, ConflationKey>,
-    /// Highest `pub_seq` ever offered to this connection; deduplicates a
-    /// resume's window replay against in-flight live deliveries.
+    /// Highest `pub_seq` ever offered to this connection: the attach sets
+    /// it to the reseed floor or resume point, and a push at or below it
+    /// is skipped.
     frontier: u64,
     /// Highest `pub_seq` the client actually consumed (its resume point).
     consumed: u64,
@@ -396,28 +407,18 @@ fn conflation_key(e: &Event) -> ConflationKey {
 /// One connection of one client.
 struct ClientConn {
     id: u64,
+    filter: SubscriptionFilter,
     state: Mutex<ClientState>,
 }
 
-/// What happened when an event was offered to a connection.
-enum Push {
-    /// Queued or conflated; connection is fine.
-    Ok,
-    /// Duplicate of something already offered (replay overlap); skipped.
-    Duplicate,
-    /// The connection was already closed.
-    Closed,
-    /// This push violated the pending cap: the client was just closed.
-    ClosedNow,
-}
-
-fn push_event(conn: &ClientConn, e: &Arc<EdgeEvent>, cfg: &EdgeConfig, c: &EdgeCounters) -> Push {
+/// Offer `e` to a connection: queue it, conflate it, or skip it if the
+/// connection is closed or was offered it already (a flight listed twice
+/// in a filter). Returns whether this push violated the pending cap and
+/// so just closed the client as slow.
+fn push_event(conn: &ClientConn, e: &Arc<EdgeEvent>, cfg: &EdgeConfig, c: &EdgeCounters) -> bool {
     let mut st = conn.state.lock();
-    if st.closed.is_some() {
-        return Push::Closed;
-    }
-    if e.pub_seq <= st.frontier {
-        return Push::Duplicate;
+    if st.closed.is_some() || e.pub_seq <= st.frontier {
+        return false;
     }
     st.frontier = e.pub_seq;
     // Healthy fast path. Conflation, once begun, captures every newer
@@ -427,7 +428,7 @@ fn push_event(conn: &ClientConn, e: &Arc<EdgeEvent>, cfg: &EdgeConfig, c: &EdgeC
     if st.pending.is_empty() && st.queue.len() < cfg.queue_cap {
         st.queue.push_back(Delivery::Event(Arc::clone(e)));
         st.queue_high = st.queue_high.max(st.queue.len());
-        return Push::Ok;
+        return false;
     }
     let key = conflation_key(&e.event);
     match st.pending.insert(key, Arc::clone(e)) {
@@ -440,18 +441,18 @@ fn push_event(conn: &ClientConn, e: &Arc<EdgeEvent>, cfg: &EdgeConfig, c: &EdgeC
             st.pending_order.remove(&old.pub_seq);
             st.pending_order.insert(e.pub_seq, key);
             c.conflated.fetch_add(1, Ordering::Relaxed);
-            Push::Ok
+            false
         }
         None => {
             if st.pending.len() > cfg.max_pending {
                 let n = st.pending.len();
                 st.close(EdgeDisconnect::SlowClient { distinct_keys: n, cap: cfg.max_pending });
                 c.disconnected_slow.fetch_add(1, Ordering::Relaxed);
-                return Push::ClosedNow;
+                return true;
             }
             st.pending_order.insert(e.pub_seq, key);
             st.pending_high = st.pending_high.max(st.pending.len());
-            Push::Ok
+            false
         }
     }
 }
@@ -516,17 +517,8 @@ impl EdgeClient {
     /// Hang up. The subscription stays in the directory, so the client
     /// can [`resume`](EdgeServer::resume) from [`last_seq`](Self::last_seq).
     pub fn disconnect(self) {
-        let shard = (self.conn.id as usize) % self.inner.rings.len();
-        let _ = self.inner.rings[shard].send(WorkMsg::Detach { conn: Arc::clone(&self.conn) });
+        self.inner.hub.lock().drop_conn(&self.conn, &self.inner.counters);
     }
-}
-
-enum WorkMsg {
-    Deliver(Arc<EdgeEvent>),
-    Attach { conn: Arc<ClientConn>, filter: SubscriptionFilter, resume_from: Option<u64> },
-    Detach { conn: Arc<ClientConn> },
-    Quiesce(MpscSender<()>),
-    Stop,
 }
 
 struct ReseedEntry {
@@ -558,13 +550,101 @@ struct ReseedSlots {
     delta: Option<DeltaReseedEntry>,
 }
 
+/// What the edge lock guards: the retained window and the subscription
+/// index, which a publish and an attach must see together.
+struct Hub {
+    /// The last [`EdgeConfig::window`] published events, contiguous in
+    /// `pub_seq`.
+    window: VecDeque<Arc<EdgeEvent>>,
+    /// The current connection of each connected client.
+    conns: HashMap<u64, Arc<ClientConn>>,
+    /// Connections subscribed to every flight.
+    all: Vec<Arc<ClientConn>>,
+    /// Flight-id postings for filtered subscribers, keyed by the shared
+    /// Fibonacci flight-id hasher — the same mix the EDE's flight map and
+    /// the partition router use, so the per-publish lookup skips SipHash.
+    by_flight: HashMap<FlightId, Vec<Arc<ClientConn>>, BuildFlightHasher>,
+    /// Set by [`EdgeServer::stop`]: a later attach is closed at once.
+    stopped: bool,
+}
+
+impl Hub {
+    /// `pub_seq` of the oldest retained event (the next one to be
+    /// published while the window is empty).
+    fn window_floor(&self, pub_seq: u64) -> u64 {
+        self.window.front().map_or(pub_seq + 1, |e| e.pub_seq)
+    }
+
+    /// Push `e` into every matching outbox, dropping from the index any
+    /// client the push closed as slow.
+    fn deliver(&mut self, e: &Arc<EdgeEvent>, cfg: &EdgeConfig, c: &EdgeCounters) {
+        let postings = self.by_flight.get(&e.event.flight).map_or(&[][..], Vec::as_slice);
+        let slow: Vec<Arc<ClientConn>> = self
+            .all
+            .iter()
+            .chain(postings)
+            .filter(|conn| push_event(conn, e, cfg, c))
+            .cloned()
+            .collect();
+        for conn in slow {
+            self.drop_conn(&conn, c);
+        }
+    }
+
+    fn index(&mut self, conn: Arc<ClientConn>, c: &EdgeCounters) {
+        match &conn.filter {
+            SubscriptionFilter::All => self.all.push(Arc::clone(&conn)),
+            SubscriptionFilter::Flights(ids) => {
+                for f in ids {
+                    self.by_flight.entry(*f).or_default().push(Arc::clone(&conn));
+                }
+            }
+        }
+        self.conns.insert(conn.id, conn);
+        c.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drop a connection from the index, adjusting the gauge. No-op if
+    /// `conn` is not the current connection for its id.
+    fn drop_conn(&mut self, conn: &Arc<ClientConn>, c: &EdgeCounters) {
+        if !self.conns.get(&conn.id).is_some_and(|cur| Arc::ptr_eq(cur, conn)) {
+            return;
+        }
+        self.conns.remove(&conn.id);
+        let unlist = |list: &mut Vec<Arc<ClientConn>>| {
+            if let Some(pos) = list.iter().position(|x| Arc::ptr_eq(x, conn)) {
+                list.swap_remove(pos);
+            }
+        };
+        match &conn.filter {
+            SubscriptionFilter::All => unlist(&mut self.all),
+            SubscriptionFilter::Flights(ids) => {
+                for f in ids {
+                    if let Some(list) = self.by_flight.get_mut(f) {
+                        unlist(list);
+                        if list.is_empty() {
+                            self.by_flight.remove(f);
+                        }
+                    }
+                }
+            }
+        }
+        c.connections.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 struct Inner {
     cfg: EdgeConfig,
     counters: Arc<EdgeCounters>,
+    /// Publication frontier: stored (Release) under `hub` once an event is
+    /// in its outboxes; a reseed reads it (Acquire) as its floor before
+    /// capturing, outside the lock.
     pub_seq: AtomicU64,
-    window: Mutex<VecDeque<Arc<EdgeEvent>>>,
+    /// The edge's one lock. Never held while capturing or while taking a
+    /// channel's subscriber lock: a followed site's sink takes it under
+    /// that channel's lock, on the site's aux thread.
+    hub: Mutex<Hub>,
     directory: Mutex<HashMap<u64, SubscriptionFilter>>,
-    rings: Vec<MpscSender<WorkMsg>>,
     reseed_slot: Mutex<ReseedSlots>,
     /// Swappable so a failover can re-point the edge at the successor's
     /// state (lock order: `reseed_slot` first, then `provider`).
@@ -646,278 +726,140 @@ impl Inner {
         Some((floor, wire))
     }
 
-    fn publish(&self, event: Arc<Event>) {
-        let seq = self.pub_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        let e = Arc::new(EdgeEvent { pub_seq: seq, event, wire: OnceLock::new() });
+    /// A reseed covering at least `min_floor`, with the floor it was
+    /// captured at: a delta for a resuming client whose held state covers a
+    /// remembered reseed frontier, a full snapshot otherwise.
+    fn capture(&self, resume_from: Option<u64>, min_floor: u64) -> (u64, Delivery) {
+        if let Some((floor, delta)) =
+            resume_from.and_then(|last| self.reseed_delta(last, min_floor))
         {
-            // Window first, rings second — an Attach processed in between
-            // replays this event from the window and the later Deliver
-            // deduplicates against the client's frontier. The window lock
-            // is never held across a (possibly spinning) ring send.
-            let mut win = self.window.lock();
-            win.push_back(Arc::clone(&e));
-            if win.len() > self.cfg.window {
-                win.pop_front();
-            }
+            return (floor, Delivery::DeltaReseed { pub_seq: floor, delta });
         }
-        for ring in &self.rings {
-            // Blocking send: a full worker ring back-pressures the
-            // publishing pump rather than dropping (gaps are forbidden;
-            // slowness is handled per-client by conflation).
-            let _ = ring.send(WorkMsg::Deliver(Arc::clone(&e)));
-        }
-        self.counters.published.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Per-worker shard: the connections it owns and its subscription index.
-struct Shard {
-    conns: HashMap<u64, Arc<ClientConn>>,
-    filters: HashMap<u64, SubscriptionFilter>,
-    /// Clients subscribed to every flight.
-    all: Vec<u64>,
-    /// Flight-id postings for filtered subscribers, keyed by the shared
-    /// Fibonacci flight-id hasher — the same mix the EDE's flight map and
-    /// the partition router use, so the per-publish lookup skips SipHash.
-    by_flight: HashMap<FlightId, Vec<u64>, mirror_core::BuildFlightHasher>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            conns: HashMap::new(),
-            filters: HashMap::new(),
-            all: Vec::new(),
-            by_flight: HashMap::default(),
-        }
+        let (floor, snapshot) = self.reseed(min_floor);
+        (floor, Delivery::Reseed { pub_seq: floor, snapshot })
     }
 
-    fn index_add(&mut self, id: u64, filter: &SubscriptionFilter) {
-        match filter {
-            SubscriptionFilter::All => self.all.push(id),
-            SubscriptionFilter::Flights(ids) => {
-                for f in ids {
-                    self.by_flight.entry(*f).or_default().push(id);
-                }
+    /// Stamp, retain and fan out one run, in order, under the edge lock.
+    fn publish_run(&self, run: impl IntoIterator<Item = Arc<Event>>) {
+        let mut hub = self.hub.lock();
+        let mut published = 0;
+        for event in run {
+            let seq = self.pub_seq.load(Ordering::Relaxed) + 1;
+            let e = Arc::new(EdgeEvent { pub_seq: seq, event, wire: OnceLock::new() });
+            hub.window.push_back(Arc::clone(&e));
+            if hub.window.len() > self.cfg.window {
+                hub.window.pop_front();
             }
+            hub.deliver(&e, &self.cfg, &self.counters);
+            self.pub_seq.store(seq, Ordering::Release);
+            published += 1;
         }
+        drop(hub);
+        self.counters.published.fetch_add(published, Ordering::Relaxed);
     }
 
-    fn index_remove(&mut self, id: u64) {
-        match self.filters.get(&id) {
-            Some(SubscriptionFilter::All) => {
-                if let Some(pos) = self.all.iter().position(|&x| x == id) {
-                    self.all.swap_remove(pos);
-                }
+    /// Attach `conn` (subscribe, or resume from `resume_from`) on the
+    /// caller's thread. A resume inside the window replays it. Anything
+    /// else is reseeded from a capture taken outside the lock, then
+    /// replays the window after the reseed's floor — unless the window
+    /// slid past that floor during the capture, which captures again.
+    fn attach(&self, conn: &Arc<ClientConn>, resume_from: Option<u64>) {
+        let c = &*self.counters;
+        let mut seed: Option<(u64, Delivery)> = None;
+        let (mut hub, win_floor) = loop {
+            let hub = self.hub.lock();
+            if hub.stopped {
+                conn.state.lock().close(EdgeDisconnect::ServerStopped);
+                return;
             }
-            Some(SubscriptionFilter::Flights(ids)) => {
-                for f in ids {
-                    if let Some(list) = self.by_flight.get_mut(f) {
-                        if let Some(pos) = list.iter().position(|&x| x == id) {
-                            list.swap_remove(pos);
+            let win_floor = hub.window_floor(self.pub_seq.load(Ordering::Relaxed));
+            // Replay is possible iff everything after the start point is
+            // still retained.
+            let replayable = match (&seed, resume_from) {
+                (Some((floor, _)), _) => floor + 1 >= win_floor,
+                (None, Some(last)) => last + 1 >= win_floor,
+                (None, None) => false,
+            };
+            if replayable {
+                break (hub, win_floor);
+            }
+            drop(hub);
+            seed = Some(self.capture(resume_from, win_floor.saturating_sub(1)));
+        };
+        let from = {
+            let mut st = conn.state.lock();
+            match seed {
+                Some((floor, delivery)) => {
+                    match (&delivery, resume_from) {
+                        (Delivery::DeltaReseed { .. }, _) => {
+                            c.delta_reseeded.fetch_add(1, Ordering::Relaxed);
                         }
-                        if list.is_empty() {
-                            self.by_flight.remove(f);
+                        (_, Some(_)) => {
+                            c.reseeded.fetch_add(1, Ordering::Relaxed);
                         }
+                        (_, None) => {}
                     }
-                }
-            }
-            None => {}
-        }
-        self.filters.remove(&id);
-    }
-
-    /// Drop a connection from the shard (index + map), adjusting the
-    /// gauge. No-op if `conn` is not the current connection for its id.
-    fn drop_conn(&mut self, conn: &Arc<ClientConn>, c: &EdgeCounters) {
-        let current = self.conns.get(&conn.id).is_some_and(|cur| Arc::ptr_eq(cur, conn));
-        if current {
-            self.conns.remove(&conn.id);
-            self.index_remove(conn.id);
-            c.connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A delivery worker: blocks in its ring's `recv` (spin, yield, then park
-/// until the next push) and handles work in ring order, until
-/// `WorkMsg::Stop` or until every producer handle is gone.
-fn worker_loop(mut rx: ring::MpscReceiver<WorkMsg>, inner: Arc<Inner>) {
-    let mut shard = Shard::new();
-    let cfg = inner.cfg.clone();
-    let c = Arc::clone(&inner.counters);
-    while let Some(msg) = rx.recv() {
-        match msg {
-            WorkMsg::Deliver(e) => {
-                let flight = e.event.flight;
-                let mut dead: Vec<Arc<ClientConn>> = Vec::new();
-                let offer = |id: u64, shard: &Shard| match shard.conns.get(&id) {
-                    Some(conn) => match push_event(conn, &e, &cfg, &c) {
-                        Push::ClosedNow => Some(Arc::clone(conn)),
-                        _ => None,
-                    },
-                    None => None,
-                };
-                for i in 0..shard.all.len() {
-                    if let Some(d) = offer(shard.all[i], &shard) {
-                        dead.push(d);
-                    }
-                }
-                if let Some(list) = shard.by_flight.get(&flight) {
-                    for &id in list.iter() {
-                        if let Some(d) = offer(id, &shard) {
-                            dead.push(d);
-                        }
-                    }
-                }
-                for conn in dead {
-                    shard.drop_conn(&conn, &c);
-                }
-            }
-            WorkMsg::Attach { conn, filter, resume_from } => {
-                // A stale connection for the same id is replaced.
-                if let Some(old) = shard.conns.get(&conn.id).cloned() {
-                    old.state.lock().close(EdgeDisconnect::Replaced);
-                    shard.drop_conn(&old, &c);
-                }
-                attach(&mut shard, conn, filter, resume_from, &inner);
-            }
-            WorkMsg::Detach { conn } => {
-                shard.drop_conn(&conn, &c);
-            }
-            // Dropping the handle is the settle signal.
-            WorkMsg::Quiesce(_settled) => {}
-            WorkMsg::Stop => break,
-        }
-    }
-    // Shutdown: surface a typed disconnect to still-connected clients.
-    for conn in shard.conns.values() {
-        conn.state.lock().close(EdgeDisconnect::ServerStopped);
-    }
-}
-
-/// Seed a fresh connection (subscribe or resume) and index it. Runs on
-/// the owning worker, serialized with that shard's live deliveries.
-fn attach(
-    shard: &mut Shard,
-    conn: Arc<ClientConn>,
-    filter: SubscriptionFilter,
-    resume_from: Option<u64>,
-    inner: &Arc<Inner>,
-) {
-    let cfg = &inner.cfg;
-    let c = &inner.counters;
-    // Snapshot the window under its lock, then seed without holding it.
-    let (win_floor, retained): (u64, Vec<Arc<EdgeEvent>>) = {
-        let win = inner.window.lock();
-        let floor = win
-            .front()
-            .map(|e| e.pub_seq)
-            .unwrap_or_else(|| inner.pub_seq.load(Ordering::Acquire) + 1);
-        (floor, win.iter().cloned().collect())
-    };
-    // Replay is possible iff everything after `last` is still retained.
-    let replay_from = match resume_from {
-        Some(last) if last + 1 >= win_floor => {
-            c.resumed.fetch_add(1, Ordering::Relaxed);
-            conn.state.lock().frontier = last;
-            last
-        }
-        other => {
-            // Fresh subscribe, or the resume point fell out of the
-            // window: reseed so the window replay after it is gap-free.
-            // A resuming client whose held state covers a remembered
-            // reseed frontier gets a cheap delta; everyone else gets a
-            // full snapshot covering at least the window floor.
-            let min_floor = win_floor.saturating_sub(1);
-            let delta = other.and_then(|last| inner.reseed_delta(last, min_floor));
-            let (floor, delivery) = match delta {
-                Some((floor, wire)) => {
-                    c.delta_reseeded.fetch_add(1, Ordering::Relaxed);
-                    (floor, Delivery::DeltaReseed { pub_seq: floor, delta: wire })
+                    st.frontier = floor;
+                    st.consumed = floor;
+                    st.queue.push_back(delivery);
+                    st.queue_high = st.queue_high.max(st.queue.len());
+                    floor
                 }
                 None => {
-                    let (floor, wire) = inner.reseed(min_floor);
-                    if other.is_some() {
-                        c.reseeded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (floor, Delivery::Reseed { pub_seq: floor, snapshot: wire })
+                    c.resumed.fetch_add(1, Ordering::Relaxed);
+                    let last = resume_from.expect("only a resume replays without a seed");
+                    st.frontier = last;
+                    last
                 }
-            };
-            let mut st = conn.state.lock();
-            st.frontier = floor;
-            st.consumed = floor;
-            st.queue.push_back(delivery);
-            st.queue_high = st.queue_high.max(st.queue.len());
-            floor
-        }
-    };
-    let mut closed_now = false;
-    for e in &retained {
-        if e.pub_seq > replay_from && filter.matches(e.event.flight) {
-            if let Push::ClosedNow = push_event(&conn, e, cfg, c) {
-                closed_now = true;
-                break;
             }
+        };
+        if let Some(old) = hub.conns.get(&conn.id).cloned() {
+            old.state.lock().close(EdgeDisconnect::Replaced);
+            hub.drop_conn(&old, c);
+        }
+        let skip = (from + 1).saturating_sub(win_floor) as usize;
+        let slow = hub
+            .window
+            .iter()
+            .skip(skip)
+            .filter(|e| conn.filter.matches(e.event.flight))
+            .any(|e| push_event(conn, e, &self.cfg, c));
+        c.connects_total.fetch_add(1, Ordering::Relaxed);
+        // Slow before it even attached (the replay alone blew the cap): the
+        // typed disconnect is already set, so it is not indexed.
+        if !slow {
+            hub.index(Arc::clone(conn), c);
         }
     }
-    c.connects_total.fetch_add(1, Ordering::Relaxed);
-    if closed_now {
-        // Slow before it even attached (replay alone blew the cap); the
-        // typed disconnect is already set — don't index it.
-        return;
-    }
-    shard.filters.insert(conn.id, filter.clone());
-    shard.index_add(conn.id, &filter);
-    shard.conns.insert(conn.id, conn);
-    c.connections.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The edge server: owns the delivery workers, the retained window, the
-/// subscription directory and the counters.
+/// The edge server: owns the retained window, the subscription index and
+/// directory, and the counters. It starts no thread.
 pub struct EdgeServer {
     inner: Arc<Inner>,
-    /// The delivery workers.
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Update pumps ([`pump_from`](Self::pump_from)) with the close
-    /// handles of the subscriptions they read.
-    pumps: Mutex<Vec<(Closer, thread::JoinHandle<()>)>>,
+    /// Close handles of the update channels it follows.
+    followed: Mutex<Vec<Closer>>,
 }
 
 impl EdgeServer {
     /// Start an edge with `cfg`, reseeding from `provider`.
     pub fn start(cfg: EdgeConfig, provider: Box<dyn StateProvider>) -> Self {
-        let workers = cfg.workers.max(1);
-        let counters = Arc::new(EdgeCounters::default());
-        let mut rings = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = ring::mpsc::<WorkMsg>(cfg.ring_capacity);
-            rings.push(tx);
-            receivers.push(rx);
-        }
         let inner = Arc::new(Inner {
             cfg,
-            counters,
+            counters: Arc::new(EdgeCounters::default()),
             pub_seq: AtomicU64::new(0),
-            window: Mutex::new(VecDeque::new()),
+            hub: Mutex::new(Hub {
+                window: VecDeque::new(),
+                conns: HashMap::new(),
+                all: Vec::new(),
+                by_flight: HashMap::default(),
+                stopped: false,
+            }),
             directory: Mutex::new(HashMap::new()),
-            rings,
             reseed_slot: Mutex::new(ReseedSlots::default()),
             provider: Mutex::new(provider),
         });
-        let threads = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("edge-worker-{i}"))
-                    .spawn(move || worker_loop(rx, inner))
-                    .expect("spawn edge worker")
-            })
-            .collect();
-        EdgeServer { inner, threads: Mutex::new(threads), pumps: Mutex::new(Vec::new()) }
+        EdgeServer { inner, followed: Mutex::new(Vec::new()) }
     }
 
     /// The edge's counters (share with `Cluster::stats()`).
@@ -930,32 +872,35 @@ impl EdgeServer {
         self.inner.pub_seq.load(Ordering::Acquire)
     }
 
-    /// Publish one applied event to every matching subscriber.
+    /// Publish one applied event to every matching subscriber: a run of
+    /// one. When this returns, the event is in every matching outbox.
     pub fn publish(&self, event: Arc<Event>) {
-        self.inner.publish(event);
+        self.inner.publish_run([event]);
     }
 
-    /// Spawn a pump that publishes every event from `sub` (a mirror's
-    /// applied-updates subscription) until its publishers are gone or
-    /// [`stop`](Self::stop) closes it, which joins the pump after it has
-    /// published what the subscription already held.
-    pub fn pump_from(&self, sub: Subscriber<Event>) {
-        let closer = sub.closer();
+    /// Follow `updates` (a site's applied-updates channel) with a sink that
+    /// publishes each applied run, whole, on the publishing thread, until
+    /// [`unfollow`](Self::unfollow) or [`stop`](Self::stop).
+    pub fn follow(&self, updates: &EventChannel<Event>) {
         let inner = Arc::clone(&self.inner);
-        let h = thread::Builder::new()
-            .name("edge-pump".into())
-            .spawn(move || {
-                while let Some(e) = sub.recv() {
-                    inner.publish(Arc::new(e));
-                }
-            })
-            .expect("spawn edge pump");
-        self.pumps.lock().push((closer, h));
+        let closer = updates.subscribe_with(move |run: &[Event]| {
+            inner.publish_run(run.iter().map(|e| Arc::new(e.clone())));
+            true
+        });
+        self.followed.lock().push(closer);
+    }
+
+    /// Close every followed subscription. A close waits out a run in
+    /// flight, so once this returns no followed channel publishes here.
+    pub fn unfollow(&self) {
+        for closer in std::mem::take(&mut *self.followed.lock()) {
+            closer.close();
+        }
     }
 
     /// Subscribe a new client (the `Frame::Subscribe` service path).
-    /// Returns its virtual socket; the initial state arrives as a
-    /// [`Delivery::Reseed`] followed by live deliveries.
+    /// Returns its virtual socket, already holding its initial state as a
+    /// [`Delivery::Reseed`]; live deliveries follow.
     pub fn subscribe(&self, client: u64, filter: SubscriptionFilter) -> EdgeClient {
         self.inner.directory.lock().insert(client, filter.clone());
         self.attach_conn(client, filter, None)
@@ -981,29 +926,17 @@ impl EdgeServer {
         filter: SubscriptionFilter,
         resume_from: Option<u64>,
     ) -> EdgeClient {
-        let conn = Arc::new(ClientConn { id: client, state: Mutex::new(ClientState::new()) });
-        let shard = (client as usize) % self.inner.rings.len();
-        let _ = self.inner.rings[shard]
-            .send(WorkMsg::Attach { conn: Arc::clone(&conn), filter, resume_from })
-            .map_err(|_| ());
+        let conn =
+            Arc::new(ClientConn { id: client, filter, state: Mutex::new(ClientState::new()) });
+        self.inner.attach(&conn, resume_from);
         EdgeClient { conn, inner: Arc::clone(&self.inner) }
     }
 
-    /// Block until every delivery worker has processed all work enqueued
-    /// before this call — a deterministic settle point for tests and
-    /// benchmarks (e.g. "all fan-out for the published events is done").
-    /// A worker that is already gone (after [`stop`](Self::stop)) has
-    /// nothing left to settle and is not waited for.
-    pub fn quiesce(&self) {
-        let (settled, mut all_settled) = ring::mpsc::<()>(1);
-        for ring in &self.inner.rings {
-            // A gone worker's ring hands the marker back, dropped here.
-            let _ = ring.send(WorkMsg::Quiesce(settled.clone()));
-        }
-        drop(settled);
-        // Nothing is ever pushed: this returns once the last marker drops.
-        all_settled.recv();
-    }
+    /// Returns at once. Delivery is synchronous — when a publish returns,
+    /// its run is in every matching outbox — so there is nothing to
+    /// settle. Kept because callers written against the earlier
+    /// asynchronous edge name it as their settle point.
+    pub fn quiesce(&self) {}
 
     /// Subscribers currently in the resume directory (connected or not).
     pub fn known_clients(&self) -> usize {
@@ -1019,31 +952,24 @@ impl EdgeServer {
     /// floor-read-before-capture coverage argument in [`StateProvider`]
     /// breaks. Remembered delta bases are invalidated along with the
     /// cached entries (the successor may not remember the predecessor's
-    /// capture frontiers). Pair it with a fresh
-    /// [`pump_from`](Self::pump_from) on the successor's update stream.
+    /// capture frontiers). Pair it with [`unfollow`](Self::unfollow)
+    /// before and [`follow`](Self::follow) of the successor's update
+    /// channel after.
     pub fn set_provider(&self, provider: Box<dyn StateProvider>) {
         let mut slot = self.inner.reseed_slot.lock();
         *self.inner.provider.lock() = provider;
         *slot = ReseedSlots::default();
     }
 
-    /// Stop pumps and workers; connected clients see
-    /// [`EdgeDisconnect::ServerStopped`]. The pumps' subscriptions are
-    /// closed first, and what they already held is published before the
-    /// workers stop.
+    /// Close the followed subscriptions (a close waits out a run in
+    /// flight), then every connection with
+    /// [`EdgeDisconnect::ServerStopped`]; a later attach gets the same.
     pub fn stop(&self) {
-        let pumps = std::mem::take(&mut *self.pumps.lock());
-        for (closer, _) in &pumps {
-            closer.close();
-        }
-        for (_, h) in pumps {
-            let _ = h.join();
-        }
-        for ring in &self.inner.rings {
-            let _ = ring.send(WorkMsg::Stop).map_err(|_| ());
-        }
-        for h in self.threads.lock().drain(..) {
-            let _ = h.join();
+        self.unfollow();
+        let mut hub = self.inner.hub.lock();
+        hub.stopped = true;
+        for conn in hub.conns.values() {
+            conn.state.lock().close(EdgeDisconnect::ServerStopped);
         }
     }
 }
@@ -1127,30 +1053,26 @@ mod tests {
         out
     }
 
-    fn wait_for<F: Fn() -> bool>(what: &str, f: F) {
-        let start = Instant::now();
-        while !f() {
-            assert!(start.elapsed() < std::time::Duration::from_secs(5), "timeout: {what}");
-            thread::sleep(std::time::Duration::from_millis(1));
-        }
+    fn small_cfg() -> EdgeConfig {
+        EdgeConfig { window: 64, queue_cap: 8, max_pending: 4, ..Default::default() }
     }
 
-    fn small_cfg() -> EdgeConfig {
-        EdgeConfig { workers: 2, window: 64, queue_cap: 8, max_pending: 4, ..Default::default() }
+    fn connections(edge: &EdgeServer) -> u64 {
+        edge.counters().snapshot().connections
     }
 
     #[test]
     fn subscribe_delivers_reseed_then_live_events() {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("initial reseed", || client.backlog() > 0);
+        assert_eq!(client.backlog(), 1, "the reseed is queued when subscribe returns");
         match client.poll().unwrap() {
             Some(Delivery::Reseed { pub_seq, .. }) => assert_eq!(pub_seq, 0),
             d => panic!("expected reseed first, got {d:?}"),
         }
         edge.publish(pos(1, 10));
         edge.publish(pos(2, 11));
-        wait_for("two live events", || client.backlog() >= 2);
+        assert_eq!(client.backlog(), 2, "delivered when publish returns");
         let got = drain(&client);
         let seqs: Vec<u64> = got.iter().map(Delivery::pub_seq).collect();
         assert_eq!(seqs, vec![1, 2]);
@@ -1165,12 +1087,12 @@ mod tests {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let gate = edge.subscribe(7, SubscriptionFilter::Flights(vec![10]));
         let lobby = edge.subscribe(8, SubscriptionFilter::All);
-        wait_for("both attached", || edge.counters().snapshot().connections == 2);
+        assert_eq!(connections(&edge), 2);
         for i in 1..=6u64 {
             edge.publish(pos(i, if i % 2 == 0 { 10 } else { 99 }));
         }
-        wait_for("lobby sees all", || lobby.backlog() >= 7);
-        wait_for("gate sees half", || gate.backlog() >= 4);
+        assert_eq!(lobby.backlog(), 7, "lobby: reseed + every event");
+        assert_eq!(gate.backlog(), 4, "gate: reseed + its flight's events");
         let gate_flights: Vec<FlightId> = drain(&gate)
             .iter()
             .filter_map(|d| match d {
@@ -1187,17 +1109,14 @@ mod tests {
         let cfg = small_cfg();
         let edge = EdgeServer::start(cfg.clone(), empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
+        assert_eq!(connections(&edge), 1);
         // Never polling: queue fills (reseed + 7 events), then conflation
         // holds only the latest per flight for 3 distinct flights.
         for i in 1..=200u64 {
             edge.publish(pos(i, (i % 3) as FlightId));
         }
-        wait_for("all fanned out", || edge.pub_seq() == 200 && client.backlog() >= 8 + 3);
-        // Give workers a beat to finish the last pushes.
-        wait_for("conflation settled", || {
-            edge.counters().snapshot().conflated >= (200 - 8 - 3) as u64
-        });
+        assert_eq!(edge.pub_seq(), 200);
+        assert!(edge.counters().snapshot().conflated >= (200 - 8 - 3) as u64);
         let (qh, ph) = client.high_watermarks();
         assert!(qh <= cfg.queue_cap, "queue high {qh} exceeds cap");
         assert!(ph <= cfg.max_pending, "pending high {ph} exceeds cap");
@@ -1220,19 +1139,15 @@ mod tests {
         let cfg = small_cfg(); // max_pending = 4
         let edge = EdgeServer::start(cfg, empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
+        assert_eq!(connections(&edge), 1);
         // 8 queued + 4 pending flights allowed; the 5th distinct pending
         // flight must trip the cap.
         for i in 1..=20u64 {
             edge.publish(pos(i, i as FlightId));
         }
-        wait_for("slow disconnect", || edge.counters().snapshot().disconnected_slow == 1);
-        wait_for("gauge drops", || edge.counters().snapshot().connections == 0);
-        let err = loop {
-            if let Err(e) = client.poll() {
-                break e;
-            }
-        };
+        assert_eq!(edge.counters().snapshot().disconnected_slow, 1);
+        assert_eq!(connections(&edge), 0, "the gauge drops with the disconnect");
+        let err = client.poll().expect_err("closed as slow");
         assert_eq!(err, EdgeDisconnect::SlowClient { distinct_keys: 5, cap: 4 });
         assert_eq!(client.backlog(), 0, "buffers freed on disconnect");
         // The subscription survives the disconnect: resume is accepted
@@ -1240,7 +1155,7 @@ mod tests {
         // window and the same tiny caps, the replay itself blows the cap
         // again — proving the bound also holds during attach.
         let again = edge.resume(1, client.last_seq()).expect("directory entry survives");
-        wait_for("replay trips the cap too", || edge.counters().snapshot().disconnected_slow == 2);
+        assert_eq!(edge.counters().snapshot().disconnected_slow, 2, "the replay trips the cap too");
         assert!(matches!(again.poll(), Err(EdgeDisconnect::SlowClient { .. })));
     }
 
@@ -1248,23 +1163,21 @@ mod tests {
     fn resume_replays_window_from_last_seq() {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
+        assert_eq!(connections(&edge), 1);
         for i in 1..=5u64 {
             edge.publish(pos(i, 10 + i as FlightId));
         }
-        wait_for("delivered", || client.backlog() >= 6);
         let got = drain(&client);
         assert_eq!(got.len(), 6);
         assert_eq!(client.last_seq(), 5);
         let last = client.last_seq();
         client.disconnect();
-        wait_for("detached", || edge.counters().snapshot().connections == 0);
+        assert_eq!(connections(&edge), 0, "detached");
         // Published while away — still within the window.
         for i in 6..=9u64 {
             edge.publish(pos(i, 10 + i as FlightId));
         }
         let resumed = edge.resume(1, last).expect("known client");
-        wait_for("replayed", || resumed.backlog() >= 4);
         let seqs: Vec<u64> = drain(&resumed).iter().map(Delivery::pub_seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "exactly the missed events, in order");
         assert_eq!(edge.counters().snapshot().resumed, 1);
@@ -1277,19 +1190,15 @@ mod tests {
         cfg.window = 8;
         let edge = EdgeServer::start(cfg, empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
         edge.publish(pos(1, 10));
-        wait_for("delivered", || client.backlog() >= 2);
-        drain(&client);
+        assert_eq!(drain(&client).len(), 2);
         let last = client.last_seq();
         client.disconnect();
-        wait_for("detached", || edge.counters().snapshot().connections == 0);
         // 20 more events blow the 8-event window: resume must reseed.
         for i in 2..=21u64 {
             edge.publish(pos(i, i as FlightId));
         }
         let resumed = edge.resume(1, last).expect("known client");
-        wait_for("reseeded", || resumed.backlog() > 0);
         let got = drain(&resumed);
         let (reseed_floor, rest): (u64, &[Delivery]) = match got.split_first() {
             Some((Delivery::Reseed { pub_seq, .. }, rest)) => (*pub_seq, rest),
@@ -1314,19 +1223,17 @@ mod tests {
         let edge = EdgeServer::start(cfg, Box::new(provider.clone()));
         let a = edge.subscribe(1, SubscriptionFilter::All);
         let b = edge.subscribe(2, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 2);
+        assert_eq!(connections(&edge), 2);
         // Both clients consume the initial reseed (base state at the
         // remembered frontier) plus one live event.
         let e = pos(1, 100);
         provider.apply(&e);
         edge.publish(Arc::clone(&e));
-        wait_for("delivered", || a.backlog() >= 2 && b.backlog() >= 2);
-        drain(&a);
-        drain(&b);
+        assert_eq!((drain(&a).len(), drain(&b).len()), (2, 2));
         let (last_a, last_b) = (a.last_seq(), b.last_seq());
         a.disconnect();
         b.disconnect();
-        wait_for("detached", || edge.counters().snapshot().connections == 0);
+        assert_eq!(connections(&edge), 0);
         // 20 more events blow the 8-event window; each also lands in the
         // provider's state (publish-after-apply, like a real mirror).
         for i in 2..=21u64 {
@@ -1337,7 +1244,6 @@ mod tests {
         // Client A resumes: out of the window, but its held state covers
         // the initial reseed frontier — a delta travels, not a snapshot.
         let ra = edge.resume(1, last_a).expect("known client");
-        wait_for("delta reseeded", || ra.backlog() > 0);
         let got = drain(&ra);
         let (floor, delta_wire) = match got.split_first() {
             Some((Delivery::DeltaReseed { pub_seq, delta }, rest)) => {
@@ -1358,7 +1264,6 @@ mod tests {
         // Client B resumes against the same base: the cached delta entry
         // is served (one capture, shared bytes).
         let rb = edge.resume(2, last_b).expect("known client");
-        wait_for("second delta reseed", || rb.backlog() > 0);
         match drain(&rb).split_first() {
             Some((Delivery::DeltaReseed { delta, .. }, _)) => {
                 assert_eq!(delta.as_ptr(), delta_wire.as_ptr(), "cached delta bytes are shared");
@@ -1378,15 +1283,12 @@ mod tests {
         let provider = SharedProvider::new();
         let edge = EdgeServer::start(cfg, Box::new(provider.clone()));
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
         let e = pos(1, 100);
         provider.apply(&e);
         edge.publish(e);
-        wait_for("delivered", || client.backlog() >= 2);
-        drain(&client);
+        assert_eq!(drain(&client).len(), 2);
         let last = client.last_seq();
         client.disconnect();
-        wait_for("detached", || edge.counters().snapshot().connections == 0);
         for i in 2..=21u64 {
             let e = pos(i, i as FlightId);
             provider.apply(&e);
@@ -1397,7 +1299,6 @@ mod tests {
         // full reseed rather than chain a delta from a forgotten base.
         edge.set_provider(Box::new(SharedProvider::new()));
         let resumed = edge.resume(1, last).expect("known client");
-        wait_for("reseeded", || resumed.backlog() > 0);
         assert!(matches!(resumed.poll(), Ok(Some(Delivery::Reseed { .. }))));
         let stats = edge.counters().snapshot();
         assert_eq!(stats.delta_reseeded, 0);
@@ -1417,11 +1318,11 @@ mod tests {
     fn second_connection_replaces_first() {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let first = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
+        assert_eq!(connections(&edge), 1);
         let second = edge.resume(1, 0).expect("known");
-        wait_for("replaced", || matches!(first.poll(), Err(EdgeDisconnect::Replaced)));
+        assert_eq!(first.poll().unwrap_err(), EdgeDisconnect::Replaced);
         edge.publish(pos(1, 5));
-        wait_for("second gets events", || second.backlog() >= 1);
+        assert_eq!(second.backlog(), 1, "the live event reaches the new connection");
         assert_eq!(edge.counters().snapshot().connections, 1, "gauge counts one connection");
     }
 
@@ -1430,9 +1331,7 @@ mod tests {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let a = edge.subscribe(1, SubscriptionFilter::All);
         let b = edge.subscribe(2, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 2);
         edge.publish(pos(1, 10));
-        wait_for("both", || a.backlog() >= 2 && b.backlog() >= 2);
         let mut va = drain(&a);
         let mut vb = drain(&b);
         let ea = va.pop().unwrap();
@@ -1457,26 +1356,28 @@ mod tests {
 
     #[test]
     fn quiesce_after_stop_returns() {
-        let edge = Arc::new(EdgeServer::start(small_cfg(), empty_provider()));
+        let edge = EdgeServer::start(small_cfg(), empty_provider());
         edge.stop();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let settling = Arc::clone(&edge);
-        let h = thread::spawn(move || {
-            settling.quiesce();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("quiesce after stop must return, not wait on workers that are gone");
-        h.join().unwrap();
+        edge.quiesce();
     }
 
     #[test]
     fn stop_surfaces_server_stopped() {
         let edge = EdgeServer::start(small_cfg(), empty_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        wait_for("attached", || edge.counters().snapshot().connections == 1);
+        assert_eq!(connections(&edge), 1);
         edge.stop();
         assert!(matches!(client.poll(), Err(EdgeDisconnect::ServerStopped)));
+    }
+
+    #[test]
+    fn attach_after_stop_is_typed() {
+        let edge = EdgeServer::start(small_cfg(), empty_provider());
+        let early = edge.subscribe(1, SubscriptionFilter::All);
+        edge.stop();
+        let late = edge.subscribe(2, SubscriptionFilter::All);
+        assert_eq!(late.poll().unwrap_err(), EdgeDisconnect::ServerStopped);
+        let resumed = edge.resume(1, early.last_seq()).expect("known client");
+        assert_eq!(resumed.poll().unwrap_err(), EdgeDisconnect::ServerStopped);
     }
 }

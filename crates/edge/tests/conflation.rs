@@ -129,20 +129,13 @@ fn conflated_stream_converges_to_full_stream_state() {
 
         // Slow subscriber: a real edge with a tiny healthy queue, never
         // polled until the very end, so almost everything conflates.
-        let cfg = EdgeConfig {
-            workers: 1,
-            queue_cap: 4,
-            max_pending: 4096,
-            window: 8192,
-            ..Default::default()
-        };
+        let cfg =
+            EdgeConfig { queue_cap: 4, max_pending: 4096, window: 8192, ..Default::default() };
         let edge = EdgeServer::start(cfg.clone(), empty_snapshot_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
-        edge.quiesce(); // attach (and its empty reseed) before publishing
         for e in &published {
             edge.publish(Arc::new(e.clone()));
         }
-        edge.quiesce(); // all fan-out done
 
         let mut conflated = OperationalState::new();
         let mut event_deliveries = 0usize;

@@ -41,7 +41,7 @@ fn recv_frame(t: &mut TcpTransport) -> Frame {
 
 #[test]
 fn tcp_subscribe_stream_disconnect_resume() {
-    let cfg = EdgeConfig { workers: 2, window: 1024, ..Default::default() };
+    let cfg = EdgeConfig { window: 1024, ..Default::default() };
     let edge = Arc::new(EdgeServer::start(cfg, provider()));
     let front = EdgeTcp::serve(Arc::clone(&edge), "127.0.0.1:0").expect("bind");
     let addr = front.local_addr();

@@ -7,14 +7,18 @@
 //! * each event goes through the callback-based
 //!   [`ShardedEde::process`] path, which locks only the shard owning its
 //!   flight (no `EdeOutput` allocation; an `Event` clone only when an
-//!   updates subscriber actually needs an owned copy), so client updates
-//!   are published by one thread, in apply order;
+//!   updates subscriber actually needs an owned copy);
 //! * checkpoint-frontier and counter bookkeeping is **batched**: the
 //!   vector stamps of the events applied since the last
 //!   [`flush`](ApplyPool::flush) are joined and the responder lock is
 //!   taken once per flush. The owner flushes at the end of every run,
 //!   before it answers a CHKPT and before an exclusive section; `dispatch`
-//!   also flushes on its own every [`ApplyPoolConfig::batch`] events.
+//!   also flushes on its own every [`ApplyPoolConfig::batch`] events;
+//! * client updates are published once per flush, as one
+//!   [`Publisher::publish_all`] run, after the shard locks are released
+//!   and before `processed` counts the events: by one thread, in apply
+//!   order, and a subscriber's sink (an edge's fan-out) never runs under a
+//!   shard lock. Once `processed` covers an event, every sink has it.
 //!
 //! Ordering contract: the checkpoint frontier only ever *trails* the
 //! store (an event is applied before its stamp is recorded). All
@@ -86,6 +90,8 @@ pub struct ApplyPool {
     applied: u64,
     delay_sum: u64,
     delay_count: u64,
+    /// Client updates emitted since the last flush, published by it.
+    updates: Vec<Event>,
     /// Sampled once per batch, not per event: at apply rates of millions
     /// of events/sec a per-event clock read dominates the apply itself,
     /// and the µs-scale skew within one batch is far below the ms-scale
@@ -114,6 +120,7 @@ impl ApplyPool {
             applied: 0,
             delay_sum: 0,
             delay_count: 0,
+            updates: Vec::new(),
             now: 0,
         }
     }
@@ -130,18 +137,16 @@ impl ApplyPool {
         }
         let (now, sink) = (self.now, &self.sink);
         let (delay_sum, delay_count) = (&mut self.delay_sum, &mut self.delay_count);
+        let updates = &mut self.updates;
         self.ede.process(
             ev,
             |u| {
                 *delay_sum += now.saturating_sub(u.ingress_us);
                 *delay_count += 1;
-                if let Some(p) = &sink.updates {
-                    // One atomic load guards the clone + publish: a site
-                    // nobody listens to (the common case for an edge-less
-                    // mirror) skips both.
-                    if p.has_subscribers() {
-                        p.publish(u.clone());
-                    }
+                // One atomic load guards the clone: a site nobody listens
+                // to (the common case for an edge-less mirror) skips it.
+                if sink.updates.as_ref().is_some_and(Publisher::has_subscribers) {
+                    updates.push(u.clone());
                 }
             },
             |_| {},
@@ -156,9 +161,10 @@ impl ApplyPool {
         }
     }
 
-    /// Record what was applied since the last flush: merge the joined
-    /// stamp into the responder's frontier and add to the counters. After
-    /// a crash the pending bookkeeping is dropped instead.
+    /// Record what was applied since the last flush: publish its client
+    /// updates as one run, then merge the joined stamp into the
+    /// responder's frontier and add to the counters. After a crash the
+    /// pending updates and bookkeeping are dropped instead.
     pub fn flush(&mut self) {
         if self.applied == 0 {
             return;
@@ -168,7 +174,12 @@ impl ApplyPool {
         let (delay_sum, delay_count) =
             (std::mem::take(&mut self.delay_sum), std::mem::take(&mut self.delay_count));
         if self.crashed.load(Ordering::Relaxed) {
+            self.updates.clear();
             return;
+        }
+        if let (Some(p), false) = (&self.sink.updates, self.updates.is_empty()) {
+            p.publish_all(&self.updates);
+            self.updates.clear();
         }
         let counters = &self.sink.counters;
         if let Some(stamp) = joined {

@@ -419,11 +419,13 @@ impl Cluster {
     }
 
     /// Attach a massive-fan-out edge delivery tier to `site` (0 = the
-    /// central): every state-changing update the site's EDE applies is
-    /// published into a fresh [`EdgeServer`], which fans it to its
-    /// subscribers with per-client conflation and sequence/ack resume, and
-    /// reseeds late or gapped clients from the site's live state
-    /// (frontier-before-freeze capture, same as the request gateway).
+    /// central): a fresh [`EdgeServer`] follows the site's applied-updates
+    /// channel with a sink, so each applied run is fanned out on the
+    /// site's own aux thread — to its subscribers, with per-client
+    /// conflation and sequence/ack resume — before the site counts it
+    /// processed. Late or gapped clients are reseeded from the site's live
+    /// state (frontier-before-freeze capture, same as the request
+    /// gateway). The edge adds no thread to the cluster.
     ///
     /// The returned server is also registered with the cluster:
     /// [`stats`](Self::stats) reports its [`EdgeStats`], a promotion of
@@ -434,18 +436,18 @@ impl Cluster {
         site: SiteId,
         cfg: EdgeConfig,
     ) -> Result<Arc<EdgeServer>, MembershipError> {
-        let (provider, updates): (Box<dyn mirror_edge::StateProvider>, Subscriber<Event>) =
+        let (provider, updates): (Box<dyn mirror_edge::StateProvider>, EventChannel<Event>) =
             if site == mirror_core::CENTRAL_SITE {
                 let central = read(&self.central);
                 (
                     Box::new(crate::statesync::SyncStateProvider(central.state_sync())),
-                    central.subscribe_updates(),
+                    central.updates().clone(),
                 )
             } else {
                 match self.try_mirror(site) {
                     Some(m) => (
                         Box::new(crate::statesync::SyncStateProvider(m.state_sync())),
-                        m.subscribe_updates(),
+                        m.updates().clone(),
                     ),
                     None => {
                         return Err(match self.membership.view().state_of(site) {
@@ -457,7 +459,7 @@ impl Cluster {
                 }
             };
         let edge = Arc::new(EdgeServer::start(cfg, provider));
-        edge.pump_from(updates);
+        edge.follow(&updates);
         self.edges.lock().push((site, Arc::clone(&edge)));
         Ok(edge)
     }
@@ -1136,12 +1138,13 @@ impl Cluster {
         *write(&self.central) = replacement;
 
         // Re-point edge tiers that fronted the promoted mirror at the
-        // successor central: swap the reseed provider (invalidating the
-        // cached reseed — a stale provider would break the edge's
-        // floor-before-capture coverage argument once new events flow)
-        // and pump the successor's applied-updates stream. Late or gapped
-        // subscribers reseed from the successor's state; the registry
-        // records the new attachment.
+        // successor central: close the sink on the stopped mirror's
+        // applied-updates channel, swap the reseed provider (invalidating
+        // the cached reseed — a stale provider would break the edge's
+        // floor-before-capture coverage argument once new events flow),
+        // then follow the successor's channel. `pub_seq` continues where
+        // the mirror left it. Late or gapped subscribers reseed from the
+        // successor's state; the registry records the new attachment.
         let repointed: Vec<Arc<EdgeServer>> = {
             let mut edges = self.edges.lock();
             let mut out = Vec::new();
@@ -1156,10 +1159,11 @@ impl Cluster {
         if !repointed.is_empty() {
             let central = read(&self.central);
             for edge in repointed {
+                edge.unfollow();
                 edge.set_provider(Box::new(crate::statesync::SyncStateProvider(
                     central.state_sync(),
                 )));
-                edge.pump_from(central.subscribe_updates());
+                edge.follow(central.updates());
             }
         }
         // Fresh grace window for the new coordinator's first heartbeat.

@@ -649,6 +649,13 @@ macro_rules! site_common_impl {
             &self.core.shared.counters
         }
 
+        /// The site's applied-updates channel, for a consumer that follows
+        /// it with a sink, as an edge does
+        /// ([`EdgeServer::follow`](mirror_edge::EdgeServer::follow)).
+        pub fn updates(&self) -> &EventChannel<Event> {
+            &self.updates
+        }
+
         /// Digest of this site's EDE state (merged across shards; identical
         /// to the hash an unsharded store of the same flights produces).
         pub fn state_hash(&self) -> u64 {

@@ -152,13 +152,7 @@ fn reconnect_resume_under_stalls_and_disconnects_is_gap_free_or_conflation_only(
     let edge = cluster
         .serve_edge(
             1,
-            EdgeConfig {
-                window: 1024,
-                queue_cap: 8192,
-                max_pending: 4096,
-                workers: 2,
-                ..Default::default()
-            },
+            EdgeConfig { window: 1024, queue_cap: 8192, max_pending: 4096, ..Default::default() },
         )
         .expect("edge on mirror 1");
     let front = EdgeTcp::serve(Arc::clone(&edge), "127.0.0.1:0").expect("bind edge tcp");

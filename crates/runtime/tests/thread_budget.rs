@@ -1,8 +1,9 @@
 //! A running cluster's thread budget: each site runs its aux thread and
-//! nothing else; durability adds the journal's writer, and failover adds
-//! no thread. The aux thread applies into the store itself, and channel
-//! subscriptions deliver into a site's inbox on the publisher's thread, so
-//! no thread exists only to move one queue into another.
+//! nothing else; durability adds the journal's writer, and failover and an
+//! edge tier add no thread. The aux thread applies into the store itself,
+//! and channel subscriptions deliver into a site's inbox, or an edge's
+//! outboxes, on the publisher's thread, so no thread exists only to move
+//! one queue into another.
 //! (Counts this process's threads through `/proc/self/task`, so the file
 //! holds this one test.)
 
@@ -10,6 +11,8 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use mirror_core::event::{Event, PositionFix};
+use mirror_echo::SubscriptionFilter;
+use mirror_edge::{EdgeConfig, EdgeDisconnect};
 use mirror_runtime::{Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy};
 
 /// This process's threads: (tid, name).
@@ -25,12 +28,17 @@ fn threads() -> BTreeSet<(u64, String)> {
         .collect()
 }
 
-/// Start `cfg`'s 1 + 2 cluster, apply `events` events everywhere, and
-/// check it runs exactly its sites' threads plus `extra`, and that all of
-/// them are gone after shutdown.
-fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
+/// Start `cfg`'s 1 + 2 cluster, optionally with an edge on mirror 1 and
+/// one subscriber, apply `events` events everywhere, and check it runs
+/// exactly its sites' threads plus `extra`, and that all of them are gone
+/// after shutdown.
+fn check_budget(cfg: ClusterConfig, edge: bool, events: u64, extra: &[&str]) {
     let before = threads();
     let cluster = Cluster::start(cfg);
+    let client = edge.then(|| {
+        let edge = cluster.serve_edge(1, EdgeConfig::default()).expect("mirror 1 is attached");
+        edge.subscribe(1, SubscriptionFilter::All)
+    });
     for seq in 1..=events {
         cluster.submit(Event::faa_position(
             seq,
@@ -41,6 +49,9 @@ fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
     assert!(cluster.wait_all_processed(events, Duration::from_secs(10)), "every site applied");
     if let Some(journal) = cluster.central().journal() {
         assert_eq!(journal.last_idx(), Some(events), "every event journaled");
+    }
+    if let Some(client) = &client {
+        assert_eq!(client.backlog(), 1 + events as usize, "the reseed, then every event");
     }
 
     let mut started: Vec<String> =
@@ -61,8 +72,13 @@ fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
             .any(|n| n.ends_with("-data") || n.ends_with("-ctrl") || n == "central-ctrl-up"),
         "no subscription forwarder threads: {started:?}"
     );
+    assert!(!started.iter().any(|n| n.starts_with("edge-")), "no edge threads: {started:?}");
 
     cluster.shutdown();
+    if let Some(client) = client {
+        while let Ok(Some(_)) = client.poll() {}
+        assert_eq!(client.poll().unwrap_err(), EdgeDisconnect::ServerStopped);
+    }
     // A joined thread leaves the task list once the kernel has reaped it,
     // a moment after `join` returns.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -75,7 +91,11 @@ fn check_budget(cfg: ClusterConfig, events: u64, extra: &[&str]) {
 
 #[test]
 fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
-    check_budget(ClusterConfig { mirrors: 2, ..Default::default() }, 1, &[]);
+    check_budget(ClusterConfig { mirrors: 2, ..Default::default() }, false, 1, &[]);
+
+    // An edge on a mirror fans out on that mirror's aux thread: with a
+    // subscriber and events flowing, still one thread per site.
+    check_budget(ClusterConfig { mirrors: 2, ..Default::default() }, true, 64, &[]);
 
     // Durability and failover add the journal's writer and nothing else:
     // the log group-commits on that writer (no flusher thread), and the
@@ -89,6 +109,6 @@ fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
         failover: Some(FailoverPolicy::default()),
         ..Default::default()
     };
-    check_budget(cfg, 256, &["mirror-journal"]);
+    check_budget(cfg, false, 256, &["mirror-journal"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

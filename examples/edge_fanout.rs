@@ -105,28 +105,15 @@ fn main() {
     }
     assert!(cluster.wait_all_processed(EVENTS, Duration::from_secs(10)));
 
-    // Let the update pump drain into the edge, then flush delivery.
-    let mut frontier = edge.pub_seq();
-    loop {
-        std::thread::sleep(Duration::from_millis(30));
-        let now = edge.pub_seq();
-        if now == frontier && now > 0 {
-            break;
-        }
-        frontier = now;
-    }
-    edge.quiesce();
+    // Mirror 1 fans each applied run out before it counts the run
+    // processed, so the edge has published every update by now.
+    let frontier = edge.pub_seq();
 
     // The rebooted display resumes from its last received sequence: the
-    // edge replays the retained window from exactly there (the attach is
-    // handled by a delivery worker, so poll until the replay lands).
+    // edge replays the retained window from exactly there, before
+    // `resume` returns.
     let lobby = edge.resume(0, lobby_last).expect("resume display 0");
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while lobby_last < frontier {
-        drain(&lobby, &mut lobby_state, &mut lobby_last);
-        assert!(std::time::Instant::now() < deadline, "resume replay stalled at {lobby_last}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    drain(&lobby, &mut lobby_state, &mut lobby_last);
     println!("…and resumes to pub_seq {lobby_last} ({frontier} published)");
     assert_eq!(lobby_last, frontier, "the resumed display caught all the way up");
 
