@@ -3,7 +3,8 @@
 //! Three layers place flights into buckets: the intra-site shard map
 //! (`mirror-ede`'s `ShardMap`), the cluster-level partition map
 //! ([`crate::partition::PartitionMap`]), and the flight-keyed hash tables
-//! on the apply and edge-subscription hot paths. They must never disagree
+//! on the apply and edge-subscription hot paths (and the aux unit's status
+//! table and coalescer, probed once per event). They must never disagree
 //! on how a flight id mixes — a divergence would be invisible until a
 //! flight's events and its subscribers landed in different buckets — so
 //! the Fibonacci multiplicative hash lives here, once, and every layer

@@ -19,7 +19,8 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::event::{Event, EventBody, EventType, PositionFix};
+use crate::event::{Event, EventBody, EventType, FlightId, PositionFix};
+use crate::hashing::BuildFlightHasher;
 use crate::params::MirrorParams;
 use crate::rules::{Rule, RuleSet};
 
@@ -74,7 +75,7 @@ impl MirrorFn for IndependentMirror {
 /// preserved), or (c) a [`flush`](MirrorFn::flush).
 #[derive(Debug, Default)]
 pub struct CoalescingMirror {
-    open: HashMap<u32, Event>,
+    open: HashMap<FlightId, Event, BuildFlightHasher>,
     /// The run `prepare` is rewriting, kept so its allocation is reused.
     input: Vec<Arc<Event>>,
 }

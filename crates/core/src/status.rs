@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 
 use crate::event::{Event, EventType, FlightId, FlightStatus};
+use crate::hashing::BuildFlightHasher;
 
 /// Per-(flight, event-type) overwrite run state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +44,8 @@ pub struct FlightEntry {
 /// mirroring rules.
 #[derive(Debug, Default)]
 pub struct StatusTable {
-    flights: HashMap<FlightId, FlightEntry>,
+    /// Probed once per event at every site, so keyed by the flight hash.
+    flights: HashMap<FlightId, FlightEntry, BuildFlightHasher>,
 }
 
 impl StatusTable {

@@ -350,6 +350,16 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// A stamp of `n` components, filled in place. The length is checked
+    /// against the unread input before any component is read.
+    fn stamp(&mut self, n: usize) -> Result<VectorTimestamp, WireError> {
+        let bytes = self.slice(n * 8)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect())
+    }
+
     /// Everything not yet read: a wrapped frame, decoded on its own.
     fn remainder(&mut self) -> Bytes {
         self.take(self.rest.len()).expect("the unread tail is in bounds")
@@ -719,7 +729,7 @@ fn decode_event(r: &mut Reader) -> Result<Event, WireError> {
     let stamp_n = r.u16()? as usize;
     let padding = r.u32()?;
     let ingress_us = r.u64()?;
-    let stamp = VectorTimestamp::from_components(r.many(stamp_n, Reader::u64)?);
+    let stamp = r.stamp(stamp_n)?;
     let body = match tag {
         0 => EventBody::Position(decode_fix(r)?),
         1 => EventBody::Status(decode_status(r)?),
@@ -853,7 +863,7 @@ fn put_stamp(s: &mut impl Sink, stamp: &VectorTimestamp) {
 
 fn decode_stamp(r: &mut Reader) -> Result<VectorTimestamp, WireError> {
     let n = r.u16()? as usize;
-    Ok(VectorTimestamp::from_components(r.many(n, Reader::u64)?))
+    r.stamp(n)
 }
 
 fn put_partition(s: &mut impl Sink, p: &Option<PartitionMap>) {
