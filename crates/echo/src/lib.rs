@@ -52,6 +52,6 @@ pub use transport::{
 };
 pub use wire::{
     decode_delta, decode_frame, encode_batch_from_encoded, encode_delta, encode_delta_reseed,
-    encode_edge_event, encode_frame, encode_reseed, encode_seq_envelope, Frame, SharedEvent,
-    SubscriptionFilter, WireError, WIRE_VERSION,
+    encode_edge_event, encode_frame, encode_reseed, encode_seq_envelope, Frame, SubscriptionFilter,
+    WireError, WIRE_VERSION,
 };

@@ -15,7 +15,7 @@
 //! [`Event::wire_size`], which the cost model charges; a test pins the two
 //! together.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mirror_core::adapt::MonitorReport;
@@ -429,10 +429,10 @@ pub fn encode_seq_envelope(seq: u64, inner_encoded: &Bytes) -> Bytes {
 /// [`Frame::Data`] encoding.
 ///
 /// This is the edge tier's encode-once delivery path: the mirror's applied
-/// event is encoded exactly once (the [`SharedEvent::encoded`] cache or a
-/// single `encode_frame`), and every subscribed connection's write queue
-/// holds the same `Bytes` — building the delivery frame costs one header
-/// and one copy, regardless of fan-out width.
+/// event is encoded exactly once, by one `encode_frame`, and every
+/// subscribed connection's write queue holds the same `Bytes` — building
+/// the delivery frame costs one header and one copy, regardless of fan-out
+/// width.
 pub fn encode_edge_event(pub_seq: u64, data_encoded: &Bytes) -> Bytes {
     prepend_head(KIND_EDGE_EVENT, pub_seq, None, data_encoded)
 }
@@ -454,9 +454,9 @@ pub fn encode_delta_reseed(pub_seq: u64, delta_wire: &Bytes) -> Bytes {
 /// Build the encoded form of `Frame::Batch` from already-encoded member
 /// frames, without re-encoding any of them.
 ///
-/// This is the hot path of the batching bridge writer: each member is the
-/// cached [`SharedEvent::encoded`] (or any `encode_frame` output), and the
-/// batch frame is their concatenation behind a count header.
+/// This is the hot path of the batching bridge writer: each member is an
+/// `encode_frame` output the writer made, and the batch frame is their
+/// concatenation behind a count header.
 pub fn encode_batch_from_encoded(parts: &[Bytes]) -> Bytes {
     exact!(|s| {
         put_head(s, KIND_BATCH, None, Some(parts.len()));
@@ -465,61 +465,6 @@ pub fn encode_batch_from_encoded(parts: &[Bytes]) -> Bytes {
             s.slice(p);
         }
     })
-}
-
-/// An event paired with a lazily computed, shared wire encoding.
-///
-/// This is the unit that flows through the runtime's data channels: cloning
-/// it (once per subscriber per publish) costs two reference-count bumps.
-/// The first caller of [`encoded`](Self::encoded) pays the encoding cost;
-/// every other bridge/link reuses the same buffer — encode once, send
-/// everywhere. In-process consumers touch only [`event`](Self::event) and
-/// never pay for an encoding at all.
-#[derive(Clone, Debug)]
-pub struct SharedEvent {
-    event: Arc<Event>,
-    encoded: Arc<OnceLock<Bytes>>,
-}
-
-impl SharedEvent {
-    /// Wrap an event for shared fan-out.
-    pub fn new(event: Arc<Event>) -> Self {
-        SharedEvent { event, encoded: Arc::new(OnceLock::new()) }
-    }
-
-    /// The event itself.
-    pub fn event(&self) -> &Arc<Event> {
-        &self.event
-    }
-
-    /// Unwrap into the shared event, dropping the encoding cache handle.
-    pub fn into_event(self) -> Arc<Event> {
-        self.event
-    }
-
-    /// The event's wire encoding as a [`Frame::Data`] frame, computed once
-    /// across all clones of this `SharedEvent` and shared thereafter.
-    pub fn encoded(&self) -> Bytes {
-        self.encoded.get_or_init(|| encode_frame(&Frame::Data(Arc::clone(&self.event)))).clone()
-    }
-}
-
-impl From<Event> for SharedEvent {
-    fn from(e: Event) -> Self {
-        SharedEvent::new(Arc::new(e))
-    }
-}
-
-impl From<Arc<Event>> for SharedEvent {
-    fn from(e: Arc<Event>) -> Self {
-        SharedEvent::new(e)
-    }
-}
-
-impl PartialEq for SharedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.event == other.event
-    }
 }
 
 fn put_frame(s: &mut impl Sink, frame: &Frame) {
@@ -1340,17 +1285,6 @@ mod tests {
         let encoded = encode_frame(&inner);
         let expect = encode_frame(&Frame::Seq { seq: 99, inner: Box::new(inner) });
         assert_eq!(encode_seq_envelope(99, &encoded), expect);
-    }
-
-    #[test]
-    fn shared_event_encodes_once_and_compares_by_event() {
-        let e = stamped_event();
-        let shared = SharedEvent::from(e.clone());
-        let first = shared.encoded();
-        let again = shared.clone().encoded();
-        assert_eq!(first, again);
-        assert_eq!(first, encode_frame(&Frame::Data(Arc::new(e.clone()))));
-        assert_eq!(shared, SharedEvent::from(e));
     }
 
     fn snapshot_state() -> mirror_ede::OperationalState {

@@ -16,11 +16,10 @@
 //! The downlink writer is the hot edge of the whole system, so it runs the
 //! zero-copy fan-out discipline end-to-end:
 //!
-//! * the data channel carries [`SharedEvent`]s — a publish clones two
-//!   `Arc`s per subscriber, never the event payload;
-//! * each writer asks the `SharedEvent` for its wire encoding, which is
-//!   computed **once** across every bridge attached to the cluster (the
-//!   first writer to ask pays; all others reuse the same buffer);
+//! * the data channel carries `Arc<Event>`s — a publish clones one `Arc`
+//!   per subscriber, never the event payload;
+//! * each writer encodes a frame on its own thread, where the bytes are
+//!   written, so publishers and in-process consumers never pay for it;
 //! * frames are packed into a [`Frame::Batch`] under a [`BatchPolicy`]
 //!   (max-events / max-bytes / max-delay) built from the already-encoded
 //!   member buffers ([`encode_batch_from_encoded`] — no re-encoding), and
@@ -46,14 +45,16 @@
 //! disconnects behind what they delivered, the writer sends it and closes
 //! its transport, the transport reaches EOF, and the remote side unwinds.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, RecvTimeoutError, Sender, TryRecvError};
 
+use mirror_core::event::Event;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher};
-use mirror_echo::wire::{encode_batch_from_encoded, encode_frame, Frame, SharedEvent};
+use mirror_echo::wire::{encode_batch_from_encoded, encode_frame, Frame};
 use mirror_echo::Transport;
 
 /// The writer's idle tick: how long it waits for traffic before it lets a
@@ -137,21 +138,19 @@ impl BridgeHandle {
 }
 
 /// A frame queued for a bridge writer, kept in its channel form so the
-/// writer can reuse cached encodings instead of re-encoding.
+/// writer thread encodes it.
 enum OutMsg {
-    Data(SharedEvent),
+    Data(Arc<Event>),
     Ctrl(ControlMsg),
 }
 
 impl OutMsg {
-    /// The wire encoding of this message's frame. For data events this is
-    /// the [`SharedEvent`] cache — computed once across every bridge and
-    /// retained window that touches the event.
-    fn encoded(&self) -> Bytes {
-        match self {
-            OutMsg::Data(e) => e.encoded(),
-            OutMsg::Ctrl(m) => encode_frame(&Frame::Control(m.clone())),
-        }
+    /// The wire encoding of this message's frame.
+    fn encoded(self) -> Bytes {
+        encode_frame(&match self {
+            OutMsg::Data(e) => Frame::Data(e),
+            OutMsg::Ctrl(m) => Frame::Control(m),
+        })
     }
 }
 
@@ -166,16 +165,22 @@ fn forward<T: Clone + Send + 'static>(
     channel.subscribe_with(move |run: &[T]| run.iter().all(|m| tx.send(wrap(m.clone())).is_ok()))
 }
 
+/// Start a named bridge thread.
+fn spawn(name: &str, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new().name(name.into()).spawn(f).expect("spawn bridge thread")
+}
+
 /// The batching writer: drain the writer channel greedily under the flush
 /// policy, pack bursts into one [`Frame::Batch`] built from the members'
-/// cached encodings, and move it to the wire with a single
+/// encodings, and move it to the wire with a single
 /// [`Transport::send_encoded`].
 fn writer(
+    name: &str,
     mut transport: Box<dyn Transport>,
     rx: channel::Receiver<OutMsg>,
     policy: BatchPolicy,
 ) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
+    spawn(name, move || {
         let mut parts: Vec<Bytes> = Vec::with_capacity(policy.max_events.min(1024));
         'outer: loop {
             let first = match rx.recv_timeout(POLL) {
@@ -264,7 +269,7 @@ fn for_each_app_frame(frame: Frame, sink: &mut impl FnMut(Frame)) {
 /// Uses the default [`BatchPolicy`]; see [`central_endpoint_with`] to tune
 /// or disable batching.
 pub fn central_endpoint(
-    data: &EventChannel<SharedEvent>,
+    data: &EventChannel<Arc<Event>>,
     ctrl_down: &EventChannel<ControlMsg>,
     ctrl_up_pub: Publisher<ControlMsg>,
     down: Box<dyn Transport>,
@@ -275,7 +280,7 @@ pub fn central_endpoint(
 
 /// [`central_endpoint`] with an explicit downlink flush policy.
 pub fn central_endpoint_with(
-    data: &EventChannel<SharedEvent>,
+    data: &EventChannel<Arc<Event>>,
     ctrl_down: &EventChannel<ControlMsg>,
     ctrl_up_pub: Publisher<ControlMsg>,
     down: Box<dyn Transport>,
@@ -285,8 +290,8 @@ pub fn central_endpoint_with(
     let (tx, rx) = channel::unbounded::<OutMsg>();
     let closers =
         vec![forward(data, tx.clone(), OutMsg::Data), forward(ctrl_down, tx, OutMsg::Ctrl)];
-    let mut threads = vec![writer(down, rx, policy)];
-    threads.push(std::thread::spawn(move || {
+    let mut threads = vec![writer("bridge-dn-w", down, rx, policy)];
+    threads.push(spawn("bridge-up-r", move || {
         while let Ok(Some(frame)) = up.recv() {
             for_each_app_frame(frame, &mut |f| {
                 if let Frame::Control(m) = f {
@@ -310,7 +315,7 @@ pub fn mirror_endpoint<R>(
     down: Box<dyn Transport>,
     up: Box<dyn Transport>,
     setup: impl FnOnce(
-        &EventChannel<SharedEvent>,
+        &EventChannel<Arc<Event>>,
         &EventChannel<ControlMsg>,
         &EventChannel<ControlMsg>,
     ) -> R,
@@ -324,7 +329,7 @@ pub fn mirror_endpoint_with<R>(
     up: Box<dyn Transport>,
     policy: BatchPolicy,
     setup: impl FnOnce(
-        &EventChannel<SharedEvent>,
+        &EventChannel<Arc<Event>>,
         &EventChannel<ControlMsg>,
         &EventChannel<ControlMsg>,
     ) -> R,
@@ -338,13 +343,13 @@ pub fn mirror_endpoint_with<R>(
 
     let data_pub = data.publisher();
     let ctrl_down_pub = ctrl_down.publisher();
-    let mut threads = vec![std::thread::spawn(move || {
+    let mut threads = vec![spawn("bridge-dn-r", move || {
         // A frame's data members are published as one run, flushed before
         // any control member, so data/control order is the frame's order.
-        let mut run: Vec<SharedEvent> = Vec::new();
+        let mut run: Vec<Arc<Event>> = Vec::new();
         while let Ok(Some(frame)) = down.recv() {
             for_each_app_frame(frame, &mut |f| match f {
-                Frame::Data(e) => run.push(SharedEvent::new(e)),
+                Frame::Data(e) => run.push(e),
                 Frame::Control(m) => {
                     data_pub.publish_all(&run);
                     run.clear();
@@ -358,7 +363,7 @@ pub fn mirror_endpoint_with<R>(
     })];
     let (tx, rx) = channel::unbounded::<OutMsg>();
     let up_closer = forward(&ctrl_up, tx, OutMsg::Ctrl);
-    threads.push(writer(up, rx, policy));
+    threads.push(writer("bridge-up-w", up, rx, policy));
 
     (out, BridgeHandle { closers: vec![up_closer], threads })
 }
@@ -372,7 +377,7 @@ mod tests {
     use mirror_core::event::{Event, PositionFix};
     use mirror_echo::transport::InProcTransport;
     use parking_lot::Mutex;
-    use std::sync::{mpsc, Arc};
+    use std::sync::mpsc;
 
     fn fix() -> PositionFix {
         PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 }
@@ -475,10 +480,10 @@ mod tests {
         };
         for seq in 1..=20u64 {
             let e = Event::faa_position(seq, 1, fix());
-            tx.send(OutMsg::Data(SharedEvent::from(e))).unwrap();
+            tx.send(OutMsg::Data(Arc::new(e))).unwrap();
         }
         drop(tx);
-        let w = writer(Box::new(tx_t), rx, policy);
+        let w = writer("test-w", Box::new(tx_t), rx, policy);
 
         let mut seqs = Vec::new();
         let mut batches = 0usize;
@@ -565,10 +570,10 @@ mod tests {
         };
         for seq in 1..=6u64 {
             let e = Event::faa_position(seq, 1, fix()).with_total_size(1024);
-            tx.send(OutMsg::Data(SharedEvent::from(e))).unwrap();
+            tx.send(OutMsg::Data(Arc::new(e))).unwrap();
         }
         drop(tx);
-        let w = writer(Box::new(tx_t), rx, policy);
+        let w = writer("test-w", Box::new(tx_t), rx, policy);
         let mut got = 0;
         while got < 6 {
             match rx_t.recv().unwrap() {

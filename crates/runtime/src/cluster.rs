@@ -35,7 +35,6 @@ use mirror_core::mirrorfn::MirrorFnKind;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Subscriber};
 use mirror_echo::resilient::{LinkHealth, LinkMonitor};
-use mirror_echo::wire::SharedEvent;
 use mirror_ede::Snapshot;
 use mirror_edge::{EdgeConfig, EdgeServer, EdgeStats};
 
@@ -227,10 +226,9 @@ pub struct Cluster {
     /// [`poll_scale`](Self::poll_scale) time).
     scale: Option<ScalePolicy>,
     /// Kept so late mirror processes (e.g. over a bridge) can join. The
-    /// data channel carries [`SharedEvent`]s: one publish per mirrored
-    /// event, one `Arc` clone per subscriber, one wire encoding across
-    /// every attached bridge.
-    data: EventChannel<SharedEvent>,
+    /// data channel carries `Arc<Event>`s: one publish per run of mirrored
+    /// events, one `Arc` clone per event and subscriber.
+    data: EventChannel<Arc<Event>>,
     ctrl_down: EventChannel<ControlMsg>,
     ctrl_up: EventChannel<ControlMsg>,
     /// The durable-store configuration the cluster was started with, kept
@@ -400,7 +398,7 @@ impl Cluster {
     /// The intra-cluster channels (for attaching bridged remote mirrors).
     pub fn channels(
         &self,
-    ) -> (&EventChannel<SharedEvent>, &EventChannel<ControlMsg>, &EventChannel<ControlMsg>) {
+    ) -> (&EventChannel<Arc<Event>>, &EventChannel<ControlMsg>, &EventChannel<ControlMsg>) {
         (&self.data, &self.ctrl_down, &self.ctrl_up)
     }
 
@@ -642,7 +640,7 @@ impl Cluster {
     /// central guard (so membership operations never re-enter the lock).
     fn resync_with(
         central: &CentralSite,
-        data: &EventChannel<SharedEvent>,
+        data: &EventChannel<Arc<Event>>,
         from_idx: u64,
     ) -> ResyncOutcome {
         // Floor check and retransmission under ONE aux lock: checkpoint
@@ -675,7 +673,7 @@ impl Cluster {
         };
         // One run; replays share the retained allocation (Arc), like the
         // original sends did.
-        let run: Vec<SharedEvent> = entries.into_iter().map(|(_, e)| SharedEvent::new(e)).collect();
+        let run: Vec<Arc<Event>> = entries.into_iter().map(|(_, e)| e).collect();
         data.publisher().publish_all(&run);
         ResyncOutcome::Replayed { events: run.len(), source }
     }
@@ -1103,7 +1101,7 @@ impl Cluster {
                 }
                 state.apply(&e);
                 frontier.merge(&e.stamp);
-                run.push(SharedEvent::new(e));
+                run.push(e);
             }
             self.data.publisher().publish_all(&run);
         }

@@ -2,21 +2,19 @@
 //!
 //! When a cluster is started with a [`DurabilityConfig`], the central
 //! sending task journals each `(send_idx, event)` to a
-//! [`mirror_store::EventLog`] **as it enters the backup queue**: the
-//! journal write reuses the `SharedEvent` cached wire encoding, so
-//! durability costs one `write(2)`, not a second encode. One thread does
-//! the disk work, the journal's writer: it takes every op queued when it
-//! wakes and hands the log each stretch of consecutive appends as one run,
-//! so under [`FsyncPolicy::EveryN`] a drained batch pays at most one
-//! `fdatasync` per stretch (group commit). Checkpoint commits
-//! advance the log's truncation watermark to the backup queue's oldest
-//! retained index — the on-disk twin of `BackupQueue::prune` — and whole
-//! segments below the watermark are deleted, except the newest closed one,
-//! which the log keeps as slack (see `mirror_store::log`). So the journal
-//! still holds the events just below the floor right after a segment roll,
-//! and promotion's `replay_from(0)` reads at most one segment more than
-//! the floor requires. At the default 64 MiB segments that is up to
-//! ≈ 124k events of 538 B; a run that never rolls a segment (the
+//! [`mirror_store::EventLog`] **as it enters the backup queue**. One thread
+//! does the encoding and the disk work, the journal's writer: it takes
+//! every op queued when it wakes and hands the log each stretch of
+//! consecutive appends as one run, so under [`FsyncPolicy::EveryN`] a
+//! drained batch pays at most one `fdatasync` per stretch (group commit).
+//! Checkpoint commits advance the log's truncation watermark to the backup
+//! queue's oldest retained index — the on-disk twin of `BackupQueue::prune`
+//! — and whole segments below the watermark are deleted, except the newest
+//! closed one, which the log keeps as slack (see `mirror_store::log`). So
+//! the journal still holds the events just below the floor right after a
+//! segment roll, and promotion's `replay_from(0)` reads at most one segment
+//! more than the floor requires. At the default 64 MiB segments that is up
+//! to ≈ 124k events of 538 B; a run that never rolls a segment (the
 //! benchmark's `central_failover` journals ≈ 20k events) reads none.
 //!
 //! The journal extends the cluster's healing range:
@@ -39,7 +37,7 @@ use parking_lot::Mutex;
 
 use mirror_core::event::Event;
 use mirror_core::timestamp::VectorTimestamp;
-use mirror_echo::wire::SharedEvent;
+use mirror_echo::wire::{encode_frame, Frame};
 use mirror_ede::OperationalState;
 use mirror_store::{EventLog, FsyncPolicy, LogConfig, SnapshotStore};
 
@@ -68,12 +66,10 @@ impl DurabilityConfig {
 /// it, and a `Barrier` ack means every earlier op has reached the
 /// [`EventLog`].
 ///
-/// An append carries a run of [`SharedEvent`]s, not bytes: the writer
-/// thread forces the shared encode cache, so the encoding cost lands off
-/// the mirroring data path — and any bridge that later needs the same
-/// frame reuses the cached buffer instead of re-encoding.
+/// An append carries a run of events, not bytes: the writer thread
+/// encodes them, so the encoding cost lands off the mirroring data path.
 enum Op {
-    Append(Vec<(u64, SharedEvent)>),
+    Append(Vec<(u64, Arc<Event>)>),
     Commit(u64),
     Barrier(Sender<()>),
     Stop,
@@ -155,9 +151,11 @@ impl Journal {
                                 return;
                             }
                             let r = match op {
-                                Op::Append(run) => log.append_all(
-                                    run.iter().map(|(idx, event)| (*idx, event.encoded())),
-                                ),
+                                Op::Append(run) => {
+                                    log.append_all(run.into_iter().map(|(idx, event)| {
+                                        (idx, encode_frame(&Frame::Data(event)))
+                                    }))
+                                }
                                 Op::Commit(floor) => log.commit(floor),
                                 Op::Barrier(ack) => {
                                     let _ = ack.send(());
@@ -202,12 +200,11 @@ impl Journal {
     /// Journal a run of mirrored events, in order (called on the aux
     /// thread for each run of mirror actions, after the backup-queue
     /// pushes and before the run's data-channel publish). Non-blocking:
-    /// the cost on the data path is one channel send per run and two
-    /// reference-count bumps and a push per event; even the wire encoding
-    /// happens on the writer thread (into each event's shared encode
-    /// cache, so bridges reuse it). The writer merges the run with the
+    /// the cost on the data path is one channel send per run and a
+    /// reference-count bump and a push per event; even the wire encoding
+    /// happens on the writer thread. The writer merges the run with the
     /// runs queued beside it and group-commits them (see [`Journal`]).
-    pub fn append_all(&self, run: impl IntoIterator<Item = (u64, SharedEvent)>) {
+    pub fn append_all(&self, run: impl IntoIterator<Item = (u64, Arc<Event>)>) {
         let run: Vec<_> = run.into_iter().collect();
         if !run.is_empty() {
             self.send(Op::Append(run));
@@ -376,9 +373,9 @@ mod tests {
     use super::*;
     use mirror_core::event::PositionFix;
 
-    fn shared(seq: u64) -> SharedEvent {
+    fn shared(seq: u64) -> Arc<Event> {
         let fix = PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 };
-        SharedEvent::new(Arc::new(Event::faa_position(seq, 1, fix)))
+        Arc::new(Event::faa_position(seq, 1, fix))
     }
 
     fn append(idxs: &[u64]) -> Op {

@@ -36,7 +36,7 @@
 //! travel through the inbox too: one ends the run it lands in, and the aux
 //! thread runs it after routing that run — it is the store's only writer,
 //! so nothing else applies meanwhile — while its caller blocks in the
-//! `recv` of a one-slot reply ring. A section thus waits out the inbox
+//! `recv` of a one-slot reply channel. A section thus waits out the inbox
 //! backlog queued ahead of it, and its caller must be neither the aux
 //! thread nor a holder of the unit lock ([`MirrorHandle::with`]), which
 //! the aux thread takes to feed that backlog.
@@ -70,12 +70,11 @@ use mirror_core::api::MirrorHandle;
 use mirror_core::aux_unit::{AuxAction, AuxInput, SiteId};
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::{self, RingStats};
+use mirror_core::ring::RingStats;
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
 use mirror_echo::resilient::{LinkEvent, LinkHealth, LinkMonitor};
-use mirror_echo::wire::SharedEvent;
 use mirror_ede::{OperationalState, ShardedEde, Snapshot};
 
 use crate::applypool::{ApplyPool, ApplyPoolConfig, ApplySink};
@@ -152,15 +151,14 @@ impl Inbox {
 
     /// Send a published run of data events as one message: a run of one
     /// as [`SiteMsg::Data`], a longer one as [`SiteMsg::Run`].
-    fn send_run(&self, run: &[SharedEvent]) -> bool {
+    fn send_run(&self, run: &[Arc<Event>]) -> bool {
         match run {
             [] => true,
-            [e] => self.send(SiteMsg::Data(Arc::clone(e.event()))),
+            [e] => self.send(SiteMsg::Data(Arc::clone(e))),
             run => {
                 let extra = run.len() - 1;
                 self.run_extra.fetch_add(extra, Ordering::Relaxed);
-                let events = run.iter().map(|e| Arc::clone(e.event())).collect();
-                let sent = self.send(SiteMsg::Run(events));
+                let sent = self.send(SiteMsg::Run(run.to_vec()));
                 if !sent {
                     self.run_extra.fetch_sub(extra, Ordering::Relaxed);
                 }
@@ -530,7 +528,7 @@ impl SiteCore {
     /// block until it has run, so the caller can snapshot or serve reads
     /// right after and see its effect. `None` if the site stops first: an
     /// aux thread that exits drops its inbox, and with each section left
-    /// in it that section's reply producer, which ends the wait.
+    /// in it that section's reply sender, which ends the wait.
     ///
     /// The section runs after everything queued in the inbox before it.
     /// Never call this from the aux thread, or while holding the unit lock
@@ -541,16 +539,16 @@ impl SiteCore {
         seeds: bool,
         section: impl FnOnce(&SiteShared) -> R + Send + 'static,
     ) -> Option<R> {
-        let (mut done_tx, mut done_rx) = ring::spsc(1);
+        let (done_tx, done_rx) = channel::bounded(1);
         let section = Box::new(move |shared: &SiteShared| {
-            // The only push into an empty ring: never full.
-            let _ = done_tx.try_send(section(shared));
+            // The only send into an empty slot: never blocks.
+            let _ = done_tx.send(section(shared));
         });
         // Refused: the aux thread is already gone (site stopped).
         if !self.inbox.send(SiteMsg::Exclusive { section, seeds }) {
             return None;
         }
-        done_rx.recv()
+        done_rx.recv().ok()
     }
 }
 
@@ -892,8 +890,7 @@ impl CentralSite {
     /// [`seed`](Self::seed) installs state — the **promotion** path: a
     /// mirror's replicated state seeds the new coordinator and the service
     /// continues. With a `journal` every mirrored event is appended to it
-    /// (sharing the event's cached wire encoding with the data-channel
-    /// fan-out: one encode, one extra `write`) and checkpoint commits
+    /// (encoded on the journal's writer thread) and checkpoint commits
     /// drive its truncation; a successor handed its predecessor's journal
     /// takes over the writer, so the zero-loss guarantee survives repeated
     /// failovers.
@@ -901,7 +898,7 @@ impl CentralSite {
     pub(crate) fn start(
         handle: MirrorHandle,
         clock: RuntimeClock,
-        data_pub: Publisher<SharedEvent>,
+        data_pub: Publisher<Arc<Event>>,
         ctrl_down_pub: Publisher<ControlMsg>,
         ctrl_up: &EventChannel<ControlMsg>,
         await_seed: bool,
@@ -925,9 +922,9 @@ impl CentralSite {
         // so program order between data and control is what the aux unit
         // emitted. The scratch buffers live across calls.
         let mut idxs: Vec<u64> = Vec::new();
-        let mut run: Vec<SharedEvent> = Vec::new();
+        let mut run: Vec<Arc<Event>> = Vec::new();
         let route = move |actions: &[AuxAction]| {
-            let flush = |idxs: &mut Vec<u64>, run: &mut Vec<SharedEvent>| {
+            let flush = |idxs: &mut Vec<u64>, run: &mut Vec<Arc<Event>>| {
                 if run.is_empty() {
                     return;
                 }
@@ -939,9 +936,8 @@ impl CentralSite {
                 }
                 // One subscriber-lock acquisition per run, and each sink
                 // takes it whole: a mirror's inbox gets one message of Arc
-                // clones per run. The wire encoding is computed at most
-                // once across all consumers (SharedEvent's cache) — the
-                // journal writer forces it off-thread and bridges reuse it.
+                // clones per run. Only the journal writer and bridge
+                // writers encode, each on its own thread.
                 data_pub.publish_all(run);
                 idxs.clear();
                 run.clear();
@@ -950,7 +946,7 @@ impl CentralSite {
                 match action {
                     AuxAction::Mirror { idx, event } => {
                         idxs.push(*idx);
-                        run.push(SharedEvent::new(Arc::clone(event)));
+                        run.push(Arc::clone(event));
                     }
                     AuxAction::ControlToMirrors(m) => {
                         flush(&mut idxs, &mut run);
@@ -1211,7 +1207,7 @@ impl MirrorSite {
     pub fn start(
         handle: MirrorHandle,
         clock: RuntimeClock,
-        data: &EventChannel<SharedEvent>,
+        data: &EventChannel<Arc<Event>>,
         ctrl_down: &EventChannel<ControlMsg>,
         ctrl_up_pub: Publisher<ControlMsg>,
     ) -> Self {
@@ -1227,7 +1223,7 @@ impl MirrorSite {
     pub(crate) fn start_inner(
         handle: MirrorHandle,
         clock: RuntimeClock,
-        data: &EventChannel<SharedEvent>,
+        data: &EventChannel<Arc<Event>>,
         ctrl_down: &EventChannel<ControlMsg>,
         ctrl_up_pub: Publisher<ControlMsg>,
         await_seed: bool,

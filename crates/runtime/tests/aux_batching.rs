@@ -6,13 +6,13 @@
 //! events.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mirror_core::api::{MirrorConfig, MirrorHandle};
 use mirror_core::event::{Event, PositionFix};
 use mirror_core::ControlMsg;
 use mirror_echo::channel::EventChannel;
-use mirror_echo::wire::SharedEvent;
 use mirror_runtime::{Cluster, ClusterConfig, MirrorSite, RuntimeClock};
 
 fn fix() -> PositionFix {
@@ -108,7 +108,7 @@ fn a_run_sends_at_most_one_chkpt() {
 }
 
 /// A mirror on private channels: the test is its only publisher.
-fn private_mirror(data: &EventChannel<SharedEvent>) -> MirrorSite {
+fn private_mirror(data: &EventChannel<Arc<Event>>) -> MirrorSite {
     let ctrl_down: EventChannel<ControlMsg> = EventChannel::new("run.ctrl.down");
     let ctrl_up: EventChannel<ControlMsg> = EventChannel::new("run.ctrl.up");
     MirrorSite::start(
@@ -121,7 +121,7 @@ fn private_mirror(data: &EventChannel<SharedEvent>) -> MirrorSite {
 }
 
 /// `n` stamped events starting at `first`, as one run.
-fn run_of(first: u64, n: u64) -> Vec<SharedEvent> {
+fn run_of(first: u64, n: u64) -> Vec<Arc<Event>> {
     (first..first + n)
         .map(|seq| {
             let mut e = Event::faa_position(seq, (seq % 64) as u32, fix());
@@ -145,7 +145,7 @@ fn wait_for(mut done: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn a_whole_run_is_one_aux_drain() {
-    let data: EventChannel<SharedEvent> = EventChannel::new("run.data");
+    let data: EventChannel<Arc<Event>> = EventChannel::new("run.data");
     let mut mirror = private_mirror(&data);
     // Far more than one drain's cap of messages: delivered per event it
     // would take at least four drains.
@@ -157,7 +157,7 @@ fn a_whole_run_is_one_aux_drain() {
 
 #[test]
 fn inbox_depth_counts_the_events_of_a_queued_run() {
-    let data: EventChannel<SharedEvent> = EventChannel::new("run.data");
+    let data: EventChannel<Arc<Event>> = EventChannel::new("run.data");
     let mut mirror = private_mirror(&data);
     let publisher = data.publisher();
     // Nothing in the closure may panic: the aux thread shares the lock.

@@ -170,7 +170,7 @@ fn bridged_mirror_survives_chaos_links() {
     // tap's queue holds every delivery, so read it until it stays quiet.
     let mut seqs = Vec::new();
     while let Some(e) = order_sub.recv_timeout(Duration::from_millis(20)) {
-        seqs.push(e.event().seq);
+        seqs.push(e.seq);
     }
     assert_eq!(seqs.len() as u64, N, "no duplicate or lost deliveries");
     assert!(seqs.iter().copied().eq(1..=N), "delivery order must match submission order");

@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use mirror_core::api::{MirrorConfig, MirrorHandle};
@@ -21,7 +22,6 @@ use mirror_core::event::{Event, PositionFix};
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::EventChannel;
-use mirror_echo::wire::SharedEvent;
 use mirror_runtime::durability::DurabilityConfig;
 use mirror_runtime::{Cluster, ClusterConfig, MirrorSite, RuntimeClock};
 
@@ -36,7 +36,7 @@ fn fix() -> PositionFix {
 fn stop_processes_everything_published_before_it() {
     let mut short = Vec::new();
     for run in 0..RUNS {
-        let data: EventChannel<SharedEvent> = EventChannel::new("drain.data");
+        let data: EventChannel<Arc<Event>> = EventChannel::new("drain.data");
         let ctrl_down: EventChannel<ControlMsg> = EventChannel::new("drain.ctrl.down");
         let ctrl_up: EventChannel<ControlMsg> = EventChannel::new("drain.ctrl.up");
         let mut mirror = MirrorSite::start(

@@ -1,6 +1,7 @@
 //! A running cluster's thread budget: each site runs its aux thread and
 //! nothing else; durability adds the journal's writer, and failover and an
-//! edge tier add no thread. The aux thread applies into the store itself,
+//! edge tier add no thread. A bridged mirror adds one named reader or
+//! writer per transport end. The aux thread applies into the store itself,
 //! and channel subscriptions deliver into a site's inbox, or an edge's
 //! outboxes, on the publisher's thread, so no thread exists only to move
 //! one queue into another.
@@ -8,12 +9,18 @@
 //! holds this one test.)
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mirror_core::api::{MirrorConfig, MirrorHandle};
 use mirror_core::event::{Event, PositionFix};
-use mirror_echo::SubscriptionFilter;
+use mirror_core::ControlMsg;
+use mirror_echo::{EventChannel, InProcTransport, SubscriptionFilter};
 use mirror_edge::{EdgeConfig, EdgeDisconnect};
-use mirror_runtime::{Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy};
+use mirror_runtime::bridge::{central_endpoint, mirror_endpoint};
+use mirror_runtime::{
+    Cluster, ClusterConfig, DurabilityConfig, FailoverPolicy, MirrorSite, RuntimeClock,
+};
 
 /// This process's threads: (tid, name).
 fn threads() -> BTreeSet<(u64, String)> {
@@ -28,6 +35,31 @@ fn threads() -> BTreeSet<(u64, String)> {
         .collect()
 }
 
+fn event(seq: u64) -> Event {
+    let fix = PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 };
+    Event::faa_position(seq, (seq % 8) as u32, fix)
+}
+
+/// The names of the threads started since `before`, sorted.
+fn started_since(before: &BTreeSet<(u64, String)>) -> Vec<String> {
+    let mut started: Vec<String> =
+        threads().difference(before).map(|(_, name)| name.clone()).collect();
+    started.sort();
+    started
+}
+
+/// Wait until every thread started since `before` is gone: a joined
+/// thread leaves the task list once the kernel has reaped it, a moment
+/// after `join` returns.
+fn assert_all_gone(before: &BTreeSet<(u64, String)>) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while threads().difference(before).count() > 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let left: Vec<_> = threads().difference(before).cloned().collect();
+    assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
+}
+
 /// Start `cfg`'s 1 + 2 cluster, optionally with an edge on mirror 1 and
 /// one subscriber, apply `events` events everywhere, and check it runs
 /// exactly its sites' threads plus `extra`, and that all of them are gone
@@ -40,11 +72,7 @@ fn check_budget(cfg: ClusterConfig, edge: bool, events: u64, extra: &[&str]) {
         edge.subscribe(1, SubscriptionFilter::All)
     });
     for seq in 1..=events {
-        cluster.submit(Event::faa_position(
-            seq,
-            (seq % 8) as u32,
-            PositionFix { lat: 0.0, lon: 0.0, alt_ft: 1.0, speed_kts: 1.0, heading_deg: 0.0 },
-        ));
+        cluster.submit(event(seq));
     }
     assert!(cluster.wait_all_processed(events, Duration::from_secs(10)), "every site applied");
     if let Some(journal) = cluster.central().journal() {
@@ -54,9 +82,7 @@ fn check_budget(cfg: ClusterConfig, edge: bool, events: u64, extra: &[&str]) {
         assert_eq!(client.backlog(), 1 + events as usize, "the reseed, then every event");
     }
 
-    let mut started: Vec<String> =
-        threads().difference(&before).map(|(_, name)| name.clone()).collect();
-    started.sort();
+    let started = started_since(&before);
     let mut expected: Vec<String> = (0..3u16)
         .map(|site| format!("aux-{site}"))
         .chain(extra.iter().map(|name| name.to_string()))
@@ -79,14 +105,54 @@ fn check_budget(cfg: ClusterConfig, edge: bool, events: u64, extra: &[&str]) {
         while let Ok(Some(_)) = client.poll() {}
         assert_eq!(client.poll().unwrap_err(), EdgeDisconnect::ServerStopped);
     }
-    // A joined thread leaves the task list once the kernel has reaped it,
-    // a moment after `join` returns.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while threads().difference(&before).count() > 0 && Instant::now() < deadline {
-        std::thread::yield_now();
+    assert_all_gone(&before);
+}
+
+/// A mirror bridged over two in-process transport pairs runs its aux
+/// thread plus one named thread per transport end: the central side's
+/// downlink writer and uplink reader, the mirror side's downlink reader
+/// and uplink writer. All of them are gone after stop and join.
+fn check_bridged_budget() {
+    let events = 64;
+    let before = threads();
+    let data: EventChannel<Arc<Event>> = EventChannel::new("budget.data");
+    let ctrl_down: EventChannel<ControlMsg> = EventChannel::new("budget.ctrl.down");
+    let ctrl_up: EventChannel<ControlMsg> = EventChannel::new("budget.ctrl.up");
+    let (down_a, down_b) = InProcTransport::pair("budget.down");
+    let (up_a, up_b) = InProcTransport::pair("budget.up");
+    let central =
+        central_endpoint(&data, &ctrl_down, ctrl_up.publisher(), Box::new(down_a), Box::new(up_b));
+    let (mut mirror, remote) =
+        mirror_endpoint(Box::new(down_b), Box::new(up_a), |data, ctrl_down, ctrl_up| {
+            MirrorSite::start(
+                MirrorHandle::new(MirrorConfig::default().build_mirror(1)),
+                RuntimeClock::new(),
+                data,
+                ctrl_down,
+                ctrl_up.publisher(),
+            )
+        });
+    let publisher = data.publisher();
+    for seq in 1..=events {
+        let mut e = event(seq);
+        e.stamp.advance(0, seq);
+        publisher.publish(e.into());
     }
-    let left: Vec<_> = threads().difference(&before).cloned().collect();
-    assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while mirror.processed() < events && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(mirror.processed(), events, "every event crossed the bridge");
+
+    let started = started_since(&before);
+    assert_eq!(started, ["aux-1", "bridge-dn-r", "bridge-dn-w", "bridge-up-r", "bridge-up-w"]);
+
+    central.stop();
+    remote.stop();
+    mirror.stop();
+    central.join();
+    remote.join();
+    assert_all_gone(&before);
 }
 
 #[test]
@@ -111,4 +177,6 @@ fn a_cluster_runs_its_sites_threads_and_no_forwarders() {
     };
     check_budget(cfg, false, 256, &["mirror-journal"]);
     std::fs::remove_dir_all(&dir).unwrap();
+
+    check_bridged_budget();
 }

@@ -9,9 +9,8 @@
 //! replication middleware:
 //!
 //! - [`log::EventLog`] — a segmented append-only write-ahead log. The
-//!   central sending task journals each `(send_idx, event)` as it enters
-//!   the backup queue, reusing the `SharedEvent` cached wire encoding so a
-//!   journal entry costs one `write`, not a second encode. Checkpoint
+//!   central sending task journals each `(send_idx, event)`, in its wire
+//!   encoding, as it enters the backup queue. Checkpoint
 //!   commit advances a durable truncation watermark (the on-disk twin of
 //!   `BackupQueue::prune`) and garbage-collects whole segments below it.
 //! - [`snapshot::SnapshotStore`] — atomic, checksummed persistence for EDE

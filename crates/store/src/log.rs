@@ -14,9 +14,8 @@
 //! The CRC covers the payload only; `len` is validated against the remaining
 //! file size before the payload is read, so a torn tail (partial header or
 //! partial payload from a crash mid-write) is detected without reading past
-//! the end. The wire bytes are exactly what [`mirror_echo::wire::SharedEvent`]
-//! caches for the fan-out path, so journaling an event costs one buffered
-//! write, never a second encode. Appends accumulate in a user-space buffer
+//! the end. The wire bytes are exactly what a bridge sends for the event.
+//! Appends accumulate in a user-space buffer
 //! and reach the file in ~64 KiB `write`s (any sync barrier, segment roll,
 //! replay, or drop flushes first). The log starts no thread: a caller that
 //! appends in runs ([`EventLog::append_all`]) group-commits, because under
@@ -413,8 +412,8 @@ impl EventLog {
     }
 
     /// Append a run of event frames, in order. Each `wire` must be the wire
-    /// encoding of a [`Frame`] (as produced by
-    /// `encode_frame`/`SharedEvent::encoded`); each `idx` must exceed every
+    /// encoding of a [`Frame`] (as produced by `encode_frame`); each `idx`
+    /// must exceed every
     /// previously appended index, and should be the next one: recovery
     /// keeps frames only up to the first gap between segments (see the
     /// module docs). Under [`FsyncPolicy::EveryN`]`(n)` the run ends with
