@@ -251,15 +251,7 @@ fn run_phase(subs: usize, events: u64, rate: u64, chaos: bool, pollers: usize) -
     let cluster = Arc::new(Cluster::start(ClusterConfig { mirrors: 1, ..Default::default() }));
     cluster.central().handle().set_params(false, 1, 10);
     let edge = cluster
-        .serve_edge(
-            1,
-            EdgeConfig {
-                window: 8192,
-                queue_cap: QUEUE_CAP,
-                max_pending: MAX_PENDING,
-                ..Default::default()
-            },
-        )
+        .serve_edge(1, EdgeConfig { window: 8192, queue_cap: QUEUE_CAP, max_pending: MAX_PENDING })
         .expect("edge on mirror 1");
 
     // Client ids: 0 = checker, 1..=RESUMERS = resume cohort (chaos phase

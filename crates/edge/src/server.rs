@@ -63,7 +63,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -87,23 +87,26 @@ pub struct EdgeConfig {
     /// pending state per client; exceeding it disconnects the client as
     /// hopelessly slow.
     pub max_pending: usize,
-    /// Serve a cached reseed snapshot while at most this many events
-    /// behind the live publication frontier (the §13 bounded-staleness
-    /// rule in `pub_seq` terms).
-    pub reseed_max_stale_events: u64,
-    /// ... and at most this old.
-    pub reseed_max_stale: std::time::Duration,
+}
+
+/// A cached reseed capture is served while at most this many events behind
+/// the live publication frontier (the §13 bounded-staleness rule in
+/// `pub_seq` terms) ...
+const RESEED_MAX_STALE_EVENTS: u64 = 64;
+/// ... and at most this old. Unit tests, whose steps on a loaded host can
+/// take longer than 2 ms, allow 5 s.
+const RESEED_MAX_STALE: Duration =
+    if cfg!(test) { Duration::from_secs(5) } else { Duration::from_millis(2) };
+
+/// Whether a reseed capture taken at publication frontier `floor` when
+/// `taken` may still be served with the live frontier at `current`.
+fn reseed_fresh(current: u64, floor: u64, taken: Instant) -> bool {
+    current.saturating_sub(floor) <= RESEED_MAX_STALE_EVENTS && taken.elapsed() <= RESEED_MAX_STALE
 }
 
 impl Default for EdgeConfig {
     fn default() -> Self {
-        EdgeConfig {
-            window: 4096,
-            queue_cap: 64,
-            max_pending: 1024,
-            reseed_max_stale_events: 64,
-            reseed_max_stale: std::time::Duration::from_millis(2),
-        }
+        EdgeConfig { window: 4096, queue_cap: 64, max_pending: 1024 }
     }
 }
 
@@ -661,9 +664,7 @@ impl Inner {
         let mut slots = self.reseed_slot.lock();
         if let Some(e) = slots.current.as_ref() {
             let current = self.pub_seq.load(Ordering::Acquire);
-            let fresh_enough = e.floor >= min_floor
-                && current.saturating_sub(e.floor) <= self.cfg.reseed_max_stale_events
-                && e.taken.elapsed() <= self.cfg.reseed_max_stale;
+            let fresh_enough = e.floor >= min_floor && reseed_fresh(current, e.floor, e.taken);
             if fresh_enough {
                 return (e.floor, e.wire.clone());
             }
@@ -707,10 +708,8 @@ impl Inner {
             })?;
         if let Some(d) = slots.delta.as_ref() {
             let current = self.pub_seq.load(Ordering::Acquire);
-            let fresh_enough = d.base == base
-                && d.floor >= min_floor
-                && current.saturating_sub(d.floor) <= self.cfg.reseed_max_stale_events
-                && d.taken.elapsed() <= self.cfg.reseed_max_stale;
+            let fresh_enough =
+                d.base == base && d.floor >= min_floor && reseed_fresh(current, d.floor, d.taken);
             if fresh_enough {
                 return Some((d.floor, d.wire.clone()));
             }
@@ -1054,7 +1053,7 @@ mod tests {
     }
 
     fn small_cfg() -> EdgeConfig {
-        EdgeConfig { window: 64, queue_cap: 8, max_pending: 4, ..Default::default() }
+        EdgeConfig { window: 64, queue_cap: 8, max_pending: 4 }
     }
 
     fn connections(edge: &EdgeServer) -> u64 {
@@ -1217,8 +1216,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.window = 8;
         cfg.max_pending = 1024;
-        // Generous staleness so the cached delta survives the test's waits.
-        cfg.reseed_max_stale = std::time::Duration::from_secs(5);
+        // The cached delta outlives the test's waits: a unit-test build
+        // allows a reseed capture 5 s of age (`RESEED_MAX_STALE`).
         let provider = SharedProvider::new();
         let edge = EdgeServer::start(cfg, Box::new(provider.clone()));
         let a = edge.subscribe(1, SubscriptionFilter::All);

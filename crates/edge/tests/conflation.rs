@@ -129,8 +129,7 @@ fn conflated_stream_converges_to_full_stream_state() {
 
         // Slow subscriber: a real edge with a tiny healthy queue, never
         // polled until the very end, so almost everything conflates.
-        let cfg =
-            EdgeConfig { queue_cap: 4, max_pending: 4096, window: 8192, ..Default::default() };
+        let cfg = EdgeConfig { queue_cap: 4, max_pending: 4096, window: 8192 };
         let edge = EdgeServer::start(cfg.clone(), empty_snapshot_provider());
         let client = edge.subscribe(1, SubscriptionFilter::All);
         for e in &published {

@@ -114,7 +114,7 @@ pub struct SiteStats {
     pub requests_served: u64,
     /// Mean gateway request latency, submit to reply (µs).
     pub mean_request_latency_us: f64,
-    /// Gateway requests answered from the epoch-keyed snapshot cache.
+    /// Gateway requests answered from the site's full snapshot slot.
     pub snapshot_cache_hits: u64,
     /// Gateway requests that had to capture the live state.
     pub snapshot_cache_misses: u64,

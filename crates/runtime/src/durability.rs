@@ -48,16 +48,13 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Fsync discipline for journal appends (commit always syncs).
     pub fsync: FsyncPolicy,
-    /// Roll to a new log segment past this size (bytes).
-    pub segment_bytes: u64,
 }
 
 impl DurabilityConfig {
     /// Durability rooted at `dir` with the default log tuning
     /// ([`LogConfig::default`]: fsync every 64 appends, 64 MiB segments).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let defaults = LogConfig::default();
-        Self { dir: dir.into(), fsync: defaults.fsync, segment_bytes: defaults.segment_bytes }
+        Self { dir: dir.into(), fsync: LogConfig::default().fsync }
     }
 }
 
@@ -127,7 +124,7 @@ impl Journal {
     pub fn open(cfg: &DurabilityConfig) -> io::Result<Self> {
         let log = Arc::new(Mutex::new(EventLog::open(
             &cfg.dir,
-            LogConfig { fsync: cfg.fsync, segment_bytes: cfg.segment_bytes },
+            LogConfig { fsync: cfg.fsync, ..LogConfig::default() },
         )?));
         let snapshots = SnapshotStore::open(&cfg.dir)?;
         let error = Arc::new(Mutex::new(None));
@@ -263,12 +260,6 @@ impl Journal {
     #[doc(hidden)]
     pub fn set_snapshot_save_pad(&self, pad: Duration) {
         self.snapshot_save_pad_us.store(pad.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Load the persisted EDE snapshot, if one exists and is intact (a
-    /// torn/corrupt file reads as absent). Non-mutating.
-    pub fn load_snapshot(&self) -> io::Result<Option<mirror_store::PersistedSnapshot>> {
-        self.snapshots.load()
     }
 
     /// Cold-start recovery **through** the live journal: load the persisted

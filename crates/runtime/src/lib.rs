@@ -39,7 +39,6 @@ pub use requests::{
 };
 pub use site::{CentralSite, MirrorSite, SiteOverload, DEFAULT_MAIN_RING_CAPACITY};
 pub use statesync::{
-    ServedDelta, ServedSnapshot, SnapshotCache, SnapshotCachePolicy, StateSync, SyncStateProvider,
-    Transfer,
+    ServedDelta, ServedSnapshot, SnapshotCachePolicy, StateSync, SyncStateProvider, Transfer,
 };
 pub use wan::{WanMirror, WanMirrorConfig, WanReadError, WanResync};

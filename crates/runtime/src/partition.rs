@@ -209,12 +209,6 @@ impl PartitionedCluster {
         self.routes[PartitionMap::slot_of(flight)].lock().owner
     }
 
-    /// The gateway-shared partition table (for external routers — the
-    /// ois balancer syncs its cached map from here).
-    pub fn partition_table(&self) -> Arc<PartitionTable> {
-        Arc::clone(&self.table)
-    }
-
     /// Events routed to each group so far.
     pub fn routed_per_group(&self) -> Vec<u64> {
         self.groups.iter().map(|g| g.routed.load(Ordering::SeqCst)).collect()

@@ -10,18 +10,17 @@
 //! controller reacts to real request pressure in the live runtime, not
 //! just in the simulator.
 //!
-//! Three properties make storms cheap (the perf PR's serving path):
+//! Three properties make storms cheap:
 //!
-//! * requests are answered from the epoch-keyed [`SnapshotCache`] — one
-//!   state capture (and one wire encoding) per epoch window, shared by
-//!   every request it satisfies, under the bounded-staleness contract of
-//!   [`SnapshotCachePolicy`];
+//! * a gateway captures nothing itself: it asks the site's
+//!   [`StateSync`], whose one full slot serves every gateway and seed of
+//!   the site — one state capture (and one wire encoding) per staleness
+//!   window under the gateway's [`SnapshotCachePolicy`];
 //! * the FIFO drains on `workers` threads (default `min(4, cores)`), so
 //!   service pads and reply marshalling parallelize instead of queueing
 //!   behind one clone loop;
 //! * the pending gauge is maintained by increment (at submit) and
-//!   decrement (at reply) on a shared atomic — exact under concurrency,
-//!   where the old absolute `store(len)` could overwrite a newer reading.
+//!   decrement (at reply) on a shared atomic, exact under concurrency.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,10 +30,9 @@ use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use mirror_core::{FlightId, GroupId, PartitionMap};
-use mirror_ede::Snapshot;
 
 use crate::site::SiteCounters;
-use crate::statesync::{ServedSnapshot, SnapshotCache, SnapshotCachePolicy};
+use crate::statesync::{ServedSnapshot, SnapshotCachePolicy, StateSync};
 
 /// A request job: answered with a served (cache-shared) snapshot, or a
 /// [`RequestError::Unavailable`] when the serving site is mid-takeover.
@@ -179,9 +177,9 @@ pub struct GatewayConfig {
     /// Worker threads draining the request FIFO. `0` means auto:
     /// `min(4, available cores)`.
     pub workers: usize,
-    /// Bounded-staleness snapshot cache; `None` disables caching entirely
-    /// (every request captures the live state — the pre-cache path, kept
-    /// for benchmarking baselines).
+    /// How stale a served snapshot may be: `Some(policy)` serves the
+    /// site's one full slot while its entry is fresh under `policy`;
+    /// `None` captures fresh for every request (and refreshes the slot).
     pub cache: Option<SnapshotCachePolicy>,
     /// Per-request service time beyond the in-memory snapshot — models
     /// marshalling and pushing the initial view over a client link (zero
@@ -328,17 +326,11 @@ pub struct RequestGateway {
 }
 
 impl RequestGateway {
-    /// Spawn the gateway worker pool.
-    ///
-    /// `capture` snapshots the live state and returns it **with the epoch
-    /// it reflects**, read under the same state lock — the pair keys the
-    /// shared [`SnapshotCache`]. `live_epoch` is the site's published
-    /// epoch, read lock-free on every request for the staleness check.
-    /// Cache hits, misses, served counts, and request latency land in
-    /// `counters`; queue occupancy in `pending_gauge`.
+    /// Spawn the gateway worker pool, serving from the site's `sync`
+    /// under `config.cache`. Slot hits, misses, served counts and request
+    /// latency land in `counters`; queue occupancy in `pending_gauge`.
     pub(crate) fn spawn(
-        capture: impl Fn() -> (Snapshot, u64) + Send + Sync + 'static,
-        live_epoch: Arc<AtomicU64>,
+        sync: Arc<StateSync>,
         pending_gauge: Arc<AtomicU64>,
         counters: Arc<SiteCounters>,
         config: GatewayConfig,
@@ -346,16 +338,13 @@ impl RequestGateway {
         let (tx, rx) = channel::unbounded::<Msg>();
         let rx = Arc::new(Mutex::new(rx));
         let stopped = Arc::new(AtomicBool::new(false));
-        let capture = Arc::new(capture);
-        let cache = config.cache.map(|policy| Arc::new(SnapshotCache::new(policy)));
 
         let mut threads = Vec::new();
         for w in 0..config.resolved_workers() {
             let rx = Arc::clone(&rx);
             let stopped = Arc::clone(&stopped);
-            let capture = Arc::clone(&capture);
-            let cache = cache.clone();
-            let live_epoch = Arc::clone(&live_epoch);
+            let sync = Arc::clone(&sync);
+            let cache = config.cache;
             let pending_gauge = Arc::clone(&pending_gauge);
             let counters = Arc::clone(&counters);
             let service_pad = config.service_pad;
@@ -407,11 +396,9 @@ impl RequestGateway {
                                 continue;
                             }
                         }
-                        let (served, hit) = match cache.as_deref() {
-                            Some(cache) => {
-                                cache.get(live_epoch.load(Ordering::Acquire), || capture())
-                            }
-                            None => (ServedSnapshot::new(capture().0), false),
+                        let (served, hit) = match cache {
+                            Some(policy) => sync.full_within(policy),
+                            None => (sync.capture_now(), false),
                         };
                         if hit {
                             counters.snapshot_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -475,19 +462,31 @@ mod tests {
     use super::*;
     use mirror_core::event::{Event, PositionFix};
     use mirror_core::timestamp::VectorTimestamp;
-    use mirror_ede::OperationalState;
+    use mirror_ede::{OperationalState, Snapshot};
     use parking_lot::Mutex;
 
     fn fix() -> PositionFix {
         PositionFix { lat: 1.0, lon: 2.0, alt_ft: 30000.0, speed_kts: 450.0, heading_deg: 10.0 }
     }
 
+    /// A site's provider, reduced to a full capture and its epoch gauge.
+    fn sync_over(
+        live_epoch: Arc<AtomicU64>,
+        capture: impl Fn() -> (Snapshot, u64) + Send + Sync + 'static,
+    ) -> Arc<StateSync> {
+        let site_policy = SnapshotCachePolicy::default();
+        Arc::new(StateSync::new(site_policy, live_epoch, capture, |_| None, || 0))
+    }
+
+    fn empty_capture() -> (Snapshot, u64) {
+        (Snapshot::capture(&OperationalState::new(), VectorTimestamp::empty()), 0)
+    }
+
     fn spawn_empty(config: GatewayConfig) -> (RequestGateway, Arc<AtomicU64>, Arc<SiteCounters>) {
         let pending = Arc::new(AtomicU64::new(0));
         let counters = Arc::new(SiteCounters::default());
         let gw = RequestGateway::spawn(
-            || (Snapshot::capture(&OperationalState::new(), VectorTimestamp::empty()), 0),
-            Arc::new(AtomicU64::new(0)),
+            sync_over(Arc::new(AtomicU64::new(0)), empty_capture),
             Arc::clone(&pending),
             Arc::clone(&counters),
             config,
@@ -522,11 +521,10 @@ mod tests {
         let (permit_tx, permit_rx) = channel::unbounded::<()>();
         let permit_rx = Mutex::new(permit_rx);
         let gw = RequestGateway::spawn(
-            move || {
+            sync_over(Arc::new(AtomicU64::new(0)), move || {
                 let _ = permit_rx.lock().recv_timeout(Duration::from_secs(10));
-                (Snapshot::capture(&OperationalState::new(), VectorTimestamp::empty()), 0)
-            },
-            Arc::new(AtomicU64::new(0)),
+                empty_capture()
+            }),
             Arc::clone(&pending),
             Arc::clone(&counters),
             GatewayConfig {
@@ -578,11 +576,10 @@ mod tests {
         let (permit_tx, permit_rx) = channel::unbounded::<()>();
         let permit_rx = Mutex::new(permit_rx);
         let gw = RequestGateway::spawn(
-            move || {
+            sync_over(Arc::new(AtomicU64::new(0)), move || {
                 let _ = permit_rx.lock().recv_timeout(Duration::from_secs(10));
-                (Snapshot::capture(&OperationalState::new(), VectorTimestamp::empty()), 0)
-            },
-            Arc::new(AtomicU64::new(0)),
+                empty_capture()
+            }),
             Arc::clone(&pending),
             Arc::clone(&counters),
             GatewayConfig {
@@ -680,11 +677,10 @@ mod tests {
         let counters = Arc::new(SiteCounters::default());
         let cap_state = Arc::clone(&state);
         let gw = RequestGateway::spawn(
-            move || {
+            sync_over(Arc::clone(&live_epoch), move || {
                 let s = cap_state.lock();
                 (Snapshot::capture(&s, VectorTimestamp::empty()), s.epoch())
-            },
-            Arc::clone(&live_epoch),
+            }),
             Arc::clone(&pending),
             Arc::clone(&counters),
             GatewayConfig {

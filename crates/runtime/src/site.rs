@@ -197,9 +197,10 @@ pub struct SiteCounters {
     pub requests_served: AtomicU64,
     /// Gateway request latency sum (µs, submit → reply) backing the mean.
     pub request_latency_sum_us: AtomicU64,
-    /// Gateway requests answered from the epoch cache.
+    /// Gateway requests answered from the site's full slot.
     pub snapshot_cache_hits: AtomicU64,
-    /// Gateway requests that captured fresh state (cache stale or absent).
+    /// Gateway requests that captured fresh state (slot stale or empty, or
+    /// a gateway that serves no cached entry).
     pub snapshot_cache_misses: AtomicU64,
     /// Apply bookkeeping flushes: one per routed run that applied
     /// anything, plus one per CHKPT answered after applies in its run
@@ -241,7 +242,7 @@ impl SiteCounters {
         }
     }
 
-    /// Epoch-cache hit rate across gateway requests so far (0.0 with no
+    /// Full-slot hit rate across gateway requests so far (0.0 with no
     /// requests).
     pub fn snapshot_cache_hit_rate(&self) -> f64 {
         let hits = self.snapshot_cache_hits.load(Ordering::Relaxed);
@@ -268,11 +269,6 @@ struct SiteShared {
     /// Pending client requests at this site (the §3.2.2 monitored
     /// variable); shared with any request gateway serving this site.
     pending_gauge: Arc<AtomicU64>,
-    /// The store's global epoch cell ([`ShardedEde::epoch_handle`]),
-    /// bumped under the owning shard's lock on every state change so
-    /// gateway workers check snapshot-cache freshness without touching
-    /// any shard lock.
-    epoch: Arc<AtomicU64>,
     clock: RuntimeClock,
 }
 
@@ -305,8 +301,9 @@ impl std::error::Error for SiteOverload {}
 /// Common runtime machinery for one site.
 struct SiteCore {
     shared: Arc<SiteShared>,
-    /// The site's unified state-transfer provider (DESIGN.md §19): every
-    /// seed/resync/reseed path captures through it.
+    /// The site's state-transfer provider (DESIGN.md §19): every read of
+    /// the store — gateway, seed, resync, reseed, snapshot — goes through
+    /// it.
     sync: Arc<StateSync>,
     handle: MirrorHandle,
     inbox: Inbox,
@@ -338,7 +335,6 @@ impl SiteCore {
         let crashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let ede = Arc::new(ShardedEde::new(APPLY_SHARDS));
         let shared = Arc::new(SiteShared {
-            epoch: ede.epoch_handle(),
             ede,
             responder: Arc::new(Mutex::new(MainUnitResponder::new(site))),
             counters: Arc::new(SiteCounters::default()),
@@ -346,13 +342,17 @@ impl SiteCore {
             clock,
         });
 
-        // The unified state-transfer provider. Frontier before the
-        // all-shard freeze in both capture closures: a served frontier may
-        // only *trail* the state it ships with, so replays on top are
-        // idempotent and nothing after it can be missing. Wider-than-
-        // gateway staleness: every consumer either replays the data
-        // channel from a floor recorded before the capture (seeds) or
-        // asked for a fresh capture explicitly (edge reseeds, rejoin).
+        // The state-transfer provider, and the only code that reads the
+        // store. Frontier before the all-shard freeze in both capture
+        // closures: a served frontier may only *trail* the state it ships
+        // with, so replays on top are idempotent and nothing after it can
+        // be missing. The `ShardedEde` epoch cell, bumped under the owning
+        // shard's lock on every state change, lets the slots check
+        // freshness without touching a shard lock. Its own policy is wider
+        // than a gateway's: every consumer of `full`/`seed` either replays
+        // the data channel from a floor recorded before the capture
+        // (seeds) or asked for a fresh capture explicitly (edge reseeds,
+        // rejoin); gateways check the slot against their own policy.
         let sync = {
             let full_shared = Arc::clone(&shared);
             let delta_shared = Arc::clone(&shared);
@@ -362,7 +362,7 @@ impl SiteCore {
                     max_stale_events: 256,
                     max_stale: Duration::from_millis(100),
                 },
-                Arc::clone(&shared.epoch),
+                shared.ede.epoch_handle(),
                 move || {
                     let as_of: VectorTimestamp = full_shared.responder.lock().processed().clone();
                     full_shared.ede.freeze(as_of)
@@ -678,7 +678,7 @@ macro_rules! site_common_impl {
 
         /// Spawn a request gateway for this site with the default
         /// [`GatewayConfig`](crate::requests::GatewayConfig) (auto-sized
-        /// worker pool, default epoch-cache staleness bound) and the given
+        /// worker pool, default staleness bound) and the given
         /// per-request service pad — the pad models transfer work beyond
         /// the in-memory snapshot.
         pub fn serve_requests(
@@ -694,25 +694,16 @@ macro_rules! site_common_impl {
         /// Spawn a request gateway for this site: a worker pool draining a
         /// FIFO of initial-state requests whose occupancy feeds the site's
         /// pending-requests monitored variable (so live adaptation reacts
-        /// to real request pressure). Requests are answered through the
-        /// epoch-keyed snapshot cache configured by `config` — one state
-        /// capture and one wire encoding per epoch window, shared across
-        /// the burst they satisfy.
+        /// to real request pressure). Requests are answered from the
+        /// site's [`state_sync`](Self::state_sync) full slot under
+        /// `config.cache` — one state capture and one wire encoding per
+        /// staleness window, shared by every gateway and seed of the site.
         pub fn serve_requests_with(
             &self,
             config: crate::requests::GatewayConfig,
         ) -> crate::requests::RequestGateway {
-            let shared = Arc::clone(&self.core.shared);
-            // Frontier first, then the all-shard freeze: the frontier may
-            // only *trail* the state a snapshot reflects, never lead it;
-            // trailing events are replayed idempotently by the client.
-            let capture = move || {
-                let as_of: VectorTimestamp = shared.responder.lock().processed().clone();
-                shared.ede.freeze(as_of)
-            };
             crate::requests::RequestGateway::spawn(
-                capture,
-                Arc::clone(&self.core.shared.epoch),
+                Arc::clone(&self.core.sync),
                 self.pending_gauge(),
                 Arc::clone(&self.core.shared.counters),
                 config,
@@ -725,9 +716,9 @@ macro_rules! site_common_impl {
             Arc::clone(&self.core.shared.pending_gauge)
         }
 
-        /// This site's unified state-transfer provider: the single capture
-        /// point behind mirror seeding, partition resync, edge reseeds and
-        /// WAN delta catch-up (DESIGN.md §19). Cheap to clone and safe to
+        /// This site's state-transfer provider: the single capture point
+        /// behind request gateways, mirror seeding, partition resync, edge
+        /// reseeds and WAN delta catch-up (DESIGN.md §19). Cheap to clone and safe to
         /// hold beyond the site's lifetime (captures after stop simply
         /// freeze the final state).
         pub fn state_sync(&self) -> Arc<crate::statesync::StateSync> {
@@ -832,8 +823,7 @@ macro_rules! site_common_impl {
             // requests (incremented at submit, decremented at reply); a
             // synchronous call never queues, so it contributes no
             // pressure for the adaptation controller to react to.
-            let as_of: VectorTimestamp = self.core.shared.responder.lock().processed().clone();
-            let (snap, _epoch) = self.core.shared.ede.freeze(as_of);
+            let snap = self.core.sync.capture();
             self.core.shared.counters.snapshots.fetch_add(1, Ordering::Relaxed);
             snap
         }
@@ -1179,12 +1169,12 @@ impl CentralSite {
         let journal = self.journal.as_ref().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::Unsupported, "site has no durable store")
         })?;
-        let as_of: VectorTimestamp = self.core.shared.responder.lock().processed().clone();
         // Freeze (clone) under the shard locks, write after releasing
         // them: the disk write (serialize + temp file + fsync + rename)
         // must not stall event processing — holding the store locked
         // across it would stall the aux thread for the whole save.
-        let (snap, _epoch) = self.core.shared.ede.freeze(as_of.clone());
+        let snap = self.core.sync.capture();
+        let as_of = snap.as_of.clone();
         let state = snap.into_state();
         journal.save_snapshot(&state, &as_of)?;
         Ok(state.flights().len())

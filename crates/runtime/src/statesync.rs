@@ -1,19 +1,17 @@
-//! Unified delta state transfer: one provider for every seed/resync path.
+//! State transfer: one provider per site for every read of its store.
 //!
-//! Before this module, each state-transfer path in the runtime captured and
-//! encoded state its own way — the central's seed cache for mirror spawns,
-//! `Cluster::resync_mirror`'s gap reseed, `recover_site`'s cold start, the
-//! partition migration's merge seed and the edge tier's client reseeds all
-//! carried near-identical "read frontier, freeze, maybe encode" code.
-//! [`StateSync`] is the single provider they now route through:
+//! [`StateSync`] holds a site's capture closures, and every path that
+//! reads the site's store goes through it:
 //!
 //! * **full snapshots** go out as [`ServedSnapshot`]s — `Arc`-shared state
-//!   plus a once-per-capture wire encoding — through a single-flight
-//!   bounded-staleness [`SnapshotCache`] (moved here from the former
-//!   `snapcache` module, API unchanged);
+//!   plus a once-per-capture wire encoding — from one single-flight,
+//!   bounded-staleness full slot. Request gateways read it under their own
+//!   [`SnapshotCachePolicy`]; seeds, edge reseeds and rejoins read or
+//!   refresh the same slot;
 //! * **delta snapshots** ([`mirror_ede::StateDelta`]) go out as
-//!   [`ServedDelta`]s with the same encode-once discipline, cached per base
-//!   frontier so a burst of consumers sharing a base pays one capture;
+//!   [`ServedDelta`]s with the same encode-once discipline, from a delta
+//!   slot keyed by base frontier, so a burst of consumers sharing a base
+//!   pays one capture;
 //! * **seeds** (mirror spawns) additionally read the central's truncation
 //!   floor *before* the capture — the floor-before-capture ordering that
 //!   makes the post-seed floor replay gap-free;
@@ -21,13 +19,16 @@
 //!   shares:
 //!   a delta when the producer still remembers the consumer's base frontier
 //!   (within [`mirror_ede::DELTA_BASE_WINDOW`] captures), a full snapshot
-//!   otherwise.
+//!   otherwise;
+//! * [`StateSync::capture`] is the raw capture, outside both slots, for a
+//!   reader that keeps the snapshot to itself.
 //!
-//! Capture ordering invariant (same as the request gateway's): the
-//! producer's capture closures read the checkpoint frontier **before**
-//! freezing state, so a served frontier only ever *trails* the state it
-//! ships with — replaying events at or before the frontier is idempotent,
-//! and nothing after it can be missing. See DESIGN.md §19.
+//! Capture ordering invariant: the site's capture closures read the
+//! checkpoint frontier **before** freezing state, so a served frontier only
+//! ever *trails* the state it ships with — replaying events at or before
+//! the frontier is idempotent, and nothing after it can be missing. Captures
+//! into a slot run under its lock, so a slot's frontiers never regress. See
+//! DESIGN.md §19.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -202,101 +203,62 @@ impl Transfer {
     }
 }
 
-struct SnapEntry {
-    /// Live-store epoch (applied-event count) at capture time.
+/// A cached capture: what was served, the live-store epoch (applied-event
+/// count) it reflects and when it was taken.
+struct Cached<T> {
+    served: T,
     epoch: u64,
     taken: Instant,
-    served: ServedSnapshot,
 }
 
-/// Single-flight, bounded-staleness snapshot cache.
-///
-/// `get` returns a cached capture while it is fresh under the policy;
-/// otherwise it captures under the held slot lock, so concurrent misses
-/// coalesce into one capture (single flight) and every waiter shares the
-/// same [`ServedSnapshot`] — and therefore the same wire encoding.
-pub struct SnapshotCache {
-    policy: SnapshotCachePolicy,
-    slot: Mutex<Option<SnapEntry>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache with the given staleness policy.
-    pub fn new(policy: SnapshotCachePolicy) -> Self {
-        SnapshotCache { policy, slot: Mutex::new(None) }
+impl<T: Clone> Cached<T> {
+    fn new(served: T, epoch: u64) -> Self {
+        Cached { served, epoch, taken: Instant::now() }
     }
 
-    /// The configured staleness policy.
-    pub fn policy(&self) -> SnapshotCachePolicy {
-        self.policy
+    /// The entry when it is fresh under `policy` — the one freshness test,
+    /// shared by the full and delta slots: at most `max_stale_events`
+    /// behind the live store and at most `max_stale` old. An epoch
+    /// regression (live < cached) means the store was re-seeded under the
+    /// entry: never serve across an install.
+    fn if_fresh(&self, live: u64, policy: SnapshotCachePolicy) -> Option<T> {
+        let fresh = live >= self.epoch
+            && live - self.epoch <= policy.max_stale_events
+            && self.taken.elapsed() <= policy.max_stale;
+        fresh.then(|| self.served.clone())
     }
-
-    /// Serve a snapshot no staler than the policy allows. `live_epoch` is
-    /// the store's current applied-event count; `capture` produces a fresh
-    /// `(snapshot, epoch)` pair and runs only on a miss. Returns the served
-    /// snapshot and whether it was a cache hit.
-    pub fn get(
-        &self,
-        live_epoch: u64,
-        capture: impl FnOnce() -> (Snapshot, u64),
-    ) -> (ServedSnapshot, bool) {
-        let mut slot = self.slot.lock();
-        if let Some(e) = slot.as_ref() {
-            // An epoch regression (live < cached) means the store was
-            // re-seeded under us: never serve across an install.
-            let fresh = live_epoch >= e.epoch
-                && live_epoch - e.epoch <= self.policy.max_stale_events
-                && e.taken.elapsed() <= self.policy.max_stale;
-            if fresh {
-                return (e.served.clone(), true);
-            }
-        }
-        let (snap, epoch) = capture();
-        let served = ServedSnapshot::new(snap);
-        *slot = Some(SnapEntry { epoch, taken: Instant::now(), served: served.clone() });
-        (served, false)
-    }
-}
-
-impl std::fmt::Debug for SnapshotCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCache").field("policy", &self.policy).finish()
-    }
-}
-
-struct DeltaEntry {
-    base: VectorTimestamp,
-    epoch: u64,
-    taken: Instant,
-    served: ServedDelta,
 }
 
 type CaptureFn = dyn Fn() -> (Snapshot, u64) + Send + Sync;
 type DeltaCaptureFn = dyn Fn(&VectorTimestamp) -> Option<(StateDelta, u64)> + Send + Sync;
 type FloorFn = dyn Fn() -> u64 + Send + Sync;
 
-/// The unified state-transfer provider for one site.
+/// The state-transfer provider for one site: every read of the site's
+/// store goes through it.
 ///
 /// Wraps the site's capture closures (frontier-before-freeze full capture,
 /// delta capture against a remembered base, truncation-floor read) behind
-/// the caching and ordering disciplines every transfer path needs. One
-/// `StateSync` per site, shared by every consumer: mirror seeds, gap
-/// resyncs, cold-start top-ups, partition merge seeds, edge reseeds and WAN
-/// catch-ups.
+/// two bounded-staleness slots, one full and one delta. A slot captures
+/// under its own lock, so concurrent misses coalesce into one capture
+/// (single flight), captures are ordered, and every consumer of an entry
+/// shares the same encoding. One `StateSync` per site, shared by every
+/// consumer: request gateways, mirror seeds, gap resyncs, cold-start
+/// top-ups, partition merge seeds, edge reseeds and WAN catch-ups.
 pub struct StateSync {
-    capture: Box<CaptureFn>,
-    capture_delta: Box<DeltaCaptureFn>,
-    floor: Box<FloorFn>,
+    /// The staleness bound of [`full`](Self::full), [`seed`](Self::seed)
+    /// and [`delta_since`](Self::delta_since).
+    policy: SnapshotCachePolicy,
     /// The live store's applied-event count (staleness yardstick).
     live_epoch: Arc<AtomicU64>,
-    cache: SnapshotCache,
-    delta_slot: Mutex<Option<DeltaEntry>>,
-    /// Truncation floor read immediately before the cached seed capture —
-    /// paired with it so floor replay after a seed install is gap-free.
-    seed_floor: Mutex<u64>,
-    /// Serializes seed requests so the floor/capture pairing can't
-    /// interleave between two concurrent spawns.
-    seed_gate: Mutex<()>,
+    freeze: Box<CaptureFn>,
+    freeze_delta: Box<DeltaCaptureFn>,
+    floor: Box<FloorFn>,
+    full_slot: Mutex<Option<Cached<ServedSnapshot>>>,
+    delta_slot: Mutex<Option<(VectorTimestamp, Cached<ServedDelta>)>>,
+    /// Truncation floor read immediately before the last capture a seed
+    /// took, paired with that capture so floor replay after a seed
+    /// install is gap-free. Written and read under the full slot's lock.
+    seed_floor: AtomicU64,
 }
 
 impl StateSync {
@@ -317,53 +279,84 @@ impl StateSync {
         floor: impl Fn() -> u64 + Send + Sync + 'static,
     ) -> Self {
         StateSync {
-            capture: Box::new(capture),
-            capture_delta: Box::new(capture_delta),
-            floor: Box::new(floor),
+            policy,
             live_epoch,
-            cache: SnapshotCache::new(policy),
+            freeze: Box::new(capture),
+            freeze_delta: Box::new(capture_delta),
+            floor: Box::new(floor),
+            full_slot: Mutex::new(None),
             delta_slot: Mutex::new(None),
-            seed_floor: Mutex::new(0),
-            seed_gate: Mutex::new(()),
+            seed_floor: AtomicU64::new(0),
         }
     }
 
-    /// Serve a full snapshot through the bounded-staleness cache. Returns
-    /// the served snapshot and whether it was a cache hit.
-    pub fn full(&self) -> (ServedSnapshot, bool) {
-        let live = self.live_epoch.load(Ordering::Acquire);
-        self.cache.get(live, || (self.capture)())
+    /// Capture the store right now, outside every slot: the snapshot is
+    /// the caller's alone, so [`Snapshot::into_state`] moves its map
+    /// instead of cloning it. The path for one-shot readers (a direct
+    /// snapshot, the durable snapshot save).
+    pub fn capture(&self) -> Snapshot {
+        (self.freeze)().0
     }
 
-    /// Capture a fresh snapshot right now, bypassing the cache — for
-    /// consumers whose correctness depends on the capture happening at or
-    /// after the call (the edge's floor-before-capture reseed, promotion
-    /// handoffs). The fresh capture also replaces the cache entry, so
-    /// subsequent `full` calls benefit.
-    pub fn capture_now(&self) -> ServedSnapshot {
-        // Hold the cache slot across the capture: concurrent misses still
-        // single-flight, and the fresh entry replaces whatever was cached.
-        let mut slot = self.cache.slot.lock();
-        let (snap, epoch) = (self.capture)();
+    fn live(&self) -> u64 {
+        self.live_epoch.load(Ordering::Acquire)
+    }
+
+    /// Capture into the held full slot.
+    fn refill(&self, slot: &mut Option<Cached<ServedSnapshot>>) -> ServedSnapshot {
+        let (snap, epoch) = (self.freeze)();
         let served = ServedSnapshot::new(snap);
-        *slot = Some(SnapEntry { epoch, taken: Instant::now(), served: served.clone() });
+        *slot = Some(Cached::new(served.clone(), epoch));
         served
     }
 
-    /// Serve a seed for a spawning mirror: the snapshot (cached, bounded
-    /// staleness) plus the truncation floor read **before** its capture.
-    /// Replaying mirror traffic from the floor on top of the seed is
-    /// gap-free: everything below the floor is in the seed, everything at
-    /// or above it is replayable.
+    /// Serve a full snapshot through the full slot under the site's
+    /// policy. Returns the served snapshot and whether it was a cache hit.
+    pub fn full(&self) -> (ServedSnapshot, bool) {
+        self.full_within(self.policy)
+    }
+
+    /// Serve a full snapshot from the full slot when its entry is fresh
+    /// under `policy`, else capture into the slot. Every caller shares the
+    /// one slot, whatever its policy, so a site pays one capture per
+    /// staleness window however many gateways and seeds read it. Returns
+    /// the served snapshot and whether it was a cache hit.
+    pub fn full_within(&self, policy: SnapshotCachePolicy) -> (ServedSnapshot, bool) {
+        let live = self.live();
+        let mut slot = self.full_slot.lock();
+        if let Some(served) = slot.as_ref().and_then(|e| e.if_fresh(live, policy)) {
+            return (served, true);
+        }
+        (self.refill(&mut slot), false)
+    }
+
+    /// Capture a fresh snapshot right now, bypassing the staleness check —
+    /// for consumers whose correctness depends on the capture happening at
+    /// or after the call (the edge's floor-before-capture reseed,
+    /// promotion handoffs). The capture replaces the full slot's entry,
+    /// so subsequent reads of the slot benefit.
+    pub fn capture_now(&self) -> ServedSnapshot {
+        self.refill(&mut self.full_slot.lock())
+    }
+
+    /// Serve a seed for a spawning mirror: the snapshot (from the full
+    /// slot, under the site's policy) plus the truncation floor read
+    /// **before** the last capture a seed took. Replaying mirror traffic
+    /// from the floor on top of the seed is gap-free: everything below the
+    /// floor is in the seed, everything at or above it is replayable. An
+    /// entry another consumer captured later still pairs with that older
+    /// floor, which only adds idempotent replays.
     pub fn seed(&self) -> (ServedSnapshot, u64) {
-        let _gate = self.seed_gate.lock();
-        let live = self.live_epoch.load(Ordering::Acquire);
-        let (served, _hit) = self.cache.get(live, || {
-            *self.seed_floor.lock() = (self.floor)();
-            (self.capture)()
-        });
-        let floor = *self.seed_floor.lock();
-        (served, floor)
+        let live = self.live();
+        let mut slot = self.full_slot.lock();
+        let served = match slot.as_ref().and_then(|e| e.if_fresh(live, self.policy)) {
+            Some(served) => served,
+            None => {
+                self.seed_floor.store((self.floor)(), Ordering::Relaxed);
+                self.refill(&mut slot)
+            }
+        };
+        (served, self.seed_floor.load(Ordering::Relaxed))
     }
 
     /// Serve a delta against `base`, through a bounded-staleness slot keyed
@@ -372,41 +365,32 @@ impl StateSync {
     /// remembers `base` — fall back to [`full`](Self::full). Returns the
     /// served delta and whether it was a cache hit.
     pub fn delta_since(&self, base: &VectorTimestamp) -> Option<(ServedDelta, bool)> {
-        let live = self.live_epoch.load(Ordering::Acquire);
+        let live = self.live();
         let mut slot = self.delta_slot.lock();
-        if let Some(e) = slot.as_ref() {
-            let policy = self.cache.policy();
-            let fresh = e.base == *base
-                && live >= e.epoch
-                && live - e.epoch <= policy.max_stale_events
-                && e.taken.elapsed() <= policy.max_stale;
-            if fresh {
-                return Some((e.served.clone(), true));
+        if let Some((_, e)) = slot.as_ref().filter(|(b, _)| b == base) {
+            if let Some(served) = e.if_fresh(live, self.policy) {
+                return Some((served, true));
             }
         }
-        let (delta, epoch) = (self.capture_delta)(base)?;
-        let served = ServedDelta::new(delta);
-        *slot = Some(DeltaEntry {
-            base: base.clone(),
-            epoch,
-            taken: Instant::now(),
-            served: served.clone(),
-        });
-        Some((served, false))
+        Some((self.refill_delta(&mut slot, base)?, false))
     }
 
     /// Capture a fresh delta right now, bypassing the staleness check (the
-    /// edge's floor-before-capture path). The fresh capture replaces the
-    /// delta slot.
+    /// edge's floor-before-capture path). The capture replaces the delta
+    /// slot's entry.
     pub fn delta_now(&self, base: &VectorTimestamp) -> Option<ServedDelta> {
-        let (delta, epoch) = (self.capture_delta)(base)?;
+        self.refill_delta(&mut self.delta_slot.lock(), base)
+    }
+
+    /// Capture a delta against `base` into the held delta slot.
+    fn refill_delta(
+        &self,
+        slot: &mut Option<(VectorTimestamp, Cached<ServedDelta>)>,
+        base: &VectorTimestamp,
+    ) -> Option<ServedDelta> {
+        let (delta, epoch) = (self.freeze_delta)(base)?;
         let served = ServedDelta::new(delta);
-        *self.delta_slot.lock() = Some(DeltaEntry {
-            base: base.clone(),
-            epoch,
-            taken: Instant::now(),
-            served: served.clone(),
-        });
+        *slot = Some((base.clone(), Cached::new(served.clone(), epoch)));
         Some(served)
     }
 
@@ -425,7 +409,7 @@ impl StateSync {
 
 impl std::fmt::Debug for StateSync {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StateSync").field("policy", &self.cache.policy()).finish()
+        f.debug_struct("StateSync").field("policy", &self.policy).finish()
     }
 }
 
@@ -468,80 +452,137 @@ mod tests {
         s
     }
 
-    fn capture_from(s: &OperationalState) -> (Snapshot, u64) {
-        (Snapshot::capture(s, VectorTimestamp::empty()), s.epoch())
+    const FOREVER: SnapshotCachePolicy =
+        SnapshotCachePolicy { max_stale_events: u64::MAX, max_stale: Duration::MAX };
+
+    /// A provider over `state`, wired like a site's: both captures mark the
+    /// state's epoch as a frontier (so deltas are servable) and report the
+    /// live gauge — which the test sets, as a site's applies do — as their
+    /// epoch; the floor reads 7. Returns the provider, the gauge and the
+    /// count of captures taken, full and delta.
+    fn site_over(
+        state: &Arc<Mutex<OperationalState>>,
+        policy: SnapshotCachePolicy,
+    ) -> (StateSync, Arc<AtomicU64>, Arc<AtomicU64>) {
+        let live = Arc::new(AtomicU64::new(state.lock().epoch()));
+        let captures = Arc::new(AtomicU64::new(0));
+        let (s1, l1, c1) = (Arc::clone(state), Arc::clone(&live), Arc::clone(&captures));
+        let (s2, l2, c2) = (Arc::clone(state), Arc::clone(&live), Arc::clone(&captures));
+        let sync = StateSync::new(
+            policy,
+            Arc::clone(&live),
+            move || {
+                let (st, vt) = marked(&s1, &c1);
+                (Snapshot::capture(&st, vt), l1.load(Ordering::Acquire))
+            },
+            move |base| {
+                let (st, vt) = marked(&s2, &c2);
+                st.capture_delta(base, vt).map(|d| (d, l2.load(Ordering::Acquire)))
+            },
+            || 7,
+        );
+        (sync, live, captures)
+    }
+
+    /// Count a capture, lock `state` and mark its epoch as a frontier.
+    fn marked<'a>(
+        state: &'a Mutex<OperationalState>,
+        captures: &AtomicU64,
+    ) -> (parking_lot::MutexGuard<'a, OperationalState>, VectorTimestamp) {
+        captures.fetch_add(1, Ordering::Relaxed);
+        let mut st = state.lock();
+        let mut vt = VectorTimestamp::empty();
+        vt.advance(0, st.epoch());
+        st.mark_frontier(&vt);
+        (st, vt)
+    }
+
+    /// `site_over` a store holding `n` flights, under a policy that never
+    /// expires an entry.
+    fn quiet_site(n: u32) -> (StateSync, Arc<AtomicU64>, Arc<AtomicU64>) {
+        site_over(&Arc::new(Mutex::new(state(n))), FOREVER)
     }
 
     #[test]
     fn same_epoch_hits_without_recapture() {
-        let s = state(5);
-        let cache = SnapshotCache::new(SnapshotCachePolicy {
-            max_stale_events: 0,
-            max_stale: Duration::from_secs(3600),
-        });
-        let mut captures = 0;
+        let (sync, _live, captures) = quiet_site(5);
+        let policy =
+            SnapshotCachePolicy { max_stale_events: 0, max_stale: Duration::from_secs(3600) };
         for i in 0..10 {
-            let (served, hit) = cache.get(s.epoch(), || {
-                captures += 1;
-                capture_from(&s)
-            });
+            let (served, hit) = sync.full_within(policy);
             assert_eq!(served.flight_count(), 5);
             assert_eq!(hit, i > 0);
         }
-        assert_eq!(captures, 1);
+        assert_eq!(captures.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn bounded_staleness_window() {
-        let mut s = state(5);
-        let cache = SnapshotCache::new(SnapshotCachePolicy {
-            max_stale_events: 3,
-            max_stale: Duration::from_secs(3600),
-        });
-        let (_, hit) = cache.get(s.epoch(), || capture_from(&s));
-        assert!(!hit);
-        // Within the event bound: still a hit, even though state moved.
-        for f in 100..103 {
+        let state = Arc::new(Mutex::new(state(5)));
+        let (sync, live, _) = site_over(&state, FOREVER);
+        let policy =
+            SnapshotCachePolicy { max_stale_events: 3, max_stale: Duration::from_secs(3600) };
+        let apply = |f| {
+            let mut s = state.lock();
             s.apply(&Event::faa_position(1, f, fix(30000.0)));
-        }
-        let (served, hit) = cache.get(s.epoch(), || capture_from(&s));
+            live.store(s.epoch(), Ordering::Release);
+        };
+        assert!(!sync.full_within(policy).1);
+        // Within the event bound: still a hit, even though state moved.
+        (100..103).for_each(apply);
+        let (served, hit) = sync.full_within(policy);
         assert!(hit, "3 events behind is within the bound");
         assert_eq!(served.flight_count(), 5, "cached capture served");
         // One more change crosses the bound: recapture.
-        s.apply(&Event::faa_position(1, 103, fix(30000.0)));
-        let (served, hit) = cache.get(s.epoch(), || capture_from(&s));
+        apply(103);
+        let (served, hit) = sync.full_within(policy);
         assert!(!hit, "4 events behind exceeds the bound");
         assert_eq!(served.flight_count(), 9);
     }
 
     #[test]
     fn age_bound_expires_entries() {
-        let s = state(2);
-        let cache = SnapshotCache::new(SnapshotCachePolicy {
+        let (sync, _live, _) = quiet_site(2);
+        let policy = SnapshotCachePolicy {
             max_stale_events: u64::MAX,
             max_stale: Duration::from_millis(20),
-        });
-        let (_, hit) = cache.get(s.epoch(), || capture_from(&s));
-        assert!(!hit);
-        let (_, hit) = cache.get(s.epoch(), || capture_from(&s));
-        assert!(hit);
+        };
+        assert!(!sync.full_within(policy).1);
+        assert!(sync.full_within(policy).1);
         std::thread::sleep(Duration::from_millis(30));
-        let (_, hit) = cache.get(s.epoch(), || capture_from(&s));
-        assert!(!hit, "aged-out entry must recapture");
+        assert!(!sync.full_within(policy).1, "aged-out entry must recapture");
     }
 
     #[test]
     fn epoch_regression_is_a_miss() {
-        let s = state(2);
-        let cache = SnapshotCache::new(SnapshotCachePolicy {
+        let (sync, live, _) = quiet_site(2);
+        let policy = SnapshotCachePolicy {
             max_stale_events: u64::MAX,
             max_stale: Duration::from_secs(3600),
-        });
-        let (_, hit) = cache.get(100, || (Snapshot::capture(&s, VectorTimestamp::empty()), 100));
-        assert!(!hit);
+        };
+        live.store(100, Ordering::Release);
+        assert!(!sync.full_within(policy).1);
         // Live epoch below the cached epoch (reinstalled state): miss.
-        let (_, hit) = cache.get(7, || (Snapshot::capture(&s, VectorTimestamp::empty()), 7));
-        assert!(!hit, "epoch regression must not serve the stale cache");
+        live.store(7, Ordering::Release);
+        assert!(!sync.full_within(policy).1, "epoch regression must not serve the stale cache");
+    }
+
+    #[test]
+    fn one_full_slot_serves_every_reader() {
+        let (sync, _live, captures) = quiet_site(3);
+        // The raw capture stays outside the slot.
+        assert_eq!(sync.capture().flight_count(), 3);
+        assert!(!sync.full().1, "a raw capture leaves the slot empty");
+        // A fresh capture replaces the entry every reader then serves.
+        let fresh = sync.capture_now();
+        let strict =
+            SnapshotCachePolicy { max_stale_events: 0, max_stale: Duration::from_secs(3600) };
+        let (served, hit) = sync.full_within(strict);
+        assert!(hit);
+        assert!(Arc::ptr_eq(served.snapshot(), fresh.snapshot()));
+        let (seed, _floor) = sync.seed();
+        assert!(Arc::ptr_eq(seed.snapshot(), fresh.snapshot()), "a seed reads the same slot");
+        assert_eq!(captures.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -568,39 +609,15 @@ mod tests {
 
     // --- StateSync provider -------------------------------------------
 
-    /// A provider over a mutable shared state, mimicking a site: captures
-    /// mark frontiers so deltas are servable.
-    fn sync_over(state: Arc<Mutex<OperationalState>>, live: Arc<AtomicU64>) -> StateSync {
-        let s1 = Arc::clone(&state);
-        let s2 = Arc::clone(&state);
-        StateSync::new(
-            SnapshotCachePolicy { max_stale_events: 0, max_stale: Duration::ZERO },
-            live,
-            move || {
-                let mut st = s1.lock();
-                let mut vt = VectorTimestamp::empty();
-                vt.advance(0, st.epoch());
-                st.mark_frontier(&vt);
-                (Snapshot::capture(&st, vt), st.epoch())
-            },
-            move |base| {
-                let mut st = s2.lock();
-                let mut vt = VectorTimestamp::empty();
-                vt.advance(0, st.epoch());
-                st.mark_frontier(&vt);
-                let epoch = st.epoch();
-                st.capture_delta(base, vt).map(|d| (d, epoch))
-            },
-            || 7,
-        )
-    }
+    /// Never serves a cached entry.
+    const ALWAYS_CAPTURE: SnapshotCachePolicy =
+        SnapshotCachePolicy { max_stale_events: 0, max_stale: Duration::ZERO };
 
     #[test]
     fn seed_pairs_floor_with_capture() {
         let state = Arc::new(Mutex::new(OperationalState::new()));
         state.lock().apply(&Event::faa_position(1, 42, fix(100.0)));
-        let live = Arc::new(AtomicU64::new(0));
-        let sync = sync_over(state, live);
+        let (sync, _live, _) = site_over(&state, ALWAYS_CAPTURE);
         let (served, floor) = sync.seed();
         assert_eq!(floor, 7);
         assert_eq!(served.flight_count(), 1);
@@ -612,8 +629,7 @@ mod tests {
         for f in 0..20u32 {
             state.lock().apply(&Event::faa_position(1, f, fix(1000.0)));
         }
-        let live = Arc::new(AtomicU64::new(0));
-        let sync = sync_over(Arc::clone(&state), live);
+        let (sync, _live, _) = site_over(&state, ALWAYS_CAPTURE);
 
         // Establish a base via a full capture.
         let (base_snap, _) = sync.full();
@@ -643,33 +659,9 @@ mod tests {
         for f in 0..10u32 {
             state.lock().apply(&Event::faa_position(1, f, fix(1000.0)));
         }
-        let live = Arc::new(AtomicU64::new(0));
-        let live_gauge = Arc::clone(&live);
-        let s1 = Arc::clone(&state);
-        let s2 = Arc::clone(&state);
-        let captures = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&captures);
-        let sync = StateSync::new(
-            SnapshotCachePolicy { max_stale_events: 1000, max_stale: Duration::from_secs(60) },
-            live,
-            move || {
-                let mut st = s1.lock();
-                let mut vt = VectorTimestamp::empty();
-                vt.advance(0, st.epoch());
-                st.mark_frontier(&vt);
-                (Snapshot::capture(&st, vt), st.epoch())
-            },
-            move |base| {
-                c.fetch_add(1, Ordering::Relaxed);
-                let mut st = s2.lock();
-                let mut vt = VectorTimestamp::empty();
-                vt.advance(0, st.epoch());
-                st.mark_frontier(&vt);
-                let epoch = st.epoch();
-                st.capture_delta(base, vt).map(|d| (d, epoch))
-            },
-            || 0,
-        );
+        let policy =
+            SnapshotCachePolicy { max_stale_events: 1000, max_stale: Duration::from_secs(60) };
+        let (sync, live_gauge, captures) = site_over(&state, policy);
         let (base_snap, _) = sync.full();
         let base = base_snap.as_of.clone();
         state.lock().apply(&Event::faa_position(2, 1, fix(2000.0)));
@@ -680,7 +672,7 @@ mod tests {
         let (b, hit_b) = sync.delta_since(&base).unwrap();
         assert!(!hit_a);
         assert!(hit_b, "second consumer with the same base hits the slot");
-        assert_eq!(captures.load(Ordering::Relaxed), 1);
+        assert_eq!(captures.load(Ordering::Relaxed), 2, "the base capture and one delta");
         assert!(Arc::ptr_eq(a.delta(), b.delta()));
         // Encode-once across both consumers.
         assert_eq!(a.wire().as_ptr(), b.wire().as_ptr());
@@ -692,8 +684,7 @@ mod tests {
         for f in 0..6u32 {
             state.lock().apply(&Event::faa_position(1, f, fix(1000.0)));
         }
-        let live = Arc::new(AtomicU64::new(0));
-        let sync = sync_over(Arc::clone(&state), live);
+        let (sync, _live, _) = site_over(&state, ALWAYS_CAPTURE);
         let (base_snap, _) = sync.full();
         let base = base_snap.as_of.clone();
         state.lock().apply(&Event::faa_position(2, 5, fix(3000.0)));

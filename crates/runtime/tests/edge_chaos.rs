@@ -150,10 +150,7 @@ fn reconnect_resume_under_stalls_and_disconnects_is_gap_free_or_conflation_only(
     // Small retained window relative to the stream: resumes that fall
     // behind it exercise the cached-snapshot reseed path, not just replay.
     let edge = cluster
-        .serve_edge(
-            1,
-            EdgeConfig { window: 1024, queue_cap: 8192, max_pending: 4096, ..Default::default() },
-        )
+        .serve_edge(1, EdgeConfig { window: 1024, queue_cap: 8192, max_pending: 4096 })
         .expect("edge on mirror 1");
     let front = EdgeTcp::serve(Arc::clone(&edge), "127.0.0.1:0").expect("bind edge tcp");
     let addr = front.local_addr();
