@@ -21,6 +21,7 @@
 //! (`edge_fanout`, `partition_scale`, `elastic_burst`, `wan_mirror`) stay
 //! only until `benchmark/` has workloads for the regimes they cover.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod sweep;

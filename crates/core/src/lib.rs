@@ -36,6 +36,7 @@
 //! The public configuration surface mirrors the paper's Table 1 API; see
 //! [`api`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;
@@ -70,9 +71,6 @@ pub use mirrorfn::{MirrorDecision, MirrorFn, MirrorFnKind};
 pub use params::MirrorParams;
 pub use partition::{GroupId, PartitionMap, PARTITION_SLOTS};
 pub use queue::{BackupQueue, ReadyQueue};
-pub use ring::{
-    mpsc, spsc, MpscReceiver, MpscSender, RingRecv, RingSend, RingStats, SpscReceiver, SpscSender,
-};
 pub use rules::{RuleOutcome, RuleSet};
 pub use status::StatusTable;
 pub use timestamp::{Seq, StampOrdering, VectorTimestamp};

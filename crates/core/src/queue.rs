@@ -14,6 +14,8 @@ use crate::event::Event;
 use crate::timestamp::VectorTimestamp;
 
 /// Occupancy statistics for a queue; sampled by the adaptation monitors.
+/// A runtime site reports its aux thread's hand-off into the store in the
+/// same shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Total events ever enqueued.

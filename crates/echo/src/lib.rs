@@ -30,6 +30,7 @@
 //!   resilient layer — and the whole cluster — can be tested under
 //!   adversarial links.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;

@@ -25,6 +25,7 @@
 //!   the paper's client spectrum: crew duty, passenger connections and
 //!   aircraft turnarounds derived downstream from the update stream.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delta;

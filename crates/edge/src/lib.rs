@@ -43,6 +43,7 @@
 //! hand-rolled readiness loop for realism tests — no external event
 //! library.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod server;

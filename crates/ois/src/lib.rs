@@ -16,6 +16,7 @@
 //!   time, update-delay statistics and series, per-site counters, and
 //!   cross-mirror consistency hashes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balancer;

@@ -26,8 +26,9 @@
 //! so a trailing frontier merely makes commits conservative. See
 //! DESIGN.md §16.
 //!
-//! The pool keeps its historical name: it is the apply path the site and
-//! the benchmark's `runtime.applypool_ns_per_event` probe both drive.
+//! The pool keeps its historical name, though it has no workers and no
+//! queue of its own: it is the apply path the site and the benchmark's
+//! `runtime.applypool_ns_per_event` probe both drive.
 
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -42,7 +42,7 @@ use crate::clock::RuntimeClock;
 use crate::durability::{DurabilityConfig, Journal, ResyncOutcome, ResyncSource};
 use crate::failover::{CtrlCadence, FailoverEvent, FailoverPolicy};
 use crate::requests::RequestGate;
-use crate::site::{CentralSite, MirrorSite, DEFAULT_MAIN_RING_CAPACITY};
+use crate::site::{CentralSite, MirrorSite, DEFAULT_INBOX_CAPACITY};
 
 /// Cluster start-up configuration.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ impl Default for ClusterConfig {
             durability: None,
             scale: None,
             failover: None,
-            inbox_capacity: DEFAULT_MAIN_RING_CAPACITY,
+            inbox_capacity: DEFAULT_INBOX_CAPACITY,
         }
     }
 }
@@ -735,9 +735,9 @@ impl Cluster {
             match central.state_sync().delta_since(&seed_as_of) {
                 Some((delta, _hit)) => replacement.apply_delta(delta.into_delta()),
                 None => {
-                    let fresh = central.state_sync().capture_now();
+                    let fresh = central.state_sync().capture();
                     let frontier = fresh.as_of.clone();
-                    replacement.seed(fresh.into_snapshot().into_state(), frontier);
+                    replacement.seed(fresh.into_state(), frontier);
                 }
             }
         }
@@ -824,12 +824,12 @@ impl Cluster {
         // Subscriptions are live; now capture the recovery state and seed.
         // The capture must be *fresh* (no cached frame): rejoin replays no
         // floor, so a pre-subscribe capture would leave a silent gap
-        // between its frontier and subscribe-time.
-        let snapshot = central.state_sync().capture_now();
-        let frontier = snapshot.as_of.clone();
-        // By-value restore: the captured flight map moves into the seed
+        // between its frontier and subscribe-time. It is a raw capture,
+        // which no slot keeps, so the flight map moves into the seed
         // instead of being deep-cloned a second time.
-        replacement.seed(snapshot.into_snapshot().into_state(), frontier);
+        let snapshot = central.state_sync().capture();
+        let frontier = snapshot.as_of.clone();
+        replacement.seed(snapshot.into_state(), frontier);
         central.readmit_mirror(site);
         write(&self.sites).insert(site, replacement);
         Ok(())

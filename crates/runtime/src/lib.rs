@@ -14,6 +14,7 @@
 //! data/control channels over a `mirror-echo` TCP transport so mirrors can
 //! live in other processes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod applypool;
@@ -37,7 +38,7 @@ pub use partition::{MigrateError, MigrationReport, PartitionedCluster, Partition
 pub use requests::{
     GatewayConfig, PartitionTable, RequestClient, RequestError, RequestGate, RequestGateway,
 };
-pub use site::{CentralSite, MirrorSite, SiteOverload, DEFAULT_MAIN_RING_CAPACITY};
+pub use site::{CentralSite, MirrorSite, SiteOverload, DEFAULT_INBOX_CAPACITY};
 pub use statesync::{
     ServedDelta, ServedSnapshot, SnapshotCachePolicy, StateSync, SyncStateProvider, Transfer,
 };

@@ -124,7 +124,7 @@ pub struct MigrationReport {
 /// that read covers every event that will ever reach the source — the
 /// drain barrier can't pass with a slot event still in flight. Off
 /// migration the lock is uncontended (one of [`PARTITION_SLOTS`], held
-/// for a ring push).
+/// for one submit into the owning group's inbox).
 struct SlotRoute {
     /// Owning group.
     owner: GroupId,
@@ -361,8 +361,8 @@ impl PartitionedCluster {
         // Phase 3: capture the slot's flights from the drained source,
         // through its unified state-transfer provider (a fresh capture —
         // the drain barrier already guaranteed the frontier covers the
-        // cutover watermark).
-        let snap = source.cluster.central().state_sync().capture_now();
+        // cutover watermark). A one-shot read: no slot keeps it.
+        let snap = source.cluster.central().state_sync().capture();
         let mut flights = FlightMap::default();
         for (&id, view) in snap.iter() {
             if PartitionMap::slot_of(id) == slot {

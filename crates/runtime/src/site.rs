@@ -70,7 +70,7 @@ use mirror_core::api::MirrorHandle;
 use mirror_core::aux_unit::{AuxAction, AuxInput, SiteId};
 use mirror_core::checkpoint::MainUnitResponder;
 use mirror_core::event::Event;
-use mirror_core::ring::RingStats;
+use mirror_core::queue::QueueStats;
 use mirror_core::timestamp::VectorTimestamp;
 use mirror_core::ControlMsg;
 use mirror_echo::channel::{Closer, EventChannel, Publisher, Subscriber};
@@ -101,7 +101,7 @@ const APPLY_SHARDS: usize = 8;
 /// once the central's inbox holds this many events. The inbox itself is
 /// unbounded. Overridable per cluster via
 /// [`ClusterConfig::inbox_capacity`](crate::cluster::ClusterConfig).
-pub const DEFAULT_MAIN_RING_CAPACITY: usize = 8192;
+pub const DEFAULT_INBOX_CAPACITY: usize = 8192;
 
 /// A section run with the store to itself: the aux thread, the store's
 /// only writer, runs it between two runs, and applies resume on top of
@@ -752,14 +752,14 @@ macro_rules! site_common_impl {
         }
 
         /// The aux thread's hand-off into the store, in the shape of a
-        /// ring's stats: `enqueued` = `dequeued` = events applied (as
+        /// queue's stats: `enqueued` = `dequeued` = events applied (as
         /// [`processed`](Self::processed) counts them), and
         /// `high_watermark` = 0, since the aux thread applies each event
         /// itself and nothing queues between it and the store. The
         /// backlog, if any, is [`inbox_depth`](Self::inbox_depth).
-        pub fn dispatch_ring_stats(&self) -> RingStats {
+        pub fn dispatch_ring_stats(&self) -> QueueStats {
             let applied = self.processed();
-            RingStats { enqueued: applied, dequeued: applied, high_watermark: 0 }
+            QueueStats { enqueued: applied, dequeued: applied, high_watermark: 0 }
         }
 
         /// Install recovered state into a site started in awaiting-seed

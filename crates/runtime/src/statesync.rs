@@ -6,8 +6,8 @@
 //! * **full snapshots** go out as [`ServedSnapshot`]s — `Arc`-shared state
 //!   plus a once-per-capture wire encoding — from one single-flight,
 //!   bounded-staleness full slot. Request gateways read it under their own
-//!   [`SnapshotCachePolicy`]; seeds, edge reseeds and rejoins read or
-//!   refresh the same slot;
+//!   [`SnapshotCachePolicy`]; seeds and edge reseeds read or refresh the
+//!   same slot;
 //! * **delta snapshots** ([`mirror_ede::StateDelta`]) go out as
 //!   [`ServedDelta`]s with the same encode-once discipline, from a delta
 //!   slot keyed by base frontier, so a burst of consumers sharing a base
@@ -21,7 +21,9 @@
 //!   (within [`mirror_ede::DELTA_BASE_WINDOW`] captures), a full snapshot
 //!   otherwise;
 //! * [`StateSync::capture`] is the raw capture, outside both slots, for a
-//!   reader that keeps the snapshot to itself.
+//!   reader that keeps the snapshot to itself (a rejoin seed, a WAN
+//!   replica's first seed, a slot migration), so its map moves instead of
+//!   being cloned.
 //!
 //! Capture ordering invariant: the site's capture closures read the
 //! checkpoint frontier **before** freezing state, so a served frontier only
@@ -96,8 +98,11 @@ impl ServedSnapshot {
         self.wire.get_or_init(|| mirror_echo::wire::encode_snapshot(&self.snap)).clone()
     }
 
-    /// Take the snapshot by value, avoiding a clone when this handle is the
-    /// only one outstanding (the common case for seed installs).
+    /// Take the snapshot by value. It moves only when this handle is the
+    /// last one outstanding, and is cloned whenever a [`StateSync`] slot
+    /// still shares the capture — as it does for everything `full`,
+    /// `seed` and `capture_now` serve. A one-shot reader that wants the
+    /// map moved calls [`StateSync::capture`] instead.
     pub fn into_snapshot(self) -> Snapshot {
         drop(self.wire);
         Arc::try_unwrap(self.snap).unwrap_or_else(|arc| (*arc).clone())
@@ -292,8 +297,11 @@ impl StateSync {
 
     /// Capture the store right now, outside every slot: the snapshot is
     /// the caller's alone, so [`Snapshot::into_state`] moves its map
-    /// instead of cloning it. The path for one-shot readers (a direct
-    /// snapshot, the durable snapshot save).
+    /// instead of cloning it. It runs the same capture closure as
+    /// [`capture_now`](Self::capture_now), so it marks the same delta base.
+    /// The path for one-shot readers: a direct snapshot, the durable
+    /// snapshot save, a mirror rejoin or gap fallback seed, a WAN replica's
+    /// first seed and a slot migration's capture.
     pub fn capture(&self) -> Snapshot {
         (self.freeze)().0
     }
@@ -331,10 +339,10 @@ impl StateSync {
     }
 
     /// Capture a fresh snapshot right now, bypassing the staleness check —
-    /// for consumers whose correctness depends on the capture happening at
-    /// or after the call (the edge's floor-before-capture reseed,
-    /// promotion handoffs). The capture replaces the full slot's entry,
-    /// so subsequent reads of the slot benefit.
+    /// for served readers whose correctness depends on the capture
+    /// happening at or after the call (the edge's floor-before-capture
+    /// reseed, a gateway with no cache policy). The capture replaces the
+    /// full slot's entry, so subsequent reads of the slot benefit.
     pub fn capture_now(&self) -> ServedSnapshot {
         self.refill(&mut self.full_slot.lock())
     }

@@ -146,9 +146,9 @@ impl WanMirror {
     pub fn connect(central: &CentralSite, cfg: WanMirrorConfig) -> Self {
         let sub = central.subscribe_updates();
         let sync = central.state_sync();
-        let served = sync.capture_now();
-        let base = served.as_of.clone();
-        let state = Arc::new(Mutex::new(served.into_snapshot().into_state()));
+        let snap = sync.capture();
+        let base = snap.as_of.clone();
+        let state = Arc::new(Mutex::new(snap.into_state()));
 
         let link_down = Arc::new(AtomicBool::new(false));
         let stale_since: Arc<Mutex<Option<Instant>>> = Arc::new(Mutex::new(None));

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use mirror_core::event::{Event, PositionFix};
-use mirror_core::ring::RingStats;
+use mirror_core::queue::QueueStats;
 use mirror_runtime::{Cluster, ClusterConfig};
 
 fn fix() -> PositionFix {
@@ -60,7 +60,7 @@ fn saturation_surfaces_as_typed_backpressure_not_silent_spinning() {
     let handoff = cluster.central().dispatch_ring_stats();
     assert_eq!(
         handoff,
-        RingStats { enqueued: accepted, dequeued: accepted, high_watermark: 0 },
+        QueueStats { enqueued: accepted, dequeued: accepted, high_watermark: 0 },
         "the backlog is the inbox's alone"
     );
     cluster.shutdown();
@@ -71,7 +71,7 @@ fn default_capacity_absorbs_bursts_and_queues_nothing_past_the_inbox() {
     let cluster = Cluster::start(ClusterConfig::default());
     assert_eq!(
         cluster.central().inbox_capacity(),
-        mirror_runtime::DEFAULT_MAIN_RING_CAPACITY,
+        mirror_runtime::DEFAULT_INBOX_CAPACITY,
         "unspecified config keeps the historical 8192-event threshold"
     );
     for seq in 1..=500u64 {
@@ -81,6 +81,6 @@ fn default_capacity_absorbs_bursts_and_queues_nothing_past_the_inbox() {
     }
     assert!(cluster.wait_all_processed(500, Duration::from_secs(10)));
     let handoff = cluster.central().dispatch_ring_stats();
-    assert_eq!(handoff, RingStats { enqueued: 500, dequeued: 500, high_watermark: 0 });
+    assert_eq!(handoff, QueueStats { enqueued: 500, dequeued: 500, high_watermark: 0 });
     cluster.shutdown();
 }

@@ -23,6 +23,7 @@
 //! sans-IO `AuxUnit`/`Ede` state machines under it that `mirror-runtime`
 //! runs on real threads.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costmodel;

@@ -25,6 +25,8 @@
 //!
 //! Everything is `std::fs` only — no new dependencies.
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod log;
 pub mod snapshot;

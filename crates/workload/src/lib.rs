@@ -26,6 +26,7 @@
 //! so every figure regenerates bit-identically. [`rng`] also holds the
 //! seeded case runner the workspace's property tests share.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delta;

@@ -43,6 +43,7 @@
 //! cluster.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mirror_core as core;
