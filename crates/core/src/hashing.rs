@@ -1,8 +1,7 @@
 //! The one flight-id hash the whole system routes by.
 //!
-//! Three layers place flights into buckets: the intra-site shard map
-//! (`mirror-ede`'s `ShardMap`), the cluster-level partition map
-//! ([`crate::partition::PartitionMap`]), and the flight-keyed hash tables
+//! Two layers place flights into buckets: the cluster-level partition map
+//! ([`crate::partition::PartitionMap`]) and the flight-keyed hash tables
 //! on the apply and edge-subscription hot paths (and the aux unit's status
 //! table and coalescer, probed once per event). They must never disagree
 //! on how a flight id mixes — a divergence would be invisible until a
@@ -15,7 +14,7 @@
 //!
 //! * [`fib_slot`] keeps the **high** bits (the well-mixed ones after a
 //!   multiply) and reduces them modulo the bucket count — the classic
-//!   Fibonacci bucketing for shard/partition maps;
+//!   Fibonacci bucketing for the partition map;
 //! * [`fib_mix64`] xor-folds the high bits into the low bits, producing a
 //!   full-width value whose **low** bits are usable — what a hash table
 //!   that masks with its capacity needs.
@@ -32,8 +31,8 @@ pub fn fib_mix64(v: u64) -> u64 {
 }
 
 /// Bucket assignment: multiply, keep the high bits, reduce modulo
-/// `buckets` (exact for non-power-of-two counts). Use for shard and
-/// partition maps. `buckets` is clamped to at least 1.
+/// `buckets` (exact for non-power-of-two counts). Use for the partition
+/// map. `buckets` is clamped to at least 1.
 #[inline]
 pub fn fib_slot(key: u64, buckets: usize) -> usize {
     ((key.wrapping_mul(FIB_MULT) >> 32) % buckets.max(1) as u64) as usize

@@ -3,7 +3,7 @@
 //! Full replication caps cluster capacity at one machine's worth of
 //! flights — every site applies every event and holds every flight. The
 //! [`PartitionMap`] splits the flight space into [`PARTITION_SLOTS`]
-//! Fibonacci-hashed slots (the same mix the intra-site shard map uses, see
+//! Fibonacci-hashed slots (the mix the flight tables use too, see
 //! [`crate::hashing`]) and assigns each slot to a **mirror group**: an
 //! independent central + mirrors that replicate only their share of the
 //! flight space. An 4-group cluster holds ~4× the flights and applies ~4×

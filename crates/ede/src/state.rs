@@ -17,8 +17,8 @@ use crate::delta::StateDelta;
 use crate::flight::FlightView;
 
 // The flight-id hasher lives in `mirror_core::hashing` so partition
-// routing, intra-site sharding, and the edge subscription index all derive
-// from the same Fibonacci mix; re-exported here for the table aliases below.
+// routing and the edge subscription index derive from the same Fibonacci
+// mix; re-exported here for the table aliases below.
 pub use mirror_core::hashing::{BuildFlightHasher, FlightIdHasher};
 
 /// The flight table: flight id → view, keyed with the cheap
@@ -289,10 +289,9 @@ impl OperationalState {
 }
 
 /// The canonical FNV-1a digest over flight views presented in **ascending
-/// flight-id order**. Shared by [`OperationalState::state_hash`], the
-/// sharded store's merged hash (`sharded`), and the partitioned cluster's
-/// union hash: partitioning the flight map — per-shard or per-group — is
-/// invisible to the digest because every consumer feeds this function the
+/// flight-id order**. Shared by [`OperationalState::state_hash`] and the
+/// partitioned cluster's union hash: partitioning the flight map across
+/// groups is invisible to the digest because both feed this function the
 /// same globally sorted sequence.
 pub fn hash_sorted_flights<'a>(sorted: impl Iterator<Item = (FlightId, &'a FlightView)>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf29ce484222325;

@@ -5,9 +5,9 @@
 //! and starts no thread of its own:
 //!
 //! * each event goes through the callback-based
-//!   [`ShardedEde::process`] path, which locks only the shard owning its
-//!   flight (no `EdeOutput` allocation; an `Event` clone only when an
-//!   updates subscriber actually needs an owned copy);
+//!   [`ShardedEde::process`] path under the store's one lock (no
+//!   `EdeOutput` allocation; an `Event` clone only when an updates
+//!   subscriber actually needs an owned copy);
 //! * checkpoint-frontier and counter bookkeeping is **batched**: the
 //!   vector stamps of the events applied since the last
 //!   [`flush`](ApplyPool::flush) are joined and the responder lock is
@@ -15,10 +15,10 @@
 //!   before it answers a CHKPT and before an exclusive section; `dispatch`
 //!   also flushes on its own every [`ApplyPoolConfig::batch`] events;
 //! * client updates are published once per flush, as one
-//!   [`Publisher::publish_all`] run, after the shard locks are released
-//!   and before `processed` counts the events: by one thread, in apply
-//!   order, and a subscriber's sink (an edge's fan-out) never runs under a
-//!   shard lock. Once `processed` covers an event, every sink has it.
+//!   [`Publisher::publish_all`] run, with the store's lock released and
+//!   before `processed` counts the events: by one thread, in apply order,
+//!   and a subscriber's sink (an edge's fan-out) never runs under the
+//!   store's lock. Once `processed` covers an event, every sink has it.
 //!
 //! Ordering contract: the checkpoint frontier only ever *trails* the
 //! store (an event is applied before its stamp is recorded). All
@@ -249,7 +249,7 @@ mod tests {
             serial.process(e);
         }
 
-        let ede = Arc::new(ShardedEde::new(8));
+        let ede = Arc::new(ShardedEde::new(1));
         let s = sink();
         let crashed = Arc::new(AtomicBool::new(false));
         let mut pool =
@@ -275,7 +275,7 @@ mod tests {
     fn flush_records_a_partial_batch() {
         let s = sink();
         let mut pool = ApplyPool::spawn(
-            Arc::new(ShardedEde::new(4)),
+            Arc::new(ShardedEde::new(1)),
             s.clone(),
             Arc::new(AtomicBool::new(false)),
             ApplyPoolConfig { batch: 64 },
@@ -294,7 +294,7 @@ mod tests {
 
         // The default batch records each event before `dispatch` returns.
         let mut each = ApplyPool::spawn(
-            Arc::new(ShardedEde::new(4)),
+            Arc::new(ShardedEde::new(1)),
             s.clone(),
             Arc::new(AtomicBool::new(false)),
             ApplyPoolConfig::default(),
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn after_the_crash_flag_dispatch_applies_nothing() {
-        let ede = Arc::new(ShardedEde::new(4));
+        let ede = Arc::new(ShardedEde::new(1));
         let s = sink();
         let crashed = Arc::new(AtomicBool::new(false));
         let mut pool = ApplyPool::spawn(

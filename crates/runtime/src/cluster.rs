@@ -118,10 +118,9 @@ pub struct SiteStats {
     pub snapshot_cache_hits: u64,
     /// Gateway requests that had to capture the live state.
     pub snapshot_cache_misses: u64,
-    /// Events applied by each EDE shard, in shard order.
-    pub shard_applied: Vec<u64>,
-    /// Shard load imbalance: busiest shard's applied count over the
-    /// per-shard mean (1.0 = perfectly even, 0.0 = nothing applied yet).
+    /// 1.0 once the site has applied an event, 0.0 before. The store is
+    /// one engine behind one lock, so its load is never uneven; the field
+    /// stays while the benchmark reports it (ROADMAP item 1c).
     pub shard_imbalance: f64,
     /// Staleness gauge, in events: how far this site's applied-event count
     /// trails the central's at the stats snapshot (0 for the central row).
@@ -492,13 +491,11 @@ impl Cluster {
     /// A point-in-time statistics snapshot across the cluster.
     pub fn stats(&self) -> ClusterStats {
         use std::sync::atomic::Ordering;
-        let site = |c: &crate::site::SiteCounters,
-                    shard_applied: Vec<u64>,
-                    shard_imbalance: f64,
-                    central_frontier: Option<(u64, u64)>| {
+        let site = |c: &crate::site::SiteCounters, central_frontier: Option<(u64, u64)>| {
             // The per-mirror staleness gauge: applied-frontier lag behind
             // the central, in events and in wall time. `None` marks the
             // central's own row (always 0 by definition).
+            let processed = c.processed.load(Ordering::Relaxed);
             let (staleness_events, staleness_us) = match central_frontier {
                 None => (0, 0),
                 Some((central_processed, central_apply_us)) => {
@@ -508,11 +505,11 @@ impl Cluster {
                     } else {
                         central_apply_us.saturating_sub(apply_us)
                     };
-                    (central_processed.saturating_sub(c.processed.load(Ordering::Relaxed)), us)
+                    (central_processed.saturating_sub(processed), us)
                 }
             };
             SiteStats {
-                processed: c.processed.load(Ordering::Relaxed),
+                processed,
                 mirrored: c.mirrored.load(Ordering::Relaxed),
                 snapshots: c.snapshots.load(Ordering::Relaxed),
                 adaptations: c.adaptations.load(Ordering::Relaxed),
@@ -521,8 +518,7 @@ impl Cluster {
                 mean_request_latency_us: c.mean_request_latency_us(),
                 snapshot_cache_hits: c.snapshot_cache_hits.load(Ordering::Relaxed),
                 snapshot_cache_misses: c.snapshot_cache_misses.load(Ordering::Relaxed),
-                shard_applied,
-                shard_imbalance,
+                shard_imbalance: if processed > 0 { 1.0 } else { 0.0 },
                 staleness_events,
                 staleness_us,
             }
@@ -534,16 +530,8 @@ impl Cluster {
             central.counters().last_apply_us.load(Ordering::Relaxed),
         );
         ClusterStats {
-            central: site(
-                central.counters(),
-                central.shard_applied(),
-                central.shard_imbalance(),
-                None,
-            ),
-            mirrors: sites
-                .values()
-                .map(|m| site(m.counters(), m.shard_applied(), m.shard_imbalance(), Some(frontier)))
-                .collect(),
+            central: site(central.counters(), None),
+            mirrors: sites.values().map(|m| site(m.counters(), Some(frontier))).collect(),
             mirror_ids: sites.keys().copied().collect(),
             epoch: self.membership.epoch(),
             committed: central.committed(),
@@ -1289,13 +1277,7 @@ mod tests {
         assert_eq!(stats.mirrors[0].snapshots, 1);
         assert!(stats.failed_mirrors.is_empty());
         assert!(stats.central.mean_update_delay_us > 0.0);
-        assert_eq!(
-            stats.central.shard_applied.iter().sum::<u64>(),
-            60,
-            "per-shard counters must account for every applied event"
-        );
-        assert!(stats.central.shard_imbalance >= 1.0);
-        assert_eq!(stats.mirrors[0].shard_applied.iter().sum::<u64>(), 60);
+        assert_eq!(stats.central.shard_imbalance, 1.0, "one store: never uneven");
         cluster.shutdown();
     }
 

@@ -8,8 +8,8 @@
 //!   Table-1 [`MirrorHandle`]), translating its actions into channel
 //!   publishes;
 //! * and it runs the main unit's share of each run inline: forwarded
-//!   events are applied straight into the Event Derivation Engine, a
-//!   per-shard-locked [`ShardedEde`] (see DESIGN.md §16), through the
+//!   events are applied straight into the Event Derivation Engine, one
+//!   [`ShardedEde`] behind one lock (see DESIGN.md §16), through the
 //!   site's [`ApplyPool`], and checkpoint traffic is answered against the
 //!   main unit's responder.
 //!
@@ -90,12 +90,6 @@ const FLUSH_PERIOD: Duration = Duration::from_millis(20);
 /// drain stops taking messages once it holds this many, and never splits
 /// a `SiteMsg::Run`, so one run may exceed it.
 const AUX_BATCH: usize = 256;
-
-/// Shards in a site's operational store. The aux thread applies into one
-/// shard at a time, so the count bounds how much of the store a capture's
-/// freeze holds against it; the shard map is invisible to the replicated
-/// digest, so the count is a pure tuning knob.
-const APPLY_SHARDS: usize = 8;
 
 /// Default ingest refusal threshold: [`CentralSite::try_submit`] refuses
 /// once the central's inbox holds this many events. The inbox itself is
@@ -257,8 +251,8 @@ impl SiteCounters {
 
 /// State shared by a site's threads and its owner.
 struct SiteShared {
-    /// The sharded operational store: per-shard locks for parallel
-    /// applies, all-shard freeze for consistent captures.
+    /// The operational store: the aux thread writes it, the capture
+    /// closures read it, under its one lock.
     ede: Arc<ShardedEde>,
     /// The aux thread merges each run's processed stamps into it; the
     /// capture paths read its frontier.
@@ -333,7 +327,7 @@ impl SiteCore {
         let (inbox_tx, inbox_rx) = channel::unbounded::<SiteMsg>();
         let inbox = Inbox { tx: inbox_tx, run_extra: Arc::new(AtomicUsize::new(0)) };
         let crashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let ede = Arc::new(ShardedEde::new(APPLY_SHARDS));
+        let ede = Arc::new(ShardedEde::new(1));
         let shared = Arc::new(SiteShared {
             ede,
             responder: Arc::new(Mutex::new(MainUnitResponder::new(site))),
@@ -343,16 +337,16 @@ impl SiteCore {
         });
 
         // The state-transfer provider, and the only code that reads the
-        // store. Frontier before the all-shard freeze in both capture
-        // closures: a served frontier may only *trail* the state it ships
-        // with, so replays on top are idempotent and nothing after it can
-        // be missing. The `ShardedEde` epoch cell, bumped under the owning
-        // shard's lock on every state change, lets the slots check
-        // freshness without touching a shard lock. Its own policy is wider
-        // than a gateway's: every consumer of `full`/`seed` either replays
-        // the data channel from a floor recorded before the capture
-        // (seeds) or asked for a fresh capture explicitly (edge reseeds,
-        // rejoin); gateways check the slot against their own policy.
+        // store. Frontier before the store's lock in both capture closures:
+        // a served frontier may only *trail* the state it ships with, so
+        // replays on top are idempotent and nothing after it can be
+        // missing. The store's epoch cell, set under its lock on every
+        // write, lets the slots check freshness without taking the lock.
+        // Its own policy is wider than a gateway's: every consumer of
+        // `full`/`seed` either replays the data channel from a floor
+        // recorded before the capture (seeds) or asked for a fresh capture
+        // explicitly (edge reseeds, rejoin); gateways check the slot
+        // against their own policy.
         let sync = {
             let full_shared = Arc::clone(&shared);
             let delta_shared = Arc::clone(&shared);
@@ -654,21 +648,9 @@ macro_rules! site_common_impl {
             &self.updates
         }
 
-        /// Digest of this site's EDE state (merged across shards; identical
-        /// to the hash an unsharded store of the same flights produces).
+        /// Digest of this site's EDE state.
         pub fn state_hash(&self) -> u64 {
             self.core.shared.ede.state_hash()
-        }
-
-        /// Events applied per store shard (index = shard), lock-free.
-        pub fn shard_applied(&self) -> Vec<u64> {
-            self.core.shared.ede.applied_per_shard()
-        }
-
-        /// Shard imbalance: busiest shard's applied count over the
-        /// per-shard mean (1.0 = even; 0.0 before any apply).
-        pub fn shard_imbalance(&self) -> f64 {
-            self.core.shared.ede.imbalance()
         }
 
         /// Events this site's EDE has processed.
@@ -1169,8 +1151,8 @@ impl CentralSite {
         let journal = self.journal.as_ref().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::Unsupported, "site has no durable store")
         })?;
-        // Freeze (clone) under the shard locks, write after releasing
-        // them: the disk write (serialize + temp file + fsync + rename)
+        // Freeze (clone) under the store's lock, write after releasing
+        // it: the disk write (serialize + temp file + fsync + rename)
         // must not stall event processing — holding the store locked
         // across it would stall the aux thread for the whole save.
         let snap = self.core.sync.capture();

@@ -3,13 +3,16 @@
 //! submitted, across flights as well as within one. Each site's aux thread
 //! applies its runs in order and publishes their updates itself, so no
 //! two flights can swap on the way out (an order the monitor in
-//! `tests/scenario_day.rs` relies on to judge connections).
+//! `tests/scenario_day.rs` relies on to judge connections). The stream
+//! is also event for event what the reference engine emits, derived
+//! events and their sequence numbers included.
 
 use std::time::Duration;
 
-use mirror_core::event::{Event, PositionFix};
+use mirror_core::event::{Event, FlightStatus, PositionFix};
 use mirror_core::mirrorfn::MirrorFnKind;
 use mirror_echo::channel::Subscriber;
+use mirror_ede::Ede;
 use mirror_runtime::{Cluster, ClusterConfig};
 
 const EVENTS: u64 = 20_000;
@@ -68,5 +71,32 @@ fn updates_arrive_in_submission_order_at_every_site() {
     for (site, sub) in &mirrors {
         assert_submission_order(site, sub, EVENTS);
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn central_updates_match_the_reference_engine() {
+    let cluster = Cluster::start(ClusterConfig::default());
+    let updates = cluster.subscribe_updates();
+    let events: Vec<Event> = (0..16u32)
+        .map(|f| Event::delta_status(u64::from(f) + 1, f, FlightStatus::AtGate))
+        .collect();
+    let mut reference = Ede::new();
+    let want: Vec<Event> =
+        events.iter().flat_map(|e| reference.process(e).client_updates).collect();
+    for e in events {
+        cluster.submit(e);
+    }
+    assert!(cluster.wait_all_processed(16, Duration::from_secs(10)), "every site applied");
+
+    // The central assigns `stamp` and `ingress_us`; compare the rest.
+    let key = |u: &Event| (u.stream, u.seq, u.flight, u.body.clone());
+    for (i, w) in want.iter().enumerate() {
+        let u = updates
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("update {i} of {} never arrived", want.len()));
+        assert_eq!(key(&u), key(w), "update {i}");
+    }
+    assert!(updates.try_recv().is_none(), "more updates than the reference engine emits");
     cluster.shutdown();
 }

@@ -9,7 +9,7 @@ use adaptable_mirroring::core::rules::{Rule, RuleSet};
 use adaptable_mirroring::core::status::StatusTable;
 use adaptable_mirroring::core::timestamp::{StampOrdering, VectorTimestamp};
 use adaptable_mirroring::echo::wire::{decode_frame, encode_frame, Frame};
-use adaptable_mirroring::ede::{Ede, OperationalState, ShardMap, ShardedEde, Snapshot};
+use adaptable_mirroring::ede::{Ede, OperationalState, ShardedEde, Snapshot};
 use adaptable_mirroring::workload::rng::{check, Rng};
 
 // ---------------------------------------------------------------------
@@ -264,52 +264,43 @@ fn snapshot_then_replay_converges() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded apply-path equivalence (PR 7)
+// Site store equivalence
 //
-// The tentpole claim behind the parallel apply path: because all EDE
-// state is per-flight and flight-id routing is sticky, partitioning the
-// store into any number of shards and applying events in any order that
-// preserves each flight's sub-sequence reaches the same operational
-// state as the serial single-store apply.
+// A site's store is one engine behind one lock, so it must emit what the
+// reference engine emits for the same stream. Because all EDE state is
+// per-flight, any order that preserves each flight's sub-sequence also
+// reaches the same operational state.
 // ---------------------------------------------------------------------
 
 #[test]
-fn sharded_apply_matches_unsharded_hash() {
-    check("sharded_apply_matches_unsharded_hash", 256, |rng| {
+fn store_apply_matches_reference_hash() {
+    check("store_apply_matches_reference_hash", 256, |rng| {
         let events = arb_ops_events(rng);
-        let shards = rng.gen_range(1..12usize);
         let picks = rng.gen_vec(0..240, |r| r.gen_range(0..64usize));
-        // Serial, unsharded reference.
+        // Serial reference.
         let mut reference = Ede::new();
         for e in &events {
             reference.process(e);
         }
         let expected = reference.state_hash();
 
-        // Same stream through the sharded store, original order.
-        let map = ShardMap::new(shards);
-        let in_order = ShardedEde::new(shards);
+        // Same stream through the store, original order.
+        let in_order = ShardedEde::new(1);
         for e in &events {
-            in_order.process_shard(map.shard_of(e.flight), e, |_| {}, |_| {});
+            in_order.process(e, |_| {}, |_| {});
         }
-        assert_eq!(
-            in_order.state_hash(),
-            expected,
-            "sharded in-order apply diverged (shards={})",
-            shards
-        );
+        assert_eq!(in_order.state_hash(), expected, "in-order apply diverged");
         assert_eq!(in_order.applied(), events.len() as u64);
 
         // An arbitrary per-flight-order-preserving interleaving: partition
         // the stream into per-flight queues, then drain them in the
-        // generated pick order. This models shard workers racing ahead of
-        // each other while each flight's events stay FIFO.
+        // generated pick order, each flight's events staying FIFO.
         let mut queues: std::collections::BTreeMap<u32, std::collections::VecDeque<&Event>> =
             std::collections::BTreeMap::new();
         for e in &events {
             queues.entry(e.flight).or_default().push_back(e);
         }
-        let interleaved = ShardedEde::new(shards);
+        let interleaved = ShardedEde::new(1);
         let mut picks = picks.into_iter().cycle();
         while !queues.is_empty() {
             let keys: Vec<u32> = queues.keys().copied().collect();
@@ -319,36 +310,32 @@ fn sharded_apply_matches_unsharded_hash() {
             if q.is_empty() {
                 queues.remove(&k);
             }
-            interleaved.process_shard(map.shard_of(e.flight), e, |_| {}, |_| {});
+            interleaved.process(e, |_| {}, |_| {});
         }
         assert_eq!(
             interleaved.state_hash(),
             expected,
-            "per-flight-preserving interleaving diverged (shards={})",
-            shards
+            "per-flight-preserving interleaving diverged"
         );
     });
 }
 
 #[test]
-fn shard_counts_agree_with_each_other() {
-    check("shard_counts_agree_with_each_other", 256, |rng| {
+fn store_updates_match_reference_engine() {
+    check("store_updates_match_reference_engine", 256, |rng| {
         let events = arb_ops_events(rng);
-        let (a, b) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
-        // Any two shard counts agree — the partition is invisible in the
-        // canonical hash even when no serial reference is consulted.
-        let build = |n: usize| {
-            let map = ShardMap::new(n);
-            let store = ShardedEde::new(n);
-            for e in &events {
-                store.process_shard(map.shard_of(e.flight), e, |_| {}, |_| {});
-            }
-            store
-        };
-        let sa = build(a);
-        let sb = build(b);
-        assert_eq!(sa.state_hash(), sb.state_hash());
-        assert_eq!(sa.flight_count(), sb.flight_count());
+        let mut reference = Ede::new();
+        let want: Vec<Event> =
+            events.iter().flat_map(|e| reference.process(e).client_updates).collect();
+        // The site store, fed the same stream: the updates it publishes,
+        // in order, derived-event numbers included (its argument is unused,
+        // so 8 shards and 1 build the same store).
+        let store = ShardedEde::new(8);
+        let mut got = Vec::new();
+        for e in &events {
+            store.process(e, |u| got.push(u.clone()), |_| {});
+        }
+        assert_eq!(got, want);
     });
 }
 
